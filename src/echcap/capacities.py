@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
-from .lattice import toric_capacity
+from .lattice import _toric_sequence
 from .values import CapacitySequence, CapacityValue, RationalLike, as_fraction
 
 WEAK = "weak"
@@ -183,11 +183,7 @@ def capacities(domain: Domain, kmax: int, *,
     if isinstance(domain, Polydisk):
         return polydisk_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, ToricNorm):
-        # descending k reuses one polygon search for the whole sequence
-        values = {}
-        for k in range(kmax, -1, -1):
-            values[k] = toric_capacity(domain.norm, k, node_limit=node_limit).value
-        return CapacitySequence(0, [values[k] for k in range(kmax + 1)])
+        return CapacitySequence(0, _toric_sequence(domain.norm, kmax, node_limit))
     if isinstance(domain, DisjointUnion):
         parts = [capacities(p, kmax, node_limit=node_limit)
                  for p in domain.parts]

@@ -472,11 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .lattice import clear_search_cache
-
     argv = list(sys.argv[1:] if argv is None else argv)
-    # each invocation accounts its own search nodes, as a fresh process would
-    clear_search_cache()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

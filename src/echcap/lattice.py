@@ -17,9 +17,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import CapacityValue, RationalLike, as_fraction
@@ -458,10 +458,11 @@ class _LengthContext:
         return chain._exact
 
 
-def _enumerate_chains(norm: Norm, budget_f: float, max_count: Optional[int],
+def _enumerate_chains(norm: Norm, budget_f: float, max_count: int,
                       node_limit: Optional[int], emit) -> None:
     """Emit every nonempty upper-half convex chain with length + |displacement|
-    within the budget.  emit(dx, dy, chain) is called once per chain.
+    within the budget whose pairs can enclose at most max_count lattice
+    points.  emit(dx, dy, chain) is called once per chain.
 
     Any closed polygon of perimeter <= budget splits uniquely into such a
     chain and the negation of another one with the same displacement, so this
@@ -480,7 +481,7 @@ def _enumerate_chains(norm: Norm, budget_f: float, max_count: Optional[int],
     nodes = 0
     picks: List[Tuple[int, int, int]] = []
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
-    weight_cap = None if max_count is None else 2 * max_count - 3
+    weight_cap = 2 * max_count - 3
 
     def rec(start: int, sx: int, sy: int, two_area: int,
             length: float, total_mult: int) -> None:
@@ -495,7 +496,9 @@ def _enumerate_chains(norm: Norm, budget_f: float, max_count: Optional[int],
                 nodes += 1
                 if nodes > limit:
                     raise ToricEnumerationBudgetExceeded(
-                        f"polygon search exceeded {limit} nodes"
+                        f"polygon search exceeded its node limit of {limit} "
+                        f"(lattice-point cap {max_count}, "
+                        f"perimeter budget {budget_f:.12g})"
                     )
                 c2a += csx * py - csy * px
                 csx += px
@@ -503,7 +506,7 @@ def _enumerate_chains(norm: Norm, budget_f: float, max_count: Optional[int],
                 clen += fl
                 cmult += 1
                 c += 1
-                if weight_cap is not None and c2a + cmult > weight_cap:
+                if c2a + cmult > weight_cap:
                     break
                 if clen + flen(csx, csy) > limit_f:
                     break
@@ -537,9 +540,9 @@ def _polygon_from_pair(upper: _Chain, lower: _Chain) -> LatticePolygon:
     return LatticePolygon(_canonical(verts))
 
 
-def _pair_perimeter(upper: _Chain, lower: _Chain,
-                    ctx: _LengthContext) -> CapacityValue:
-    return ctx.chain_length(upper) + ctx.chain_length(lower)
+def _preference(poly: LatticePolygon):
+    """Order among tied minima: fewest vertices, then lexicographic vertices."""
+    return (len(poly.vertices), poly.vertices)
 
 
 def enumerate_polygons(target_count: int, norm: Norm, length_budget,
@@ -586,20 +589,61 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
                 for c2 in chains2:
                     if c1.length_f + c2.length_f > budget_f + slack:
                         continue
-                    perim = _pair_perimeter(c1, c2, ctx)
+                    perim = ctx.chain_length(c1) + ctx.chain_length(c2)
                     if within_budget(perim):
                         found.append(_polygon_from_pair(c1, c2))
-    found.sort(key=lambda p: (len(p.vertices), p.vertices))
+    found.sort(key=_preference)
     return found
 
 
-# -- bucketed minima, cached per norm -----------------------------------------
+# -- minima per (lattice point count, edge count) ------------------------------
 
 @dataclass
 class _Candidate:
+    """The cheapest chain pair of a bucket so far.
+
+    Its witness, the preferred one of the pair closed either way round, is
+    built only when a tie or a caller asks for it.
+    """
+
     value: CapacityValue
-    witness: LatticePolygon
+    pair: Optional[Tuple[_Chain, _Chain]]   # None for the point
     tie: bool
+    _witness: Optional[LatticePolygon] = None
+
+    @property
+    def witness(self) -> LatticePolygon:
+        if self._witness is None:
+            upper, lower = self.pair
+            self._witness = min(_polygon_from_pair(upper, lower),
+                                _polygon_from_pair(lower, upper),
+                                key=_preference)
+        return self._witness
+
+
+def _prefer(best: Optional[_Candidate], cand: _Candidate) -> _Candidate:
+    """The smaller of best and cand.  When compare() cannot order them the
+    preferred witness wins, and tie is set if either already carried a tie or
+    the two values are only indistinguishable, not equal."""
+    if best is None:
+        return cand
+    c = cand.value.compare(best.value)
+    if c < 0:
+        return cand
+    if c > 0:
+        return best
+    tie = cand.tie or best.tie or not cand.value._is_definite_tie(best.value)
+    winner = cand if _preference(cand.witness) < _preference(best.witness) \
+        else best
+    return _Candidate(winner.value, winner.pair, tie, winner.witness)
+
+
+def _cheapest(cands: Iterable[_Candidate], budget, what: str) -> _Candidate:
+    best = reduce(_prefer, cands, None)
+    if best is None:
+        raise RuntimeError(f"no {what} found within budget {budget!r}; "
+                           "search is incomplete")
+    return best
 
 
 class _CellTable:
@@ -640,89 +684,40 @@ class _CellTable:
                     per_disp[key] = (best, tie or ambiguous)
 
 
-class _Buckets:
-    """count -> edge_count -> minimal candidate, assembled from chain pairs."""
+def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
+                   ) -> Dict[int, Dict[int, _Candidate]]:
+    """count -> edge count -> cheapest candidate, over every polygon with at
+    most max_count lattice points and perimeter within the budget.
 
-    def __init__(self):
-        self.by_count: Dict[int, Dict[int, _Candidate]] = {}
-
-    def offer(self, poly: LatticePolygon, perim: CapacityValue, tie: bool):
-        edges = len(poly.edges)
-        count = poly.lattice_point_count
-        per_edge = self.by_count.setdefault(count, {})
-        cand = per_edge.get(edges)
-        if cand is None:
-            per_edge[edges] = _Candidate(perim, poly, tie)
-            return
-        c = perim.compare(cand.value)
-        if c < 0:
-            per_edge[edges] = _Candidate(perim, poly, tie)
-        elif c == 0:
-            ambiguous = tie or cand.tie or not perim._is_definite_tie(cand.value)
-            if (len(poly.vertices), poly.vertices) < \
-                    (len(cand.witness.vertices), cand.witness.vertices):
-                per_edge[edges] = _Candidate(perim, poly, ambiguous)
-            else:
-                cand.tie = ambiguous
-
-
-def _assemble_buckets(norm: Norm, budget_f: float, max_count: Optional[int],
-                      node_limit: Optional[int]) -> _Buckets:
+    A pair's bucket follows from its chains: it encloses
+    (weight1 + weight2) / 2 + 1 points and has nedges1 + nedges2 edges.  The
+    upper chain and the negated lower chain lie on opposite sides of their
+    common chord, so they share an end direction only when both run along
+    the chord; the pair is then a segment, stored with the two edges v, -v.
+    """
+    budget_f, _ = _coerce_budget(budget)
     eps = 1e-9 * max(1.0, budget_f)
     ctx = _LengthContext(norm)
     table = _CellTable(ctx, eps)
     _enumerate_chains(norm, budget_f, max_count, node_limit, table.offer)
 
-    buckets = _Buckets()
-    buckets.offer(LatticePolygon.point(), CapacityValue.exact(0), False)
-    for disp, per_disp in table.cells.items():
+    point = _Candidate(CapacityValue.exact(0), None, False, LatticePolygon.point())
+    minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
+    for per_disp in table.cells.values():
         cells = list(per_disp.values())
-        n = len(cells)
-        for i in range(n):
-            chain1, tie1 = cells[i]
-            for j in range(i, n):
-                chain2, tie2 = cells[j]
-                if max_count is not None:
-                    if (chain1.weight + chain2.weight) // 2 + 1 > max_count:
-                        continue
+        for i, (chain1, tie1) in enumerate(cells):
+            for chain2, tie2 in cells[i:]:
+                count = (chain1.weight + chain2.weight) // 2 + 1
+                if count > max_count:
+                    continue
                 if chain1.length_f + chain2.length_f > budget_f + eps:
                     continue
-                perim = _pair_perimeter(chain1, chain2, ctx)
-                poly = _polygon_from_pair(chain1, chain2)
-                twin = _polygon_from_pair(chain2, chain1)
-                if (len(twin.vertices), twin.vertices) < \
-                        (len(poly.vertices), poly.vertices):
-                    poly = twin
-                buckets.offer(poly, perim, tie1 or tie2)
-    return buckets
-
-
-@dataclass
-class _CacheEntry:
-    budget_f: float
-    max_count: Optional[int]
-    buckets: _Buckets
-
-
-_SEARCH_CACHE: Dict[Norm, List[_CacheEntry]] = {}
-
-
-def clear_search_cache() -> None:
-    _SEARCH_CACHE.clear()
-
-
-def _bucketed_minima(norm: Norm, budget, max_count: Optional[int],
-                     node_limit: Optional[int]) -> _Buckets:
-    budget_f, _ = _coerce_budget(budget)
-    entries = _SEARCH_CACHE.setdefault(norm, [])
-    for entry in entries:
-        if entry.budget_f >= budget_f - 1e-12 and (
-                entry.max_count is None
-                or (max_count is not None and entry.max_count >= max_count)):
-            return entry.buckets
-    buckets = _assemble_buckets(norm, budget_f, max_count, node_limit)
-    entries.append(_CacheEntry(budget_f, max_count, buckets))
-    return buckets
+                per_edge = minima.setdefault(count, {})
+                edges = chain1.nedges + chain2.nedges
+                perim = ctx.chain_length(chain1) + ctx.chain_length(chain2)
+                per_edge[edges] = _prefer(per_edge.get(edges), _Candidate(
+                    perim, (chain1, chain2), tie1 or tie2))
+    return minima
 
 
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:
@@ -777,39 +772,29 @@ def toric_capacity(norm: Norm, k: int, node_limit: Optional[int] = None,
 
     allow_at_least relaxes "exactly k+1" to counts in [k+1, 2(k+1)]; it
     exists only so the two readings can be compared in reports.  The upper
-    cutoff is where the count-pruned search stops being complete.
+    cutoff is where the count-pruned search stops being complete.  Every
+    call runs its own search under node_limit.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     budget = _initial_budget(norm, k)
     cap = 2 * (k + 1) if allow_at_least else k + 1
-    buckets = _bucketed_minima(norm, budget, cap, node_limit)
-    best: Optional[_Candidate] = None
-    for count, per_edge in buckets.by_count.items():
-        if count < k + 1 or count > cap or (count != k + 1 and not allow_at_least):
-            continue
-        for cand in per_edge.values():
-            best = _prefer(best, cand)
-    if best is None:
-        raise RuntimeError(f"no polygon with {k + 1} lattice points found "
-                           f"within budget {budget!r}; search is incomplete")
+    minima = _bucket_minima(norm, budget, cap, node_limit)
+    best = _cheapest((cand for count, per_edge in minima.items() if count > k
+                      for cand in per_edge.values()),
+                     budget, f"polygon with {k + 1} lattice points")
     return ToricCapacity(best.value, best.witness, best.tie)
 
 
-def _prefer(best: Optional[_Candidate], cand: _Candidate) -> _Candidate:
-    if best is None:
-        return _Candidate(cand.value, cand.witness, cand.tie)
-    c = cand.value.compare(best.value)
-    if c < 0:
-        return _Candidate(cand.value, cand.witness, cand.tie)
-    if c == 0:
-        ambiguous = (cand.tie or best.tie
-                     or not cand.value._is_definite_tie(best.value))
-        if (len(cand.witness.vertices), cand.witness.vertices) < \
-                (len(best.witness.vertices), best.witness.vertices):
-            return _Candidate(cand.value, cand.witness, ambiguous)
-        best.tie = ambiguous
-    return best
+def _toric_sequence(norm: Norm, kmax: int,
+                    node_limit: Optional[int]) -> List[CapacityValue]:
+    """[c_0, ..., c_kmax] from one search at the budget of kmax, which covers
+    every smaller k because _initial_budget is nondecreasing in k."""
+    budget = _initial_budget(norm, kmax)
+    minima = _bucket_minima(norm, budget, kmax + 1, node_limit)
+    return [_cheapest(minima.get(k + 1, {}).values(), budget,
+                      f"polygon with {k + 1} lattice points").value
+            for k in range(kmax + 1)]
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,
@@ -828,16 +813,8 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
         budget = _initial_budget(norm, k)
     # edge count never exceeds boundary count which never exceeds the
     # enclosed count, so 2(c - 1 - k) <= E <= c bounds c <= 2(k + 1)
-    buckets = _bucketed_minima(norm, budget, 2 * (k + 1), node_limit)
-    best: Optional[_Candidate] = None
-    for count, per_edge in buckets.by_count.items():
-        needed_h = 2 * (count - 1 - k)
-        if needed_h < 0:
-            continue
-        for edges, cand in per_edge.items():
-            if needed_h <= edges:
-                best = _prefer(best, cand)
-    if best is None:
-        raise RuntimeError(f"no generator of grading {grading} found within "
-                           f"budget {budget!r}")
-    return best.value
+    minima = _bucket_minima(norm, budget, 2 * (k + 1), node_limit)
+    return _cheapest((cand for count, per_edge in minima.items()
+                      for edges, cand in per_edge.items()
+                      if 0 <= 2 * (count - 1 - k) <= edges),
+                     budget, f"generator of grading {grading}").value

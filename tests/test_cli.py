@@ -171,6 +171,10 @@ def test_node_limit_exit_code(capsys):
     code = main(["capacities", "toric(euclidean)", "--kmax", "20",
                  "--node-limit", "10"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "node limit of 10" in err
+    assert "lattice-point cap 21" in err
+    assert "perimeter budget" in err
 
 
 def test_env_node_limit(capsys, monkeypatch):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from echcap import (EUCLIDEAN, LabeledGenerator, LatticePolygon, NotPrimitive,
-                    ToricEnumerationBudgetExceeded, ToricNorm, WeightedL1,
-                    capacities, generator_action, generator_grading,
+                    Polygonal, ToricEnumerationBudgetExceeded, ToricNorm,
+                    WeightedL1, capacities, enumerate_polygons,
+                    generator_action, generator_grading,
                     min_action_at_grading, perimeter, polydisk_capacities,
                     reeb_orbit_data, toric_capacity)
 
@@ -63,6 +64,28 @@ def test_allow_at_least_never_exceeds_exact():
 def test_node_limit_raises():
     with pytest.raises(ToricEnumerationBudgetExceeded):
         toric_capacity(EUCLIDEAN, 20, node_limit=50)
+    # an earlier unlimited search of the same norm must not let a later
+    # call skip its own limit
+    capacities(ToricNorm(EUCLIDEAN), 20)
+    with pytest.raises(ToricEnumerationBudgetExceeded):
+        toric_capacity(EUCLIDEAN, 20, node_limit=50)
+
+
+def test_toric_capacity_is_minimal_over_complete_enumeration():
+    hexagon = Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
+    cases = [(EUCLIDEAN, 4), (WeightedL1(1, 1), 6),
+             (WeightedL1(F(3, 2), F(2, 3)), 6), (hexagon, 6)]
+    for norm, kmax in cases:
+        for k in range(kmax + 1):
+            result = toric_capacity(norm, k)
+            pool = enumerate_polygons(k + 1, norm, result.value)
+            lengths = [perimeter(poly, norm) for poly in pool]
+            least = min(lengths, key=lambda v: v.value)
+            assert all(least.compare(v) <= 0 for v in lengths), (norm, k)
+            assert result.value.compare(least) == 0, (norm, k)
+            minimizers = [poly for poly, v in zip(pool, lengths)
+                          if v.compare(least) == 0]
+            assert result.witness in minimizers, (norm, k)
 
 
 def test_generator_grading_examples():
