@@ -85,10 +85,10 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
                        node_limit: Optional[int] = None) -> VolumeReport:
     """Sampled convergence trace of c_k^2 / (4 k vol) up to kmax.
 
-    Toric domains are truncated (and flagged) because the polygon search
-    limits how far their sequences can go.  Two-part unions evaluate the
-    max-plus convolution only at the sampled indices, which keeps large kmax
-    affordable; unions with more parts pay for the full convolution table.
+    Every domain reads its full sequence from capacities(); a union costs
+    about kmax times the number of runs of equal entries in its first part's
+    sequence.  Toric domains are truncated (and flagged) because the polygon
+    search limits how far their sequences can go.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -100,25 +100,9 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
         truncated = True  # never near the k -> infinity regime
         kmax = min(kmax, TORIC_TRACE_KMAX)
 
-    ks = _sample_points(kmax, stride)
-    trace: List[TracePoint] = []
-    if isinstance(domain, DisjointUnion) and len(domain.parts) == 2:
-        # evaluate the max-plus convolution only at the sampled indices;
-        # the full table would cost kmax^2
-        first = capacities(domain.parts[0], kmax, node_limit=node_limit)
-        second = capacities(domain.parts[1], kmax, node_limit=node_limit)
-        for k in ks:
-            best = first.entries[0] + second.entries[k]
-            for i in range(1, k + 1):
-                cand = first.entries[i] + second.entries[k - i]
-                if cand.compare(best) > 0:
-                    best = cand
-            trace.append(TracePoint(k, best, _ratio(best, k, vol)))
-    else:
-        seq = capacities(domain, kmax, node_limit=node_limit)
-        for k in ks:
-            c_k = seq[k]
-            trace.append(TracePoint(k, c_k, _ratio(c_k, k, vol)))
+    seq = capacities(domain, kmax, node_limit=node_limit)
+    trace = [TracePoint(k, seq[k], _ratio(seq[k], k, vol))
+             for k in _sample_points(kmax, stride)]
 
     last_decade = [p for p in trace if p.k * 10 >= kmax]
     max_dev = max(abs(p.ratio - 1.0) for p in last_decade)

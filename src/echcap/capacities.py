@@ -2,6 +2,9 @@
 
 (a, b)_k below always means the k-th smallest element, counted with
 repetitions, of the multiset {a*m + b*n : m, n nonnegative integers}.
+
+The kernels run on Python ints: rational sizes are scaled by their least
+common denominator, and exact values are built only for the entries returned.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
@@ -20,29 +24,37 @@ WEAK = "weak"
 INTERIOR_STRICT = "interior_strict"
 
 
-def _nk_values(a: Fraction, b: Fraction, kmax: int) -> List[Fraction]:
-    """First kmax values of {a*m + b*n}, sorted ascending with repetitions.
+def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
+    """(d, [q * d for q in sizes]) with d the least common denominator."""
+    den = math.lcm(*(q.denominator for q in sizes))
+    return den, [q.numerator * (den // q.denominator) for q in sizes]
 
-    Bounded enumeration: collect all values <= L, doubling L until at least
-    kmax of them exist.  The starting L is sized so one pass usually
-    suffices.
+
+def _exact_values(scaled: Sequence[int], den: int) -> List[CapacityValue]:
+    """Entries scaled[i] / den, one value object per run of equal entries."""
+    out: List[CapacityValue] = []
+    prev = None
+    for v in scaled:
+        if v != prev:
+            prev, value = v, CapacityValue.exact(Fraction(v, den))
+        out.append(value)
+    return out
+
+
+def _nk_values(a: int, b: int, kmax: int) -> List[int]:
+    """The kmax smallest values of {a*m + b*n} for positive ints a and b,
+    sorted ascending with repetitions.
+
+    Each point of the triangle {x, y >= 0, a*x + b*y <= level} lies in the
+    unit square of a lattice point of that triangle, so the triangle holds at
+    least level^2 / (2ab) > kmax lattice points.
     """
-    hi, lo = max(a, b), min(a, b)
-    s = math.isqrt(int(2 * kmax * hi / lo)) + 1
-    level = (a + b) * s
-    while True:
-        values: List[Fraction] = []
-        m = 0
-        am = Fraction(0)
-        while am <= level:
-            top = int((level - am) / b)
-            values.extend(am + b * n for n in range(top + 1))
-            m += 1
-            am += a
-        if len(values) >= kmax:
-            values.sort()
-            return values[:kmax]
-        level *= 2
+    level = math.isqrt(2 * a * b * kmax) + 1
+    values: List[int] = []
+    for am in range(0, level + 1, a):
+        values.extend(range(am, level + 1, b))
+    values.sort()
+    return values[:kmax]
 
 
 def nk_sequence(a: RationalLike, b: RationalLike, kmax: int) -> List[CapacityValue]:
@@ -52,7 +64,8 @@ def nk_sequence(a: RationalLike, b: RationalLike, kmax: int) -> List[CapacityVal
         raise ValueError("weights must be positive")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return [CapacityValue.exact(v) for v in _nk_values(a, b, kmax)]
+    den, (a, b) = _over_common_denominator(a, b)
+    return _exact_values(_nk_values(a, b, kmax), den)
 
 
 def nk_via_triangle(a: RationalLike, b: RationalLike,
@@ -67,13 +80,10 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
         raise ValueError("weights must be positive")
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
+    den, (a, b) = _over_common_denominator(a, b)
     value = a * m + b * n
-    count = 0
-    am = Fraction(0)
-    while am <= value:
-        count += int((value - am) / b) + 1
-        am += a
-    return count, CapacityValue.exact(value)
+    count = sum((value - am) // b + 1 for am in range(0, value + 1, a))
+    return count, CapacityValue.exact(Fraction(value, den))
 
 
 def ellipsoid_capacities(a: RationalLike, b: RationalLike,
@@ -99,62 +109,62 @@ def ball_capacities(a: RationalLike, kmax: int) -> CapacitySequence:
         raise ValueError("ball size must be positive")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    entries = []
-    for k in range(kmax + 1):
-        d = (math.isqrt(8 * k + 1) - 1) // 2
-        entries.append(CapacityValue.exact(a * d))
-    return CapacitySequence(0, entries)
-
-
-def _polydisk_entry(a: Fraction, b: Fraction, k: int) -> Fraction:
-    # min of a*m + b*n over (m+1)(n+1) >= k+1; for each block of constant
-    # ceil((k+1)/(m+1)) the smallest m is the cheapest, so stepping block
-    # boundaries visits every candidate that can win
-    need = k + 1
-    best: Optional[Fraction] = None
-    t = 1
-    while t <= need:
-        q = -(-need // t)
-        cost = a * (t - 1) + b * (q - 1)
-        if best is None or cost < best:
-            best = cost
-        if q == 1:
-            break
-        t = -(-need // (q - 1))
-    return best
+    scaled = [(math.isqrt(8 * k + 1) - 1) // 2 * a.numerator
+              for k in range(kmax + 1)]
+    return CapacitySequence(0, _exact_values(scaled, a.denominator))
 
 
 def polydisk_capacities(a: RationalLike, b: RationalLike,
                         kmax: int) -> CapacitySequence:
-    """Capacities of P(a, b): entry k is min{a*m + b*n : (m+1)(n+1) >= k+1}."""
+    """Capacities of P(a, b): entry k is min{a*m + b*n : (m+1)(n+1) >= k+1}.
+
+    A minimizer for k has m <= k and the smallest n its m allows,
+    n + 1 = ceil((k+1)/(m+1)), so its product (m+1)(n+1) is below
+    k+1 + m+1 <= 2(k+1).  One sweep over those pairs finds the cheapest
+    a*m + b*n for every product up to 2*kmax + 1; entry k is the minimum
+    over the products >= k+1.
+    """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("polydisk sizes must be positive")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    entries = [CapacityValue.exact(_polydisk_entry(a, b, k))
-               for k in range(kmax + 1)]
-    return CapacitySequence(0, entries)
+    den, (a, b) = _over_common_denominator(a, b)
+    top = 2 * kmax + 1
+    cheapest = [b * (p - 1) for p in range(top + 1)]   # m = 0, n = p - 1
+    for u in range(2, kmax + 2):                         # u = m + 1
+        v = -(-(kmax + 1) // u)                           # largest n + 1 needed
+        base = a * (u - 1)
+        cheapest[u:u * v + 1:u] = map(min, cheapest[u:u * v + 1:u],
+                                      range(base, base + b * v, b))
+    suffix = list(accumulate(reversed(cheapest), min))[::-1]
+    return CapacitySequence(0, _exact_values(suffix[1:kmax + 2], den))
 
 
 def maxplus_convolve(first: Sequence[CapacityValue],
                      second: Sequence[CapacityValue],
                      kmax: int) -> List[CapacityValue]:
-    """(f * g)_k = max over i+j=k of f_i + g_j, with infinity absorbing."""
+    """(f * g)_k = max over i+j=k of f_i + g_j, with infinity absorbing.
+
+    Entries are ints or CapacityValues of nondecreasing sequences.  Inside a
+    run of equal f_i the run's first index meets the largest g_j, so only run
+    starts are tried.  Among sums that compare equal the earliest i wins.
+    """
     out = []
+    starts: List[int] = []
     for k in range(kmax + 1):
-        best: Optional[CapacityValue] = None
-        for i in range(k + 1):
-            cand = first[i] + second[k - i]
-            if best is None or cand.compare(best) > 0:
-                best = cand
-        out.append(best)
+        if not starts or first[k] != first[k - 1]:
+            starts.append(k)
+        out.append(max(first[i] + second[k - i] for i in starts))
     return out
 
 
 def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
                               kmax: int) -> CapacitySequence:
-    """Capacity sequence of a disjoint union from its parts' sequences."""
+    """Capacity sequence of a disjoint union from its parts' sequences.
+
+    Exact parts are convolved as integers over their common denominator.
+    """
     if not sequences:
         raise ValueError("need at least one sequence")
     for seq in sequences:
@@ -165,10 +175,16 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
             )
         if seq.kmax < kmax:
             raise ValueError(f"input defined only up to k={seq.kmax} < {kmax}")
-    acc = list(sequences[0].entries[:kmax + 1])
-    for seq in sequences[1:]:
-        acc = maxplus_convolve(acc, list(seq.entries[:kmax + 1]), kmax)
-    return CapacitySequence(0, acc)
+    parts = [seq.entries[:kmax + 1] for seq in sequences]
+    den = None
+    if all(e.is_exact for part in parts for e in part):
+        den = math.lcm(*{e.frac.denominator for part in parts for e in part})
+        parts = [[e.frac.numerator * (den // e.frac.denominator) for e in part]
+                 for part in parts]
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = maxplus_convolve(acc, part, kmax)
+    return CapacitySequence(0, acc if den is None else _exact_values(acc, den))
 
 
 def capacities(domain: Domain, kmax: int, *,
@@ -185,9 +201,10 @@ def capacities(domain: Domain, kmax: int, *,
     if isinstance(domain, ToricNorm):
         return CapacitySequence(0, _toric_sequence(domain.norm, kmax, node_limit))
     if isinstance(domain, DisjointUnion):
-        parts = [capacities(p, kmax, node_limit=node_limit)
-                 for p in domain.parts]
-        return disjoint_union_capacities(parts, kmax)
+        # equal parts (frozen dataclasses) share one computation
+        seqs = {p: capacities(p, kmax, node_limit=node_limit)
+                for p in dict.fromkeys(domain.parts)}
+        return disjoint_union_capacities([seqs[p] for p in domain.parts], kmax)
     raise TypeError(f"unsupported domain {domain!r}")
 
 

@@ -205,8 +205,7 @@ def format_value(value: CapacityValue) -> str:
     if value.is_infinite:
         return "inf"
     if value.is_exact:
-        f = value.frac
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return _format_fraction(value.frac)
     return f"~{value.value:.12f}"
 
 
@@ -281,31 +280,17 @@ def _cmd_embed(args, argv) -> int:
     return EXIT_OBSTRUCTED if verdict.obstructed else EXIT_OK
 
 
-def _cmd_fbound(args, argv) -> int:
+def _cmd_bound(args, argv) -> int:
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"bad rational {args.a!r}", 0)
-    bound = obstructions.f_lower_bound(a, args.dmax)
+    bound = _format_fraction(args.bound(a, args.dmax))
     if args.format == "json":
-        _emit({"a": args.a, "dmax": args.dmax, "bound": _format_fraction(bound)})
+        _emit({"a": args.a, "dmax": args.dmax, "bound": bound})
     else:
-        sys.stdout.write(_format_fraction(bound) + "\n")
-    _write_meta(args.meta, "fbound", argv)
-    return EXIT_OK
-
-
-def _cmd_gbound(args, argv) -> int:
-    try:
-        a = Fraction(args.a)
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"bad rational {args.a!r}", 0)
-    bound = obstructions.g_lower_bound(a, args.dmax)
-    if args.format == "json":
-        _emit({"a": args.a, "dmax": args.dmax, "bound": _format_fraction(bound)})
-    else:
-        sys.stdout.write(_format_fraction(bound) + "\n")
-    _write_meta(args.meta, "gbound", argv)
+        sys.stdout.write(bound + "\n")
+    _write_meta(args.meta, args.command, argv)
     return EXIT_OK
 
 
@@ -433,14 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_fbound)
+    p.set_defaults(run=_cmd_bound, bound=obstructions.f_lower_bound)
 
     p = sub.add_parser("gbound", help="polydisk-into-ball lower bound")
     p.add_argument("a")
     p.add_argument("--dmax", type=int, default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_gbound)
+    p.set_defaults(run=_cmd_bound, bound=obstructions.g_lower_bound)
 
     p = sub.add_parser("pack", help="ball packing inequalities")
     p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
@@ -480,16 +465,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args, argv)
-    except SpecParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except ToricEnumerationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except ApproxTie as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
+    except (SpecParseError, ApproxTie, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .capacities import WEAK, capacities, dominates, nk_sequence
+from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
 from .values import CapacityValue, RationalLike, as_fraction
 
@@ -57,23 +57,10 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     need = (dmax * dmax + 3 * dmax + 2) // 2
-    seq = [v.as_fraction() for v in nk_sequence(a, 1, need)]
-    best = Fraction(0)
-    for d in range(1, dmax + 1):
-        k = (d * d + 3 * d + 2) // 2
-        best = max(best, seq[k - 1] / d)
-    return best
-
-
-def f_lower_bound_all_k(a: RationalLike, kmax: int) -> Fraction:
-    """Cross-check form of f_lower_bound: sup over k = 2..kmax of the ratio
-    (a,1)_k / (1,1)_k.  Agrees with the d-indexed form at matching ranges."""
-    a = as_fraction(a)
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    top = [v.as_fraction() for v in nk_sequence(a, 1, kmax)]
-    bot = [v.as_fraction() for v in nk_sequence(1, 1, kmax)]
-    return max(top[k - 1] / bot[k - 1] for k in range(2, kmax + 1))
+    # (a, 1) scaled by the denominator of a
+    values = _nk_values(a.numerator, a.denominator, need)
+    return max(Fraction(values[(d * d + 3 * d + 2) // 2 - 1], d * a.denominator)
+               for d in range(1, dmax + 1))
 
 
 def lambda_d_path(d: int) -> List[Tuple[int, int]]:

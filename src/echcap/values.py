@@ -154,6 +154,8 @@ class CapacityValue:
 
     def compare(self, other: "CapacityValue") -> int:
         """-1, 0, +1; 0 means equal or indistinguishable within error bounds."""
+        if self is other:   # closed forms share one value per run of equal entries
+            return 0
         if self.is_infinite or other.is_infinite:
             if self.is_infinite and other.is_infinite:
                 return 0
@@ -200,6 +202,12 @@ class CapacityValue:
         if self._is_definite_tie(other):
             return False
         raise ApproxTie(f"cannot decide {self!r} < {other!r} within error bounds")
+
+    def __gt__(self, other: "CapacityValue") -> bool:
+        """compare() > 0: max() keeps the earliest of values it cannot order."""
+        if not isinstance(other, CapacityValue):
+            return NotImplemented
+        return self.compare(other) > 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CapacityValue):

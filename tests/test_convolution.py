@@ -1,12 +1,15 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
-                    MismatchedIndexOrigin, ball_capacities, capacities,
+                    EUCLIDEAN, MismatchedIndexOrigin, ToricNorm,
+                    ball_capacities, capacities,
                     disjoint_union_capacities, ellipsoid_full_capacities,
                     maxplus_convolve)
+from echcap.cli import format_value
 
 F = Fraction
 e = CapacityValue.exact
@@ -112,3 +115,24 @@ def test_union_domain_dispatch():
     assert [v.as_fraction() for v in capacities(dom, 3)] == [0, 1, 1, 2]
     pair = DisjointUnion([Ball(1), Ball(1)])
     assert capacities(pair, 2)[2].as_fraction() == 2
+
+
+def test_union_computes_each_distinct_part_once(monkeypatch):
+    single = capacities(ToricNorm(EUCLIDEAN), 10)
+    module = importlib.import_module("echcap.capacities")
+    search = module._toric_sequence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(module, "_toric_sequence", counted)
+    pair = capacities(DisjointUnion([ToricNorm(EUCLIDEAN), ToricNorm(EUCLIDEAN)]), 10)
+    assert len(calls) == 1
+    assert pair.entries == tuple(maxplus_convolve(single.entries, single.entries, 10))
+    # as computed with one search per part
+    assert ",".join(format_value(v) for v in pair) == \
+        "0,2,4,~5.414213562373,~6.828427124746,~7.414213562373," \
+        "~8.828427124746,~9.414213562373,~10.828427124746,~11.414213562373," \
+        "~12.242640687119"

@@ -6,7 +6,7 @@ import pytest
 from echcap import (Ball, Ellipsoid, INTERIOR_STRICT, Polydisk, WEAK,
                     ball_capacities, disjoint_union_capacities)
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
-                                 f_lower_bound, f_lower_bound_all_k, g_d,
+                                 f_lower_bound, g_d,
                                  g_lower_bound, lambda_d_path,
                                  packing_obstructions)
 
@@ -50,6 +50,15 @@ def test_f_lower_bound_monotone():
     values_in_a = [f_lower_bound(a, 8) for a in grid]
     assert all(v >= 1 for v in values_in_a)
     assert all(x <= y for x, y in zip(values_in_a, values_in_a[1:]))
+
+
+def f_lower_bound_all_k(a, kmax):
+    """Oracle: sup over k = 2..kmax of (a,1)_k / (1,1)_k, from brute-force
+    sorted multisets.  Agrees with the d-indexed form at matching ranges."""
+    def nk(a, b):
+        return sorted(a * m + b * n for m in range(kmax) for n in range(kmax))[:kmax]
+    top, bot = nk(a, F(1)), nk(F(1), F(1))
+    return max(top[k - 1] / bot[k - 1] for k in range(2, kmax + 1))
 
 
 def test_f_lower_bound_matches_all_k_form():

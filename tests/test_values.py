@@ -67,6 +67,19 @@ def test_approx_tie_raises():
     assert a.definitely_le(CapacityValue.approx(1.0, 1e-9))
 
 
+def test_gt_is_compare_positive_and_max_keeps_first_of_unordered():
+    values = [CapacityValue.exact(0), CapacityValue.exact(Fraction(3, 2)),
+              CapacityValue.sqrt_rational(2), CapacityValue.sqrt_rational(3),
+              CapacityValue.approx(1.5, 1e-9), CapacityValue.infinite()]
+    for x in values:
+        for y in values:
+            assert (x > y) == (x.compare(y) > 0)
+    a = CapacityValue.approx(1.0, 1e-9)
+    b = CapacityValue.approx(1.0 + 1e-12, 1e-9)
+    assert not a > b and not b > a
+    assert max([a, b]) is a and max([b, a]) is b
+
+
 def test_sequence_validation():
     e = CapacityValue.exact
     seq = CapacitySequence(0, [e(0), e(1), e(1), e(2)])
