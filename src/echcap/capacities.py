@@ -163,7 +163,11 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
                               kmax: int) -> CapacitySequence:
     """Capacity sequence of a disjoint union from its parts' sequences.
 
-    Exact parts are convolved as integers over their common denominator.
+    Exact parts are convolved as integers over their common denominator,
+    the parts with fewer runs of equal entries first: int max-plus is
+    commutative and associative, and the kernel's cost grows with the runs
+    of its first argument.  Other parts keep their order, because among
+    sums that compare equal the earliest wins.
     """
     if not sequences:
         raise ValueError("need at least one sequence")
@@ -179,8 +183,10 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
     den = None
     if all(e.is_exact for part in parts for e in part):
         den = math.lcm(*{e.frac.denominator for part in parts for e in part})
-        parts = [[e.frac.numerator * (den // e.frac.denominator) for e in part]
-                 for part in parts]
+        # a nondecreasing sequence has one run per distinct entry
+        parts = sorted(([e.frac.numerator * (den // e.frac.denominator)
+                         for e in part] for part in parts),
+                       key=lambda part: len(set(part)))
     acc = parts[0]
     for part in parts[1:]:
         acc = maxplus_convolve(acc, part, kmax)

@@ -27,7 +27,7 @@ import datetime
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import asymptotics, obstructions
 from .capacities import (INTERIOR_STRICT, WEAK, capacities,
@@ -35,7 +35,7 @@ from .capacities import (INTERIOR_STRICT, WEAK, capacities,
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import (ApproxTie, SpecParseError, ToricEnumerationBudgetExceeded)
 from .lattice import EUCLIDEAN, Polygonal, WeightedL1
-from .values import CapacitySequence, CapacityValue
+from .values import CapacityValue
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1

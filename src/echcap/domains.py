@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from .lattice import Norm
 from .values import RationalLike, as_fraction

@@ -18,7 +18,24 @@ class ApproxTie(EchcapError):
 
 
 class ToricEnumerationBudgetExceeded(EchcapError):
-    """The polygon search exceeded its configured node limit."""
+    """The polygon search exceeded its configured node limit.
+
+    Carries the node limit, the lattice-point cap and the perimeter budget
+    of the search that ran out, and the nodes it had visited when it stopped.
+    """
+
+    def __init__(self, node_limit: int, max_count: int, budget: float,
+                 nodes: int):
+        super().__init__(node_limit, max_count, budget, nodes)
+        self.node_limit = node_limit
+        self.max_count = max_count
+        self.budget = budget
+        self.nodes = nodes
+
+    def __str__(self) -> str:
+        return (f"polygon search exceeded its node limit of {self.node_limit} "
+                f"(lattice-point cap {self.max_count}, "
+                f"perimeter budget {self.budget:.12g})")
 
 
 class NotPrimitive(EchcapError):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, reduce
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import CapacityValue, RationalLike, as_fraction
@@ -70,6 +71,11 @@ class Norm:
     def _coordinate_extent(self) -> Tuple[float, float]:
         """max |x| and max |y| over the (primal) unit ball."""
         raise NotImplementedError
+
+    def _length_denominator(self) -> Optional[int]:
+        """A common denominator of the lengths of all integer vectors, or None
+        when lengths are not all rational."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,9 @@ class WeightedL1(Norm):
 
     def _coordinate_extent(self):
         return (2.0 / float(self.a), 2.0 / float(self.b))
+
+    def _length_denominator(self):
+        return math.lcm((self.a / 2).denominator, (self.b / 2).denominator)
 
 
 @dataclass(frozen=True)
@@ -200,6 +209,9 @@ class Polygonal(Norm):
     def _coordinate_extent(self):
         return (max(abs(float(x)) for x, _ in self.vertices),
                 max(abs(float(y)) for _, y in self.vertices))
+
+    def _length_denominator(self):
+        return math.lcm(*(c.denominator for u in self.polar for c in u))
 
 
 EUCLIDEAN = Euclidean()
@@ -439,21 +451,37 @@ class _Chain:
 
 
 class _LengthContext:
-    """Per-direction length cache plus per-chain exact length memo."""
+    """Per-direction length cache plus per-chain exact length memo.
+
+    For a norm with rational lengths the cache holds each direction's length
+    as an int over the norm's common denominator, so a chain's length is an
+    int sum and one exact value.
+    """
 
     def __init__(self, norm: Norm):
         self.norm = norm
-        self.unit: Dict[IntPoint, CapacityValue] = {}
+        self.den = norm._length_denominator()
+        self.unit: Dict[IntPoint, Union[int, CapacityValue]] = {}
+
+    def _unit(self, px: int, py: int):
+        u = self.unit.get((px, py))
+        if u is None:
+            u = self.norm.length((px, py))
+            if self.den is not None:
+                u = u.frac.numerator * (self.den // u.frac.denominator)
+            self.unit[(px, py)] = u
+        return u
 
     def chain_length(self, chain: _Chain) -> CapacityValue:
         if chain._exact is None:
-            unit = self.unit
-            total = CapacityValue.exact(0)
-            for px, py, c in chain.picks:
-                cv = unit.get((px, py))
-                if cv is None:
-                    cv = unit[(px, py)] = self.norm.length((px, py))
-                total = total + cv.scaled(c)
+            if self.den is None:
+                total = CapacityValue.exact(0)
+                for px, py, c in chain.picks:
+                    total = total + self._unit(px, py).scaled(c)
+            else:
+                total = CapacityValue.exact(Fraction(
+                    sum(self._unit(px, py) * c for px, py, c in chain.picks),
+                    self.den))
             chain._exact = total
         return chain._exact
 
@@ -496,10 +524,7 @@ def _enumerate_chains(norm: Norm, budget_f: float, max_count: int,
                 nodes += 1
                 if nodes > limit:
                     raise ToricEnumerationBudgetExceeded(
-                        f"polygon search exceeded its node limit of {limit} "
-                        f"(lattice-point cap {max_count}, "
-                        f"perimeter budget {budget_f:.12g})"
-                    )
+                        limit, max_count, budget_f, nodes)
                 c2a += csx * py - csy * px
                 csx += px
                 csy += py
@@ -694,6 +719,11 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     upper chain and the negated lower chain lie on opposite sides of their
     common chord, so they share an end direction only when both run along
     the chord; the pair is then a segment, stored with the two edges v, -v.
+
+    Pairs are filtered on float lengths: a bucket keeps its smallest float
+    length and the pairs within eps of it, far wider than the float error,
+    so a pair dropped there is exactly longer than the bucket minimum.  Only
+    the kept pairs get exact values, reduced with _prefer in search order.
     """
     budget_f, _ = _coerce_budget(budget)
     eps = 1e-9 * max(1.0, budget_f)
@@ -701,8 +731,8 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     table = _CellTable(ctx, eps)
     _enumerate_chains(norm, budget_f, max_count, node_limit, table.offer)
 
-    point = _Candidate(CapacityValue.exact(0), None, False, LatticePolygon.point())
-    minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
+    # (count, edges) -> [least float length, pairs within eps of a running least]
+    near: Dict[Tuple[int, int], list] = {}
     for per_disp in table.cells.values():
         cells = list(per_disp.values())
         for i, (chain1, tie1) in enumerate(cells):
@@ -710,13 +740,26 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
                 count = (chain1.weight + chain2.weight) // 2 + 1
                 if count > max_count:
                     continue
-                if chain1.length_f + chain2.length_f > budget_f + eps:
+                length_f = chain1.length_f + chain2.length_f
+                if length_f > budget_f + eps:
                     continue
-                per_edge = minima.setdefault(count, {})
-                edges = chain1.nedges + chain2.nedges
-                perim = ctx.chain_length(chain1) + ctx.chain_length(chain2)
-                per_edge[edges] = _prefer(per_edge.get(edges), _Candidate(
-                    perim, (chain1, chain2), tie1 or tie2))
+                key = (count, chain1.nedges + chain2.nedges)
+                bucket = near.get(key)
+                if bucket is None or length_f < bucket[0] - eps:
+                    near[key] = bucket = [length_f, []]
+                elif length_f > bucket[0] + eps:
+                    continue
+                bucket[1].append((length_f, chain1, chain2, tie1 or tie2))
+                bucket[0] = min(bucket[0], length_f)
+
+    point = _Candidate(CapacityValue.exact(0), None, False, LatticePolygon.point())
+    minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
+    for (count, edges), (least, pairs) in near.items():
+        minima.setdefault(count, {})[edges] = reduce(_prefer, (
+            _Candidate(ctx.chain_length(chain1) + ctx.chain_length(chain2),
+                       (chain1, chain2), tie)
+            for length_f, chain1, chain2, tie in pairs
+            if length_f <= least + eps), None)
     return minima
 
 

@@ -1,0 +1,65 @@
+"""Source hygiene of the package: no unused imports, standard library only."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "echcap"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree):
+    """(bound name, line, top-level module or None for relative) per import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                yield alias.asname or top, node.lineno, top
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            top = node.module.split(".")[0] if node.level == 0 else None
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno, top
+
+
+def used_names(tree):
+    """Names read anywhere, inside quoted annotations, or listed in __all__."""
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            quoted += [a.annotation for a in (*args.posonlyargs, *args.args,
+                                              *args.kwonlyargs, args.vararg,
+                                              args.kwarg) if a is not None]
+            quoted.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            quoted.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            quoted += node.value.elts
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in quoted:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line, _ in imported_names(tree) if name not in used]
+    assert not unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = [f"{path.name}:{line} {top}"
+               for _, line, top in imported_names(tree)
+               if top is not None and top != "echcap"
+               and top not in sys.stdlib_module_names]
+    assert not foreign

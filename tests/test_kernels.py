@@ -4,6 +4,7 @@ The oracles are the earlier Fraction implementations of the closed forms,
 the quadratic max-plus convolution and the sampled two-part union trace.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -177,16 +178,33 @@ def test_maxplus_matches_quadratic_oracle():
     assert maxplus_convolve(f, g, 1)[1] is maxplus_oracle(f, g, 1)[1] is g[1]
 
 
-def test_union_of_closed_forms_matches_quadratic_oracle():
+def test_union_of_closed_forms_matches_quadratic_oracle(monkeypatch):
+    module = importlib.import_module("echcap.capacities")
+    kernel = module.maxplus_convolve
+    first_runs = []
+
+    def spy(first, second, kmax):
+        first_runs.append(len(set(first[:kmax + 1])))
+        return kernel(first, second, kmax)
+
+    monkeypatch.setattr(module, "maxplus_convolve", spy)
     rng = random.Random(31)
+    cases = []
     for _ in range(4):
         kmax = rng.randint(100, 300)
         parts = [Ball(random_size(rng)), Ellipsoid(random_size(rng), random_size(rng)),
                  Polydisk(random_size(rng), random_size(rng))]
         rng.shuffle(parts)
-        seqs = [capacities(p, kmax) for p in parts[:2]]
+        cases.append((parts[:2], kmax))
+    # a thin ellipsoid placed first: all its entries up to kmax differ
+    cases.append(([Ellipsoid(F(1, 3), F(1000)), Ball(F(7, 5))], 250))
+    for parts, kmax in cases:
+        seqs = [capacities(p, kmax) for p in parts]
         want = maxplus_oracle(seqs[0].entries, seqs[1].entries, kmax)
-        assert fracs(capacities(DisjointUnion(parts[:2]), kmax)) == fracs(want)
+        first_runs.clear()
+        assert fracs(capacities(DisjointUnion(parts), kmax)) == fracs(want)
+        # the part with fewer runs of equal entries is convolved first
+        assert first_runs == [min(len(set(fracs(seq))) for seq in seqs)]
 
 
 def test_union_with_euclidean_toric_part_matches_oracle():

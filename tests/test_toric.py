@@ -1,16 +1,71 @@
+import importlib
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from echcap import (EUCLIDEAN, LabeledGenerator, LatticePolygon, NotPrimitive,
-                    Polygonal, ToricEnumerationBudgetExceeded, ToricNorm,
-                    WeightedL1, capacities, enumerate_polygons,
+from echcap import (EUCLIDEAN, CapacityValue, LabeledGenerator, LatticePolygon,
+                    NotPrimitive, Polygonal, ToricEnumerationBudgetExceeded,
+                    ToricNorm, WeightedL1, capacities, enumerate_polygons,
                     generator_action, generator_grading,
                     min_action_at_grading, perimeter, polydisk_capacities,
                     reeb_orbit_data, toric_capacity)
 
 F = Fraction
+lattice = importlib.import_module("echcap.lattice")
+
+HEXAGON = Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
+# the toric(poly:...) norms of bench/workloads.py
+BENCH_POLYGONS = [Polygonal(v) for v in (
+    ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+    ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)),
+    ((3, 1), (-1, 2), (-3, -1), (1, -2)),
+)]
+
+
+# -- oracle: every pair gets an exact length and a _prefer ----------------------
+
+class PerPickLengths:
+    """Exact chain lengths as one CapacityValue sum per edge direction."""
+
+    def __init__(self, norm):
+        self.norm = norm
+
+    def chain_length(self, chain):
+        if chain._exact is None:
+            total = CapacityValue.exact(0)
+            for px, py, c in chain.picks:
+                total = total + self.norm.length((px, py)).scaled(c)
+            chain._exact = total
+        return chain._exact
+
+
+def bucket_minima_oracle(norm, budget, max_count, node_limit):
+    """The all-exact pairing loop: no float filter, no common denominator."""
+    budget_f, _ = lattice._coerce_budget(budget)
+    eps = 1e-9 * max(1.0, budget_f)
+    ctx = PerPickLengths(norm)
+    table = lattice._CellTable(ctx, eps)
+    lattice._enumerate_chains(norm, budget_f, max_count, node_limit, table.offer)
+    point = lattice._Candidate(CapacityValue.exact(0), None, False,
+                               LatticePolygon.point())
+    minima = {1: {0: point}}
+    for per_disp in table.cells.values():
+        cells = list(per_disp.values())
+        for i, (chain1, tie1) in enumerate(cells):
+            for chain2, tie2 in cells[i:]:
+                count = (chain1.weight + chain2.weight) // 2 + 1
+                if count > max_count:
+                    continue
+                if chain1.length_f + chain2.length_f > budget_f + eps:
+                    continue
+                per_edge = minima.setdefault(count, {})
+                edges = chain1.nedges + chain2.nedges
+                perim = ctx.chain_length(chain1) + ctx.chain_length(chain2)
+                cand = lattice._Candidate(perim, (chain1, chain2), tie1 or tie2)
+                per_edge[edges] = lattice._prefer(per_edge.get(edges), cand)
+    return minima
 
 
 def test_euclidean_spectrum_start():
@@ -62,8 +117,14 @@ def test_allow_at_least_never_exceeds_exact():
 
 
 def test_node_limit_raises():
-    with pytest.raises(ToricEnumerationBudgetExceeded):
+    with pytest.raises(ToricEnumerationBudgetExceeded) as info:
         toric_capacity(EUCLIDEAN, 20, node_limit=50)
+    exc = info.value
+    assert (exc.node_limit, exc.max_count, exc.nodes) == (50, 21, 51)
+    assert exc.budget == lattice._initial_budget(EUCLIDEAN, 20).value == 16
+    assert str(exc) == ("polygon search exceeded its node limit of 50 "
+                        "(lattice-point cap 21, perimeter budget 16)")
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
     # an earlier unlimited search of the same norm must not let a later
     # call skip its own limit
     capacities(ToricNorm(EUCLIDEAN), 20)
@@ -143,3 +204,39 @@ def test_min_action_equals_toric_capacity():
         stratified = min_action_at_grading(norm, 2 * k)
         direct = toric_capacity(norm, k).value
         assert stratified.as_fraction() == direct.as_fraction()
+
+
+def toric_records(norm, kmax):
+    """Value reprs, witness vertices and tie flags of every toric entry point."""
+    records = [[repr(v) for v in capacities(ToricNorm(norm), kmax)]]
+    for k in range(kmax + 1):
+        for allow_at_least in (False, True):
+            result = toric_capacity(norm, k, allow_at_least=allow_at_least)
+            records.append((repr(result.value), result.witness.vertices, result.tie))
+        records.append(repr(min_action_at_grading(norm, 2 * k)))
+    return records
+
+
+@pytest.mark.parametrize("norm, kmax", [
+    pytest.param(EUCLIDEAN, 12, id="euclidean"),
+    *(pytest.param(WeightedL1(a, b), 12, id=f"l1:{a},{b}")
+      for a, b in [(1, 1), (2, 1), (F(3, 2), F(2, 3)), (F(7, 3), 2), (1, 4)]),
+    pytest.param(HEXAGON, 10, id="hexagon"),
+    *(pytest.param(poly, 10, id=f"bench-poly{i}")
+      for i, poly in enumerate(BENCH_POLYGONS)),
+])
+def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch):
+    got = toric_records(norm, kmax)
+    monkeypatch.setattr(lattice, "_bucket_minima", bucket_minima_oracle)
+    assert got == toric_records(norm, kmax)
+
+
+@pytest.mark.parametrize("a, b", [
+    (F(1), 1 + F(1, 10 ** 20)),
+    (1 + F(1, 10 ** 20), F(1)),
+    (F(3, 2), F(3, 2) + F(1, 10 ** 11)),
+], ids=["1,1+1e-20", "1+1e-20,1", "3/2,3/2+1e-11"])
+def test_near_ties_below_float_resolution(a, b):
+    # the weights differ by less than a float can tell (or by less than eps),
+    # so only the exact comparison inside the eps window picks the minimum
+    assert capacities(ToricNorm(WeightedL1(a, b)), 20) == polydisk_capacities(a, b, 20)
