@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .capacities import capacities
 from .domains import (Ball, DisjointUnion, Domain, Ellipsoid, Polydisk,
                       ToricNorm, describe)
+from .errors import ApproxTie
 from .values import CapacityValue
 
 TORIC_TRACE_KMAX = 25  # polygon search cost caps toric traces well below asymptopia
@@ -128,28 +130,40 @@ class QwVerdict:
 
 def qw_check(domain: Domain, kmax: int,
              node_limit: Optional[int] = None) -> QwVerdict:
-    """Check c_k < sqrt(2 k vol_Y) for k = 1..kmax (squared, hence exact for
-    rational capacities).  Exploratory for polydisks, whose boundary is only
-    piecewise smooth."""
+    """Check c_k < sqrt(2 k vol_Y) for k = 1..kmax, squared and on exact
+    rational bounds of approximate values.  Raises ApproxTie when those
+    bounds cannot decide a k.  Exploratory for polydisks, whose boundary is
+    only piecewise smooth."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     exploratory = contains_polydisk(domain)
     if isinstance(domain, ToricNorm):
         kmax = min(kmax, TORIC_TRACE_KMAX)
-    vol_y = volume(domain).scaled(2)
+    vol_lo, vol_hi = _bounds(volume(domain).scaled(2))
     seq = capacities(domain, kmax, node_limit=node_limit)
     for k in range(1, kmax + 1):
         c_k = seq[k]
-        if c_k.is_exact and vol_y.is_exact:
-            ok = c_k.frac * c_k.frac < 2 * k * vol_y.frac
+        square = c_k._exact_square()
+        if square is not None:
+            lo = hi = square
         else:
-            # conservative float comparison: shrink the bound and grow c_k
-            # by their error allowances
-            bound = math.sqrt(2.0 * k * (vol_y.value - vol_y.err))
-            ok = c_k.value + c_k.err < bound
-        if not ok:
+            lo, hi = (b * b for b in _bounds(c_k))
+        if hi < 2 * k * vol_lo:
+            continue
+        if lo >= 2 * k * vol_hi:
             return QwVerdict(False, kmax, k, exploratory)
+        raise ApproxTie(f"cannot decide c_{k} = {c_k!r} < sqrt(2 k vol_Y) "
+                        "within error bounds")
     return QwVerdict(True, kmax, None, exploratory)
+
+
+def _bounds(value: CapacityValue) -> Tuple[Fraction, Fraction]:
+    """Exact rational bounds on a finite value: the value itself when it is
+    rational, else value +/- err computed on the floats' exact Fractions."""
+    if value.is_exact:
+        return value.frac, value.frac
+    mid, err = Fraction(value.value), Fraction(value.err)
+    return max(mid - err, Fraction(0)), mid + err
 
 
 def weinstein_bound(domain: Domain) -> CapacityValue:

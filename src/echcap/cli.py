@@ -35,7 +35,7 @@ from .capacities import (INTERIOR_STRICT, WEAK, capacities,
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import (ApproxTie, SpecParseError, ToricEnumerationBudgetExceeded)
 from .lattice import EUCLIDEAN, Polygonal, WeightedL1
-from .values import CapacityValue
+from .values import CapacityValue, format_fraction
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -205,12 +205,8 @@ def format_value(value: CapacityValue) -> str:
     if value.is_infinite:
         return "inf"
     if value.is_exact:
-        return _format_fraction(value.frac)
+        return format_fraction(value.frac)
     return f"~{value.value:.12f}"
-
-
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _emit(payload) -> None:
@@ -285,7 +281,7 @@ def _cmd_bound(args, argv) -> int:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"bad rational {args.a!r}", 0)
-    bound = _format_fraction(args.bound(a, args.dmax))
+    bound = format_fraction(args.bound(a, args.dmax))
     if args.format == "json":
         _emit({"a": args.a, "dmax": args.dmax, "bound": bound})
     else:
@@ -298,7 +294,7 @@ def _cmd_pack(args, argv) -> int:
     sizes = _parse_size_list(args.sizes)
     report = obstructions.packing_obstructions(sizes, args.dmax)
     payload = {
-        "a_list": [_format_fraction(a) for a in sizes],
+        "a_list": [format_fraction(a) for a in sizes],
         "dmax": args.dmax,
         "all_hold": report.all_hold,
         "status": "no_obstruction" if report.all_hold else "obstructed",
@@ -306,7 +302,7 @@ def _cmd_pack(args, argv) -> int:
             {
                 "multipliers": list(ineq.multipliers),
                 "bound": ineq.bound,
-                "lhs": _format_fraction(ineq.lhs),
+                "lhs": format_fraction(ineq.lhs),
                 "satisfied": ineq.satisfied,
             }
             for ineq in report.inequalities
@@ -321,7 +317,7 @@ def _cmd_biran(args, argv) -> int:
     sizes = _parse_size_list(args.sizes)
     verdict = obstructions.biran_sufficiency(sizes, args.dmax)
     payload = {
-        "a_list": [_format_fraction(a) for a in sizes],
+        "a_list": [format_fraction(a) for a in sizes],
         "dmax": args.dmax,
         "status": verdict.status,
     }

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .lattice import Norm
-from .values import RationalLike, as_fraction
+from .lattice import Euclidean, Norm, Polygonal, WeightedL1
+from .values import RationalLike, as_fraction, format_fraction
 
 
 class Domain:
@@ -90,25 +90,21 @@ def scale(domain: Domain, factor: RationalLike) -> Domain:
 
 def describe(domain: Domain) -> str:
     """Canonical one-line label, matching the CLI spec grammar."""
-    from .lattice import Euclidean, Polygonal, WeightedL1
-
-    def rat(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
     if isinstance(domain, Ball):
-        return f"ball({rat(domain.a)})"
+        return f"ball({format_fraction(domain.a)})"
     if isinstance(domain, Ellipsoid):
-        return f"ellipsoid({rat(domain.a)},{rat(domain.b)})"
+        return f"ellipsoid({format_fraction(domain.a)},{format_fraction(domain.b)})"
     if isinstance(domain, Polydisk):
-        return f"polydisk({rat(domain.a)},{rat(domain.b)})"
+        return f"polydisk({format_fraction(domain.a)},{format_fraction(domain.b)})"
     if isinstance(domain, ToricNorm):
         norm = domain.norm
         if isinstance(norm, Euclidean):
             return "toric(euclidean)"
         if isinstance(norm, WeightedL1):
-            return f"toric(l1:{rat(norm.a)},{rat(norm.b)})"
+            return f"toric(l1:{format_fraction(norm.a)},{format_fraction(norm.b)})"
         if isinstance(norm, Polygonal):
-            verts = ",".join(f"[{rat(x)},{rat(y)}]" for x, y in norm.vertices)
+            verts = ",".join(f"[{format_fraction(x)},{format_fraction(y)}]"
+                             for x, y in norm.vertices)
             return f"toric(poly:[{verts}])"
     if isinstance(domain, DisjointUnion):
         return "union(" + ";".join(describe(p) for p in domain.parts) + ")"

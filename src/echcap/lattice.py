@@ -28,6 +28,7 @@ from .values import CapacityValue, RationalLike, as_fraction
 DEFAULT_NODE_LIMIT = 10_000_000
 
 IntPoint = Tuple[int, int]
+Length = Union[int, float]     # a search length: int over a denominator, or float
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -64,18 +65,11 @@ class Norm:
     def scale(self, factor: RationalLike) -> "Norm":
         raise NotImplementedError
 
-    # internal hooks for the enumeration engine
-    def _float_length(self) -> Callable[[int, int], float]:
+    def _lengths(self) -> Tuple[Optional[int], Callable[[int, int], Length]]:
+        """(den, f) for the polygon search: f(x, y) is the length of the
+        lattice vector (x, y) as an int over den, or as a float when den is
+        None (lengths that are not all rational)."""
         raise NotImplementedError
-
-    def _coordinate_extent(self) -> Tuple[float, float]:
-        """max |x| and max |y| over the (primal) unit ball."""
-        raise NotImplementedError
-
-    def _length_denominator(self) -> Optional[int]:
-        """A common denominator of the lengths of all integer vectors, or None
-        when lengths are not all rational."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -95,11 +89,8 @@ class Euclidean(Norm):
     def scale(self, factor):
         raise ValueError("the Euclidean norm has no size parameter to scale")
 
-    def _float_length(self):
-        return math.hypot
-
-    def _coordinate_extent(self):
-        return (1.0, 1.0)
+    def _lengths(self):
+        return None, math.hypot
 
 
 @dataclass(frozen=True)
@@ -133,15 +124,11 @@ class WeightedL1(Norm):
             raise ValueError("scale factor must be positive")
         return WeightedL1(self.a * c, self.b * c)
 
-    def _float_length(self):
-        fa, fb = float(self.a) / 2.0, float(self.b) / 2.0
-        return lambda x, y: fa * abs(x) + fb * abs(y)
-
-    def _coordinate_extent(self):
-        return (2.0 / float(self.a), 2.0 / float(self.b))
-
-    def _length_denominator(self):
-        return math.lcm((self.a / 2).denominator, (self.b / 2).denominator)
+    def _lengths(self):
+        ha, hb = self.a / 2, self.b / 2
+        den = math.lcm(ha.denominator, hb.denominator)
+        ia, ib = int(ha * den), int(hb * den)
+        return den, lambda x, y: ia * abs(x) + ib * abs(y)
 
 
 @dataclass(frozen=True)
@@ -192,7 +179,7 @@ class Polygonal(Norm):
         return CapacityValue.exact(max(p * vx + q * vy for vx, vy in self.vertices))
 
     def dual_ball_area(self) -> CapacityValue:
-        return CapacityValue.exact(_shoelace2(self.polar) / 2)
+        return CapacityValue.exact(Fraction(_shoelace2(self.polar), 2))
 
     def scale(self, factor):
         c = as_fraction(factor)
@@ -200,25 +187,21 @@ class Polygonal(Norm):
             raise ValueError("scale factor must be positive")
         return Polygonal(tuple((x / c, y / c) for x, y in self.vertices))
 
-    def _float_length(self):
-        polar = tuple((float(ux), float(uy)) for ux, uy in self.polar)
-        def flen(x, y):
+    def _lengths(self):
+        den = math.lcm(*(c.denominator for u in self.polar for c in u))
+        polar = tuple((int(ux * den), int(uy * den)) for ux, uy in self.polar)
+
+        def length(x, y):
             return max(ux * x + uy * y for ux, uy in polar)
-        return flen
-
-    def _coordinate_extent(self):
-        return (max(abs(float(x)) for x, _ in self.vertices),
-                max(abs(float(y)) for _, y in self.vertices))
-
-    def _length_denominator(self):
-        return math.lcm(*(c.denominator for u in self.polar for c in u))
+        return den, length
 
 
 EUCLIDEAN = Euclidean()
 
 
-def _shoelace2(verts: Sequence[Tuple[Fraction, Fraction]]) -> Fraction:
-    total = Fraction(0)
+def _shoelace2(verts: Sequence[Tuple[Fraction, Fraction]]) -> Union[int, Fraction]:
+    """Twice the signed area of a closed vertex loop (an int for int vertices)."""
+    total = 0
     n = len(verts)
     for i in range(n):
         ax, ay = verts[i]
@@ -294,16 +277,7 @@ class LatticePolygon:
     @cached_property
     def area2(self) -> int:
         """Twice the enclosed area (0 for degenerate polygons)."""
-        verts = self.vertices
-        if len(verts) < 3:
-            return 0
-        total = 0
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            total += ax * by - ay * bx
-        return total
+        return _shoelace2(self.vertices)
 
     @cached_property
     def boundary_count(self) -> int:
@@ -396,31 +370,115 @@ def reeb_orbit_data(norm: Norm, m: int, n: int):
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-def _coerce_budget(budget) -> Tuple[float, Optional[Fraction]]:
-    """Accept CapacityValue, Fraction, int, or float budgets."""
-    if isinstance(budget, CapacityValue):
-        if budget.is_infinite:
-            raise ValueError("length budget must be finite")
-        return budget.value, budget.frac
-    if isinstance(budget, float):
-        if not math.isfinite(budget):
-            raise ValueError("length budget must be finite")
-        return budget, None
-    f = as_fraction(budget)
-    return float(f), f
+class _Chain:
+    """A convex chain of upper half-plane edges, recorded during the search.
+
+    weight = (twice the area between the chain and the chords to the origin)
+    plus (number of boundary lattice steps); pairing two chains of equal
+    displacement d yields the closed polygon whose lattice point count is
+    (weight1 + weight2) / 2 + 1.
+    """
+
+    __slots__ = ("picks", "length", "weight", "nedges", "_exact")
+
+    def __init__(self, picks, length, weight):
+        self.picks = picks          # tuple of (px, py, mult), increasing angle
+        self.length = length        # in the units of the search's _Lengths
+        self.weight = weight
+        self.nedges = len(picks)    # distinct edge directions contributed
+        self._exact = None
 
 
-def _upper_directions(norm: Norm, limit: float):
+class _Lengths:
+    """The length arithmetic of one search, from the norm's _lengths() hook.
+
+    For a rational norm (weighted L1, polygonal) a length is an int over the
+    norm's common denominator: the limit is floor(budget * den) and eps is 0,
+    so every window of the search is an exact comparison.  Euclidean lengths
+    are floats: the limit is the budget plus a slack of 10^-9 of it, windows
+    are eps = slack wide (far above the float error), and exact values are
+    per-chain sums of CapacityValues.  A float budget (or an approximate
+    CapacityValue) gets the same slack before a rational norm floors it.
+    """
+
+    def __init__(self, norm: Norm, budget):
+        if isinstance(budget, CapacityValue):
+            if budget.is_infinite:
+                raise ValueError("length budget must be finite")
+            self.budget_f, frac = budget.value, budget.frac
+        elif isinstance(budget, float):
+            if not math.isfinite(budget):
+                raise ValueError("length budget must be finite")
+            self.budget_f, frac = budget, None
+        else:
+            frac = as_fraction(budget)
+            self.budget_f = float(frac)
+        self.norm = norm
+        self.den, self.f = norm._lengths()
+        slack = 1e-9 * max(1.0, self.budget_f)
+        if self.den is None:
+            self.eps, self.limit, self.budget_frac = slack, self.budget_f + slack, frac
+            self.unit: Dict[IntPoint, CapacityValue] = {}
+        else:
+            if frac is None:
+                frac = Fraction(self.budget_f + slack)
+            self.eps, self.limit = 0, math.floor(frac * self.den)
+
+    def _exact(self, chain: _Chain) -> CapacityValue:
+        """A Euclidean chain's length, one exact length per edge direction."""
+        if chain._exact is None:
+            total = CapacityValue.exact(0)
+            for px, py, c in chain.picks:
+                u = self.unit.get((px, py))
+                if u is None:
+                    u = self.unit[(px, py)] = self.norm.length((px, py))
+                total = total + u.scaled(c)
+            chain._exact = total
+        return chain._exact
+
+    def value(self, chain1: _Chain, chain2: _Chain) -> CapacityValue:
+        """Exact perimeter of the polygon that pairs the two chains."""
+        if self.den is not None:
+            return CapacityValue.exact(Fraction(chain1.length + chain2.length,
+                                                self.den))
+        return self._exact(chain1) + self._exact(chain2)
+
+    def compare(self, chain1: _Chain, chain2: _Chain) -> Tuple[int, bool]:
+        """Exact order of two chain lengths, and whether a 0 only means that
+        error bounds cannot separate them."""
+        if self.den is not None:
+            a, b = chain1.length, chain2.length
+            return (a > b) - (a < b), False
+        a, b = self._exact(chain1), self._exact(chain2)
+        c = a.compare(b)
+        return c, c == 0 and not a._is_definite_tie(b)
+
+    def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
+        """Whether the pair's perimeter is within the budget."""
+        if chain1.length + chain2.length > self.limit:
+            return False
+        if self.den is not None:
+            return True
+        perim = self.value(chain1, chain2)
+        if self.budget_frac is not None and perim.is_exact:
+            return perim.frac <= self.budget_frac
+        return perim.value - perim.err <= self.limit
+
+
+def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     """Primitive vectors in the upper half-plane (y > 0, or y == 0 and x > 0)
-    with norm <= limit, sorted by angle from (1, 0)."""
-    wx, wy = norm._coordinate_extent()
-    bx = int(limit * wx + 1e-9)
-    by = int(limit * wy + 1e-9)
-    flen = norm._float_length()
-    dirs = [(x, 0) for x in (1,) if flen(1, 0) <= limit]
+    with twice their length within the limit, sorted by angle from (1, 0).
+
+    max |x| over the unit ball is the dual norm of (1, 0), so the dual norms
+    of the axes bound the box searched."""
+    norm, f, limit = lengths.norm, lengths.f, lengths.limit
+    half = Fraction(limit) / (2 * (lengths.den or 1))
+    bx = math.floor(half * norm.dual_eval((1, 0)).as_fraction())
+    by = math.floor(half * norm.dual_eval((0, 1)).as_fraction())
+    dirs = [(1, 0)] if 2 * f(1, 0) <= limit else []
     for y in range(1, by + 1):
         for x in range(-bx, bx + 1):
-            if gcd(abs(x), y) == 1 and flen(x, y) <= limit:
+            if gcd(abs(x), y) == 1 and 2 * f(x, y) <= limit:
                 dirs.append((x, y))
 
     def angle_cmp(a, b):
@@ -431,109 +489,52 @@ def _upper_directions(norm: Norm, limit: float):
     return dirs
 
 
-class _Chain:
-    """A convex chain of upper half-plane edges, recorded during the search.
-
-    weight = (twice the area between the chain and the chords to the origin)
-    plus (number of boundary lattice steps); pairing two chains of equal
-    displacement d yields the closed polygon whose lattice point count is
-    (weight1 + weight2) / 2 + 1.
-    """
-
-    __slots__ = ("picks", "length_f", "weight", "nedges", "_exact")
-
-    def __init__(self, picks, length_f, weight):
-        self.picks = picks          # tuple of (px, py, mult), increasing angle
-        self.length_f = length_f
-        self.weight = weight
-        self.nedges = len(picks)    # distinct edge directions contributed
-        self._exact = None
-
-
-class _LengthContext:
-    """Per-direction length cache plus per-chain exact length memo.
-
-    For a norm with rational lengths the cache holds each direction's length
-    as an int over the norm's common denominator, so a chain's length is an
-    int sum and one exact value.
-    """
-
-    def __init__(self, norm: Norm):
-        self.norm = norm
-        self.den = norm._length_denominator()
-        self.unit: Dict[IntPoint, Union[int, CapacityValue]] = {}
-
-    def _unit(self, px: int, py: int):
-        u = self.unit.get((px, py))
-        if u is None:
-            u = self.norm.length((px, py))
-            if self.den is not None:
-                u = u.frac.numerator * (self.den // u.frac.denominator)
-            self.unit[(px, py)] = u
-        return u
-
-    def chain_length(self, chain: _Chain) -> CapacityValue:
-        if chain._exact is None:
-            if self.den is None:
-                total = CapacityValue.exact(0)
-                for px, py, c in chain.picks:
-                    total = total + self._unit(px, py).scaled(c)
-            else:
-                total = CapacityValue.exact(Fraction(
-                    sum(self._unit(px, py) * c for px, py, c in chain.picks),
-                    self.den))
-            chain._exact = total
-        return chain._exact
-
-
-def _enumerate_chains(norm: Norm, budget_f: float, max_count: int,
+def _enumerate_chains(lengths: _Lengths, max_count: int,
                       node_limit: Optional[int], emit) -> None:
     """Emit every nonempty upper-half convex chain with length + |displacement|
-    within the budget whose pairs can enclose at most max_count lattice
+    within the limit whose pairs can enclose at most max_count lattice
     points.  emit(dx, dy, chain) is called once per chain.
 
     Any closed polygon of perimeter <= budget splits uniquely into such a
     chain and the negation of another one with the same displacement, so this
     search is the complete half of the polygon search space.
     """
-    limit = resolve_node_limit(node_limit)
-    slack = 1e-9 * max(1.0, budget_f)
-    limit_f = budget_f + slack
+    node_cap = resolve_node_limit(node_limit)
     # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
-    dirs = _upper_directions(norm, limit_f / 2.0)
+    dirs = _upper_directions(lengths)
     if not dirs:
         return
     ndirs = len(dirs)
-    flen = norm._float_length()
-    dir_flen = [flen(x, y) for x, y in dirs]
+    f, limit = lengths.f, lengths.limit
+    dir_len = [f(x, y) for x, y in dirs]
     nodes = 0
     picks: List[Tuple[int, int, int]] = []
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
 
     def rec(start: int, sx: int, sy: int, two_area: int,
-            length: float, total_mult: int) -> None:
+            length: Length, total_mult: int) -> None:
         nonlocal nodes
         for j in range(start, ndirs):
             px, py = dirs[j]
-            fl = dir_flen[j]
+            dl = dir_len[j]
             c = 0
             csx, csy, c2a, clen, cmult = sx, sy, two_area, length, total_mult
             appended = False
             while True:
                 nodes += 1
-                if nodes > limit:
+                if nodes > node_cap:
                     raise ToricEnumerationBudgetExceeded(
-                        limit, max_count, budget_f, nodes)
+                        node_cap, max_count, lengths.budget_f, nodes)
                 c2a += csx * py - csy * px
                 csx += px
                 csy += py
-                clen += fl
+                clen += dl
                 cmult += 1
                 c += 1
                 if c2a + cmult > weight_cap:
                     break
-                if clen + flen(csx, csy) > limit_f:
+                if clen + f(csx, csy) > limit:
                     break
                 if appended:
                     picks[-1] = (px, py, c)
@@ -545,7 +546,7 @@ def _enumerate_chains(norm: Norm, budget_f: float, max_count: int,
             if appended:
                 picks.pop()
 
-    rec(0, 0, 0, 0, 0.0, 0)
+    rec(0, 0, 0, 0, 0, 0)
 
 
 def _polygon_from_pair(upper: _Chain, lower: _Chain) -> LatticePolygon:
@@ -581,15 +582,9 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
-    budget_f, budget_frac = _coerce_budget(length_budget)
-    if budget_f < 0:
+    lengths = _Lengths(norm, length_budget)
+    if lengths.budget_f < 0:
         raise ValueError("length budget must be >= 0")
-    slack = 1e-9 * max(1.0, budget_f)
-
-    def within_budget(perim: CapacityValue) -> bool:
-        if budget_frac is not None and perim.is_exact:
-            return perim.frac <= budget_frac
-        return perim.value - perim.err <= budget_f + slack
 
     found: List[LatticePolygon] = []
     if target_count == 1:
@@ -601,9 +596,8 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     def emit(dx, dy, chain):
         by_disp.setdefault((dx, dy), {}).setdefault(chain.weight, []).append(chain)
 
-    _enumerate_chains(norm, budget_f, target_count, node_limit, emit)
+    _enumerate_chains(lengths, target_count, node_limit, emit)
 
-    ctx = _LengthContext(norm)
     want = 2 * (target_count - 1)
     for disp, by_weight in by_disp.items():
         for w1, chains1 in by_weight.items():
@@ -612,10 +606,7 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
                 continue
             for c1 in chains1:
                 for c2 in chains2:
-                    if c1.length_f + c2.length_f > budget_f + slack:
-                        continue
-                    perim = ctx.chain_length(c1) + ctx.chain_length(c2)
-                    if within_budget(perim):
+                    if lengths.fits(c1, c2):
                         found.append(_polygon_from_pair(c1, c2))
     found.sort(key=_preference)
     return found
@@ -678,9 +669,8 @@ class _CellTable:
     cell, because perimeters add across the two chains of a pair.
     """
 
-    def __init__(self, ctx: _LengthContext, eps: float):
-        self.ctx = ctx
-        self.eps = eps
+    def __init__(self, lengths: _Lengths):
+        self.lengths = lengths
         self.cells: Dict[IntPoint, Dict[Tuple[int, int], Tuple[_Chain, bool]]] = {}
 
     def offer(self, dx: int, dy: int, chain: _Chain) -> None:
@@ -691,22 +681,16 @@ class _CellTable:
             per_disp[key] = (chain, False)
             return
         best, tie = cur
-        if chain.length_f < best.length_f - self.eps:
+        eps = self.lengths.eps
+        if chain.length < best.length - eps:
             per_disp[key] = (chain, False)
-        elif chain.length_f <= best.length_f + self.eps:
-            a = self.ctx.chain_length(chain)
-            b = self.ctx.chain_length(best)
-            cmp = a.compare(b)
+        elif chain.length <= best.length + eps:
+            cmp, ambiguous = self.lengths.compare(chain, best)
             if cmp < 0:
                 per_disp[key] = (chain, False)
-            elif cmp > 0:
-                pass
-            else:
-                ambiguous = not a._is_definite_tie(b)
-                if chain.picks < best.picks:
-                    per_disp[key] = (chain, tie or ambiguous)
-                else:
-                    per_disp[key] = (best, tie or ambiguous)
+            elif cmp == 0:
+                winner = chain if chain.picks < best.picks else best
+                per_disp[key] = (winner, tie or ambiguous)
 
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
@@ -720,18 +704,18 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     common chord, so they share an end direction only when both run along
     the chord; the pair is then a segment, stored with the two edges v, -v.
 
-    Pairs are filtered on float lengths: a bucket keeps its smallest float
-    length and the pairs within eps of it, far wider than the float error,
-    so a pair dropped there is exactly longer than the bucket minimum.  Only
-    the kept pairs get exact values, reduced with _prefer in search order.
+    A bucket keeps its least pair length and the pairs within eps of it:
+    for rational norms exactly the pairs of least length, for the Euclidean
+    norm a float window far wider than the float error, so a pair dropped
+    there is exactly longer than the bucket minimum.  Only the kept pairs
+    get exact values, reduced with _prefer in search order.
     """
-    budget_f, _ = _coerce_budget(budget)
-    eps = 1e-9 * max(1.0, budget_f)
-    ctx = _LengthContext(norm)
-    table = _CellTable(ctx, eps)
-    _enumerate_chains(norm, budget_f, max_count, node_limit, table.offer)
+    lengths = _Lengths(norm, budget)
+    eps, limit = lengths.eps, lengths.limit
+    table = _CellTable(lengths)
+    _enumerate_chains(lengths, max_count, node_limit, table.offer)
 
-    # (count, edges) -> [least float length, pairs within eps of a running least]
+    # (count, edges) -> [least length, pairs within eps of a running least]
     near: Dict[Tuple[int, int], list] = {}
     for per_disp in table.cells.values():
         cells = list(per_disp.values())
@@ -740,26 +724,25 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
                 count = (chain1.weight + chain2.weight) // 2 + 1
                 if count > max_count:
                     continue
-                length_f = chain1.length_f + chain2.length_f
-                if length_f > budget_f + eps:
+                length = chain1.length + chain2.length
+                if length > limit:
                     continue
                 key = (count, chain1.nedges + chain2.nedges)
                 bucket = near.get(key)
-                if bucket is None or length_f < bucket[0] - eps:
-                    near[key] = bucket = [length_f, []]
-                elif length_f > bucket[0] + eps:
+                if bucket is None or length < bucket[0] - eps:
+                    near[key] = bucket = [length, []]
+                elif length > bucket[0] + eps:
                     continue
-                bucket[1].append((length_f, chain1, chain2, tie1 or tie2))
-                bucket[0] = min(bucket[0], length_f)
+                bucket[1].append((length, chain1, chain2, tie1 or tie2))
+                bucket[0] = min(bucket[0], length)
 
     point = _Candidate(CapacityValue.exact(0), None, False, LatticePolygon.point())
     minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
     for (count, edges), (least, pairs) in near.items():
         minima.setdefault(count, {})[edges] = reduce(_prefer, (
-            _Candidate(ctx.chain_length(chain1) + ctx.chain_length(chain2),
-                       (chain1, chain2), tie)
-            for length_f, chain1, chain2, tie in pairs
-            if length_f <= least + eps), None)
+            _Candidate(lengths.value(chain1, chain2), (chain1, chain2), tie)
+            for length, chain1, chain2, tie in pairs
+            if length <= least + eps), None)
     return minima
 
 

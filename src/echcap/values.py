@@ -32,6 +32,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def format_fraction(q: Fraction) -> str:
+    """'p/q', or the bare numerator for an integer: the inverse of
+    as_fraction on strings."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
 def _ulp(x: float) -> float:
     return math.ulp(abs(x)) if x else math.ulp(1.0)
 
@@ -228,9 +234,6 @@ class CapacityValue:
         if self.is_exact:
             return f"CapacityValue({self.frac})"
         return f"CapacityValue(~{self.value!r} +/- {self.err:.3g})"
-
-
-ZERO = CapacityValue.exact(0)
 
 
 class CapacitySequence:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (Ball, DisjointUnion, Ellipsoid, EUCLIDEAN, Polydisk,
-                    Polygonal, ToricNorm, WeightedL1)
+from echcap import (ApproxTie, Ball, CapacitySequence, CapacityValue,
+                    DisjointUnion, Ellipsoid, EUCLIDEAN, Polydisk, Polygonal,
+                    ToricNorm, WeightedL1, asymptotics)
 from echcap.asymptotics import (qw_check, volume, volume_ratio_trace,
                                 weinstein_bound)
+from echcap.cli import main
 
 F = Fraction
 
@@ -74,6 +76,30 @@ def test_qw_polydisk_is_exploratory():
 def test_qw_toric_euclidean_small_range():
     verdict = qw_check(ToricNorm(EUCLIDEAN), 10)
     assert verdict.holds
+
+
+def with_c1(monkeypatch, value, err):
+    """Make capacities() return (0, c_1) with c_1 = value +/- err."""
+    seq = CapacitySequence(0, [CapacityValue.exact(0),
+                               CapacityValue.approx(value, err)])
+    monkeypatch.setattr(asymptotics, "capacities", lambda *a, **kw: seq)
+
+
+def test_qw_raises_when_error_bounds_straddle_the_bound(monkeypatch, capsys):
+    # on toric(euclidean) the bound at k = 1 is sqrt(2 * 2 pi) = sqrt(4 pi);
+    # c_1 lies within its error of it, so neither verdict is certain
+    with_c1(monkeypatch, math.sqrt(4 * math.pi) - 1e-13, 1e-12)
+    with pytest.raises(ApproxTie):
+        qw_check(ToricNorm(EUCLIDEAN), 1)
+    assert main(["qw", "toric(euclidean)", "--kmax", "1"]) == 2
+    assert "cannot decide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset, holds", [(-1e-9, True), (1e-9, False)])
+def test_qw_decides_approximate_values_off_the_bound(monkeypatch, offset, holds):
+    with_c1(monkeypatch, math.sqrt(4 * math.pi) + offset, 1e-12)
+    verdict = qw_check(ToricNorm(EUCLIDEAN), 1)
+    assert (verdict.holds, verdict.k) == (holds, None if holds else 1)
 
 
 def test_weinstein_bound_values():

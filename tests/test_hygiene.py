@@ -24,7 +24,8 @@ def imported_names(tree):
 
 
 def used_names(tree):
-    """Names read anywhere, inside quoted annotations, or listed in __all__."""
+    """Names read (loaded) anywhere, inside quoted annotations, or listed in
+    __all__."""
     quoted = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -38,7 +39,8 @@ def used_names(tree):
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             quoted += node.value.elts
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in quoted:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
@@ -63,3 +65,33 @@ def test_imports_are_stdlib_or_package(path):
                if top is not None and top != "echcap"
                and top not in sys.stdlib_module_names]
     assert not foreign
+
+
+def module_level_names(tree):
+    """(name, line) per function, class or variable bound at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def test_no_dead_module_level_names():
+    """Every module-level name is read somewhere in the package (as a name,
+    an attribute, an import or a quoted annotation) or listed in __all__."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        read |= used_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {alias.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) for alias in n.names}
+    dead = [f"{module}:{line} {name}"
+            for module, tree in trees.items()
+            for name, line in module_level_names(tree)
+            if name not in read and not name.startswith("__")]
+    assert not dead

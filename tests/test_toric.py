@@ -24,45 +24,58 @@ BENCH_POLYGONS = [Polygonal(v) for v in (
 )]
 
 
-# -- oracle: every pair gets an exact length and a _prefer ----------------------
-
-class PerPickLengths:
-    """Exact chain lengths as one CapacityValue sum per edge direction."""
-
-    def __init__(self, norm):
-        self.norm = norm
-
-    def chain_length(self, chain):
-        if chain._exact is None:
-            total = CapacityValue.exact(0)
-            for px, py, c in chain.picks:
-                total = total + self.norm.length((px, py)).scaled(c)
-            chain._exact = total
-        return chain._exact
-
+# -- oracle: every chain and pair gets an exact length -------------------------
 
 def bucket_minima_oracle(norm, budget, max_count, node_limit):
-    """The all-exact pairing loop: no float filter, no common denominator."""
-    budget_f, _ = lattice._coerce_budget(budget)
-    eps = 1e-9 * max(1.0, budget_f)
-    ctx = PerPickLengths(norm)
-    table = lattice._CellTable(ctx, eps)
-    lattice._enumerate_chains(norm, budget_f, max_count, node_limit, table.offer)
+    """All-exact reference for lattice._bucket_minima.
+
+    Chain lengths are sums of one exact CapacityValue per edge direction;
+    the cell table and the pairing compare them for every chain, with no
+    length filter and no eps window.
+    """
+    exact = {}
+
+    def length(chain):
+        if chain not in exact:
+            total = CapacityValue.exact(0)
+            for px, py, c in chain.picks:
+                total = total + norm.length((px, py)).scaled(c)
+            exact[chain] = total
+        return exact[chain]
+
+    cells = {}
+
+    def offer(dx, dy, chain):
+        per_disp = cells.setdefault((dx, dy), {})
+        key = (chain.weight, chain.nedges)
+        if key not in per_disp:
+            per_disp[key] = (chain, False)
+            return
+        best, tie = per_disp[key]
+        a, b = length(chain), length(best)
+        cmp = a.compare(b)
+        if cmp < 0:
+            per_disp[key] = (chain, False)
+        elif cmp == 0:
+            winner = chain if chain.picks < best.picks else best
+            per_disp[key] = (winner, tie or not a._is_definite_tie(b))
+
+    lattice._enumerate_chains(lattice._Lengths(norm, budget), max_count,
+                              node_limit, offer)
+    bound = budget if isinstance(budget, CapacityValue) else CapacityValue.exact(budget)
     point = lattice._Candidate(CapacityValue.exact(0), None, False,
                                LatticePolygon.point())
     minima = {1: {0: point}}
-    for per_disp in table.cells.values():
-        cells = list(per_disp.values())
-        for i, (chain1, tie1) in enumerate(cells):
-            for chain2, tie2 in cells[i:]:
+    for per_disp in cells.values():
+        kept = list(per_disp.values())
+        for i, (chain1, tie1) in enumerate(kept):
+            for chain2, tie2 in kept[i:]:
                 count = (chain1.weight + chain2.weight) // 2 + 1
-                if count > max_count:
-                    continue
-                if chain1.length_f + chain2.length_f > budget_f + eps:
+                perim = length(chain1) + length(chain2)
+                if count > max_count or perim.compare(bound) > 0:
                     continue
                 per_edge = minima.setdefault(count, {})
                 edges = chain1.nedges + chain2.nedges
-                perim = ctx.chain_length(chain1) + ctx.chain_length(chain2)
                 cand = lattice._Candidate(perim, (chain1, chain2), tie1 or tie2)
                 per_edge[edges] = lattice._prefer(per_edge.get(edges), cand)
     return minima
@@ -240,3 +253,43 @@ def test_near_ties_below_float_resolution(a, b):
     # the weights differ by less than a float can tell (or by less than eps),
     # so only the exact comparison inside the eps window picks the minimum
     assert capacities(ToricNorm(WeightedL1(a, b)), 20) == polydisk_capacities(a, b, 20)
+
+
+@pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(F(1, 10), 7),
+                                  BENCH_POLYGONS[2]],
+                         ids=["euclidean", "l1:1/10,7", "bench-poly2"])
+def test_upper_directions_match_wide_box(norm):
+    budgets = [0, F(1, 20), 1, F(7, 3), 6.5]
+    budgets += [lattice._initial_budget(norm, k) for k in (1, 4, 9)]
+    for budget in budgets:
+        lengths = lattice._Lengths(norm, budget)
+        # every unit ball here lies in |x|, |y| <= 20, so this box is wide
+        w = int(20 * lengths.budget_f) + 2
+        brute = [(x, y) for y in range(0, w + 1) for x in range(-w, w + 1)
+                 if (y > 0 or x > 0) and math.gcd(x, y) == 1
+                 and 2 * lengths.f(x, y) <= lengths.limit]
+        brute.sort(key=lambda v: math.atan2(v[1], v[0]))
+        assert lattice._upper_directions(lengths) == brute, budget
+
+
+@pytest.mark.parametrize("norm, k", [
+    (WeightedL1(F(3, 2), F(2, 3)), 5), (BENCH_POLYGONS[2], 4), (HEXAGON, 6),
+    (EUCLIDEAN, 5),
+], ids=["l1:3/2,2/3", "bench-poly2", "hexagon", "euclidean"])
+def test_budget_at_a_perimeter_is_inclusive(norm, k):
+    result = toric_capacity(norm, k)
+    perim = result.value
+
+    def found(budget):
+        return result.witness in enumerate_polygons(k + 1, norm, budget)
+
+    p = perim.value
+    assert found(perim) and found(p)
+    assert found(p * (1 + 1e-12)) and found(p * (1 - 1e-12))
+    assert not found(p * (1 - 1e-6))
+    if perim.is_exact:
+        # exact budgets are compared exactly
+        P = perim.frac
+        assert found(P) and found(P * (1 + F(1, 10 ** 12)))
+        assert not found(P * (1 - F(1, 10 ** 12)))
+        assert not found(P * (1 - F(1, 10 ** 6)))
