@@ -143,14 +143,10 @@ def qw_check(domain: Domain, kmax: int,
     seq = capacities(domain, kmax, node_limit=node_limit)
     for k in range(1, kmax + 1):
         c_k = seq[k]
-        square = c_k._exact_square()
-        if square is not None:
-            lo = hi = square
-        else:
-            lo, hi = (b * b for b in _bounds(c_k))
-        if hi < 2 * k * vol_lo:
+        lo, hi = _bounds(c_k)
+        if hi * hi < 2 * k * vol_lo:
             continue
-        if lo >= 2 * k * vol_hi:
+        if lo * lo >= 2 * k * vol_hi:
             return QwVerdict(False, kmax, k, exploratory)
         raise ApproxTie(f"cannot decide c_{k} = {c_k!r} < sqrt(2 k vol_Y) "
                         "within error bounds")

@@ -201,7 +201,7 @@ def _parse_size_list(text: str) -> List[Fraction]:
 # ---------------------------------------------------------------------------
 
 def format_value(value: CapacityValue) -> str:
-    """Rationals as p/q (integers bare), approximations ~ with 12 decimals."""
+    """Rationals as p/q (integers bare), other values ~ with 12 decimals."""
     if value.is_infinite:
         return "inf"
     if value.is_exact:

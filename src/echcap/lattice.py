@@ -52,7 +52,8 @@ class Norm:
     """Symmetric positively homogeneous gauge on the plane."""
 
     def length(self, vector) -> CapacityValue:
-        raise NotImplementedError
+        den, f = self._lengths()   # f is exact on ints and Fractions alike
+        return CapacityValue.exact(Fraction(f(*vector), den))
 
     def dual_eval(self, covector) -> CapacityValue:
         """Value of the dual norm on a covector."""
@@ -74,7 +75,7 @@ class Norm:
 
 @dataclass(frozen=True)
 class Euclidean(Norm):
-    """The round norm.  Lengths are exact when sqrt(x^2+y^2) is an integer."""
+    """The round norm.  Lengths are exact sums of square roots."""
 
     def length(self, vector) -> CapacityValue:
         x, y = _pair(vector)
@@ -105,10 +106,6 @@ class WeightedL1(Norm):
         object.__setattr__(self, "b", as_fraction(self.b))
         if self.a <= 0 or self.b <= 0:
             raise ValueError("weighted L1 norm needs positive weights")
-
-    def length(self, vector) -> CapacityValue:
-        x, y = _pair(vector)
-        return CapacityValue.exact(self.a * abs(x) / 2 + self.b * abs(y) / 2)
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
@@ -169,10 +166,6 @@ class Polygonal(Norm):
             d = ax * by - ay * bx
             out.append(((by - ay) / d, (ax - bx) / d))
         return tuple(out)
-
-    def length(self, vector) -> CapacityValue:
-        x, y = _pair(vector)
-        return CapacityValue.exact(max(ux * x + uy * y for ux, uy in self.polar))
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
@@ -413,6 +406,8 @@ class _Lengths:
         else:
             frac = as_fraction(budget)
             self.budget_f = float(frac)
+        if (self.budget_f if frac is None else frac) < 0:
+            raise ValueError("length budget must be >= 0")
         self.norm = norm
         self.den, self.f = norm._lengths()
         slack = 1e-9 * max(1.0, self.budget_f)
@@ -443,15 +438,12 @@ class _Lengths:
                                                 self.den))
         return self._exact(chain1) + self._exact(chain2)
 
-    def compare(self, chain1: _Chain, chain2: _Chain) -> Tuple[int, bool]:
-        """Exact order of two chain lengths, and whether a 0 only means that
-        error bounds cannot separate them."""
+    def compare(self, chain1: _Chain, chain2: _Chain) -> int:
+        """Exact order of two chain lengths."""
         if self.den is not None:
             a, b = chain1.length, chain2.length
-            return (a > b) - (a < b), False
-        a, b = self._exact(chain1), self._exact(chain2)
-        c = a.compare(b)
-        return c, c == 0 and not a._is_definite_tie(b)
+            return (a > b) - (a < b)
+        return self._exact(chain1).compare(self._exact(chain2))
 
     def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
         """Whether the pair's perimeter is within the budget."""
@@ -583,8 +575,6 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     lengths = _Lengths(norm, length_budget)
-    if lengths.budget_f < 0:
-        raise ValueError("length budget must be >= 0")
 
     found: List[LatticePolygon] = []
     if target_count == 1:
@@ -624,7 +614,6 @@ class _Candidate:
 
     value: CapacityValue
     pair: Optional[Tuple[_Chain, _Chain]]   # None for the point
-    tie: bool
     _witness: Optional[LatticePolygon] = None
 
     @property
@@ -638,20 +627,13 @@ class _Candidate:
 
 
 def _prefer(best: Optional[_Candidate], cand: _Candidate) -> _Candidate:
-    """The smaller of best and cand.  When compare() cannot order them the
-    preferred witness wins, and tie is set if either already carried a tie or
-    the two values are only indistinguishable, not equal."""
+    """The smaller of best and cand; of equal values, the preferred witness."""
     if best is None:
         return cand
     c = cand.value.compare(best.value)
-    if c < 0:
-        return cand
-    if c > 0:
-        return best
-    tie = cand.tie or best.tie or not cand.value._is_definite_tie(best.value)
-    winner = cand if _preference(cand.witness) < _preference(best.witness) \
-        else best
-    return _Candidate(winner.value, winner.pair, tie, winner.witness)
+    if c == 0:
+        return cand if _preference(cand.witness) < _preference(best.witness) else best
+    return cand if c < 0 else best
 
 
 def _cheapest(cands: Iterable[_Candidate], budget, what: str) -> _Candidate:
@@ -671,26 +653,19 @@ class _CellTable:
 
     def __init__(self, lengths: _Lengths):
         self.lengths = lengths
-        self.cells: Dict[IntPoint, Dict[Tuple[int, int], Tuple[_Chain, bool]]] = {}
+        self.cells: Dict[IntPoint, Dict[Tuple[int, int], _Chain]] = {}
 
     def offer(self, dx: int, dy: int, chain: _Chain) -> None:
         per_disp = self.cells.setdefault((dx, dy), {})
         key = (chain.weight, chain.nedges)
-        cur = per_disp.get(key)
-        if cur is None:
-            per_disp[key] = (chain, False)
-            return
-        best, tie = cur
+        best = per_disp.get(key)
         eps = self.lengths.eps
-        if chain.length < best.length - eps:
-            per_disp[key] = (chain, False)
+        if best is None or chain.length < best.length - eps:
+            per_disp[key] = chain
         elif chain.length <= best.length + eps:
-            cmp, ambiguous = self.lengths.compare(chain, best)
-            if cmp < 0:
-                per_disp[key] = (chain, False)
-            elif cmp == 0:
-                winner = chain if chain.picks < best.picks else best
-                per_disp[key] = (winner, tie or ambiguous)
+            cmp = self.lengths.compare(chain, best)
+            if cmp < 0 or cmp == 0 and chain.picks < best.picks:
+                per_disp[key] = chain
 
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
@@ -719,8 +694,8 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     near: Dict[Tuple[int, int], list] = {}
     for per_disp in table.cells.values():
         cells = list(per_disp.values())
-        for i, (chain1, tie1) in enumerate(cells):
-            for chain2, tie2 in cells[i:]:
+        for i, chain1 in enumerate(cells):
+            for chain2 in cells[i:]:
                 count = (chain1.weight + chain2.weight) // 2 + 1
                 if count > max_count:
                     continue
@@ -733,15 +708,15 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
                     near[key] = bucket = [length, []]
                 elif length > bucket[0] + eps:
                     continue
-                bucket[1].append((length, chain1, chain2, tie1 or tie2))
+                bucket[1].append((length, chain1, chain2))
                 bucket[0] = min(bucket[0], length)
 
-    point = _Candidate(CapacityValue.exact(0), None, False, LatticePolygon.point())
+    point = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
     minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
     for (count, edges), (least, pairs) in near.items():
         minima.setdefault(count, {})[edges] = reduce(_prefer, (
-            _Candidate(lengths.value(chain1, chain2), (chain1, chain2), tie)
-            for length, chain1, chain2, tie in pairs
+            _Candidate(lengths.value(chain1, chain2), (chain1, chain2))
+            for length, chain1, chain2 in pairs
             if length <= least + eps), None)
     return minima
 
@@ -778,14 +753,12 @@ def _initial_budget(norm: Norm, k: int) -> CapacityValue:
 class ToricCapacity:
     """Minimum perimeter at fixed enclosed lattice point count, with witness.
 
-    tie is True when another polygon matched the minimum within the
-    approximate comparison window; the reported witness is then the
-    deterministic preference (fewest vertices, lexicographically first).
+    Of several minimizers the witness is the preferred one: fewest vertices,
+    then lexicographically first.
     """
 
     value: CapacityValue
     witness: LatticePolygon
-    tie: bool
 
     def __iter__(self):
         return iter((self.value, self.witness))
@@ -809,7 +782,7 @@ def toric_capacity(norm: Norm, k: int, node_limit: Optional[int] = None,
     best = _cheapest((cand for count, per_edge in minima.items() if count > k
                       for cand in per_edge.values()),
                      budget, f"polygon with {k + 1} lattice points")
-    return ToricCapacity(best.value, best.witness, best.tie)
+    return ToricCapacity(best.value, best.witness)
 
 
 def _toric_sequence(norm: Norm, kmax: int,

@@ -1,20 +1,22 @@
 """Capacity values and monotone capacity sequences.
 
-A capacity value is an exact nonnegative rational, an approximate real with
-an absolute error bound, or +infinity.  Everything the model domains produce
+A capacity value is an exact nonnegative rational, an exact sum of rational
+multiples of square roots (Euclidean lengths), an approximate real with an
+absolute error bound, or +infinity.  Everything the model domains produce
 with rational size parameters is exact; approximate values only enter through
-Euclidean lengths (square roots) and the area of the round unit disk.
+the area of the round unit disk (pi) and through approx() inputs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import ApproxTie
 
 RationalLike = Union[int, str, Fraction]
+Roots = Tuple[Tuple[int, Union[int, Fraction]], ...]   # ((n, q), ...): sum q sqrt(n)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -42,25 +44,68 @@ def _ulp(x: float) -> float:
     return math.ulp(abs(x)) if x else math.ulp(1.0)
 
 
-class CapacityValue:
-    """Exact rational, error-bounded approximate real, or +infinity.
+def _sign(plus: Roots, minus: Roots) -> int:
+    """Exact sign of sum(plus) - sum(minus), terms (n, q) meaning q sqrt(n).
 
-    Approximate values that arise as the square root of a rational keep the
-    exact square, so comparisons against exact rationals (and other such
-    roots) stay exact.  compare() returns 0 when two values cannot be
-    separated within their combined error window; call sites that need a
-    definite order use definitely_le / definitely_lt, which raise ApproxTie
-    in that situation instead of guessing.
+    Terms whose radicands multiply to a perfect square s^2 are merged by
+    sqrt(n) = (s/m) sqrt(m).  The square roots left have distinct square-free
+    parts, so they are linearly independent over Q (Besicovitch): the sum is
+    0 only when every merged coefficient is.  Otherwise integer square-root
+    enclosures at doubling precision separate it from 0.
+    """
+    by_radicand: Dict[int, Union[int, Fraction]] = {}
+    for n, q in plus:
+        by_radicand[n] = by_radicand.get(n, 0) + q
+    for n, q in minus:
+        by_radicand[n] = by_radicand.get(n, 0) - q
+    merged: list = []   # [m, coefficient of sqrt(m)]
+    for n, q in by_radicand.items():
+        if q == 0:   # most ties cancel here, before any isqrt
+            continue
+        for rep in merged:
+            s = math.isqrt(n * rep[0])
+            if s * s == n * rep[0]:
+                rep[1] += Fraction(q * s, rep[0])
+                break
+        else:
+            merged.append([n, q])
+    merged = [(m, q) for m, q in merged if q]
+    if not merged:
+        return 0
+    bits = 64
+    while True:
+        lo = hi = 0
+        for m, q in merged:
+            r = math.isqrt(m << (2 * bits))   # r <= sqrt(m) 2^bits < r + 1
+            lo += q * (r if q > 0 else r + 1)
+            hi += q * (r + 1 if q > 0 else r)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+class CapacityValue:
+    """Exact rational, exact sum of square roots, approximate real, or +inf.
+
+    Every finite value carries a float and an error bound; a rational also
+    keeps frac, and a sum of square roots its unreduced terms (n, q), meaning
+    sum q sqrt(n), in roots.  compare() decides by the float window when it
+    can and otherwise by the exact forms, so exact values always compare
+    exactly.  An approx() value has only the window: compare() returns 0 when
+    it cannot separate it from another value, and definitely_le /
+    definitely_lt raise ApproxTie there instead of guessing.
     """
 
-    __slots__ = ("frac", "value", "err", "square")
+    __slots__ = ("frac", "value", "err", "roots")
 
     def __init__(self, frac: Optional[Fraction], value: float, err: float,
-                 square: Optional[Fraction] = None):
+                 roots: Optional[Roots] = None):
         self.frac = frac
         self.value = value
         self.err = err
-        self.square = square
+        self.roots = roots
 
     # -- constructors -----------------------------------------------------
 
@@ -72,26 +117,26 @@ class CapacityValue:
         return cls(f, f.numerator / f.denominator, 0.0)
 
     @classmethod
-    def approx(cls, value: float, err: float,
-               square: Optional[Fraction] = None) -> "CapacityValue":
+    def approx(cls, value: float, err: float) -> "CapacityValue":
         if not math.isfinite(value) or value < 0:
             raise ValueError(f"approximate value must be finite and >= 0, got {value}")
         if not (err >= 0 and math.isfinite(err)):
             raise ValueError(f"error bound must be finite and >= 0, got {err}")
-        return cls(None, value, err, square)
+        return cls(None, value, err)
 
     @classmethod
     def sqrt_rational(cls, q: RationalLike) -> "CapacityValue":
-        """sqrt of a nonnegative rational; exact whenever the root is rational."""
+        """sqrt of a nonnegative rational p/r: the term (p r, 1/r), or a rational."""
         f = as_fraction(q)
         if f < 0:
             raise ValueError(f"cannot take sqrt of negative rational {f}")
-        rp = math.isqrt(f.numerator)
-        rq = math.isqrt(f.denominator)
-        if rp * rp == f.numerator and rq * rq == f.denominator:
+        p, r = f.numerator, f.denominator
+        rp = math.isqrt(p)
+        rq = math.isqrt(r)
+        if rp * rp == p and rq * rq == r:
             return cls.exact(Fraction(rp, rq))
-        v = math.sqrt(f.numerator / f.denominator)
-        return cls.approx(v, 2.0 * _ulp(v), square=f)
+        v = math.sqrt(p / r)
+        return cls(None, v, 2.0 * _ulp(v), ((p * r, 1 if r == 1 else Fraction(1, r)),))
 
     @classmethod
     def infinite(cls) -> "CapacityValue":
@@ -107,9 +152,12 @@ class CapacityValue:
     def is_exact(self) -> bool:
         return self.frac is not None
 
-    @property
-    def is_approx(self) -> bool:
-        return self.frac is None and not self.is_infinite
+    def _terms(self) -> Optional[Roots]:
+        """The exact form as (n, q) terms, or None for approx() and infinity."""
+        f = self.frac
+        if f is not None:   # int coefficients keep _sign's sums on ints
+            return ((1, f.numerator if f.denominator == 1 else f),)
+        return self.roots
 
     # -- conversions ---------------------------------------------------------
 
@@ -130,13 +178,15 @@ class CapacityValue:
             return CapacityValue.infinite()
         if self.is_exact and other.is_exact:
             return CapacityValue.exact(self.frac + other.frac)
-        # adding an exact zero changes nothing; keep the exact square
+        # adding an exact zero changes nothing
         if self.is_exact and self.frac == 0:
             return other
         if other.is_exact and other.frac == 0:
             return self
         v = self.value + other.value
-        return CapacityValue.approx(v, self.err + other.err + _ulp(v))
+        a, b = self._terms(), other._terms()
+        roots = a + b if a is not None and b is not None else None
+        return CapacityValue(None, v, self.err + other.err + _ulp(v), roots)
 
     def scaled(self, factor: RationalLike) -> "CapacityValue":
         """Multiply by a nonnegative exact rational factor."""
@@ -148,18 +198,15 @@ class CapacityValue:
         if self.is_exact:
             return CapacityValue.exact(self.frac * c)
         v = self.value * float(c)
-        sq = self.square * c * c if self.square is not None else None
-        return CapacityValue.approx(v, self.err * float(c) + _ulp(v), square=sq)
+        m = c.numerator if c.denominator == 1 else c   # int factors keep int terms
+        roots = self.roots and tuple((n, q * m) for n, q in self.roots)
+        return CapacityValue(None, v, self.err * float(c) + _ulp(v), roots)
 
     # -- comparison ------------------------------------------------------------
 
-    def _exact_square(self) -> Optional[Fraction]:
-        if self.is_exact:
-            return self.frac * self.frac
-        return self.square
-
     def compare(self, other: "CapacityValue") -> int:
-        """-1, 0, +1; 0 means equal or indistinguishable within error bounds."""
+        """-1, 0, +1.  Exact unless a value is from approx(), where 0 means
+        equal or indistinguishable within error bounds."""
         if self is other:   # closed forms share one value per run of equal entries
             return 0
         if self.is_infinite or other.is_infinite:
@@ -169,45 +216,30 @@ class CapacityValue:
         if self.is_exact and other.is_exact:
             a, b = self.frac, other.frac
             return (a > b) - (a < b)
-        sa, sb = self._exact_square(), other._exact_square()
-        if sa is not None and sb is not None:
-            # both are nonnegative, so squares compare the same way
-            return (sa > sb) - (sa < sb)
         diff = self.value - other.value
         window = self.err + other.err
         if diff > window:
             return 1
         if diff < -window:
             return -1
-        return 0
+        a, b = self._terms(), other._terms()
+        if a is None or b is None:
+            return 0
+        return _sign(a, b)
 
-    def _is_definite_tie(self, other: "CapacityValue") -> bool:
-        """True when compare()==0 actually means equality, not ambiguity."""
-        if self.is_infinite or other.is_infinite:
-            return True
-        if self.is_exact and other.is_exact:
-            return True
-        sa, sb = self._exact_square(), other._exact_square()
-        if sa is not None and sb is not None:
-            return True
-        return (self.value == other.value and self.err == other.err
-                and self.square == other.square)
+    def _decided(self, other: "CapacityValue", op: str) -> int:
+        """compare(), raising ApproxTie where its 0 only means that an
+        approx() value cannot be told apart from a different value."""
+        c = self.compare(other)
+        if c == 0 and not (self._terms() and other._terms()) and self != other:
+            raise ApproxTie(f"cannot decide {self!r} {op} {other!r} within error bounds")
+        return c
 
     def definitely_le(self, other: "CapacityValue") -> bool:
-        c = self.compare(other)
-        if c != 0:
-            return c < 0
-        if self._is_definite_tie(other):
-            return True
-        raise ApproxTie(f"cannot decide {self!r} <= {other!r} within error bounds")
+        return self._decided(other, "<=") <= 0
 
     def definitely_lt(self, other: "CapacityValue") -> bool:
-        c = self.compare(other)
-        if c != 0:
-            return c < 0
-        if self._is_definite_tie(other):
-            return False
-        raise ApproxTie(f"cannot decide {self!r} < {other!r} within error bounds")
+        return self._decided(other, "<") < 0
 
     def __gt__(self, other: "CapacityValue") -> bool:
         """compare() > 0: max() keeps the earliest of values it cannot order."""
@@ -216,15 +248,14 @@ class CapacityValue:
         return self.compare(other) > 0
 
     def __eq__(self, other) -> bool:
+        """Exact equality of exact values; identical representations
+        otherwise (infinity, approx())."""
         if not isinstance(other, CapacityValue):
             return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        if self.is_exact and other.is_exact:
-            return self.frac == other.frac
-        return (self.is_approx and other.is_approx
-                and self.value == other.value and self.err == other.err
-                and self.square == other.square)
+        a, b = self._terms(), other._terms()
+        if a is not None and b is not None:
+            return self.compare(other) == 0
+        return a is b and self.value == other.value and self.err == other.err
 
     __hash__ = None  # mutable-free but identity-less; not meant for sets
 

@@ -84,6 +84,14 @@ def test_embed_no_obstruction(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "no_obstruction"
 
 
+def test_embed_union_into_its_reordering(capsys):
+    code = main(["embed", "union(ellipsoid(1,2);toric(euclidean);toric(l1:1,1))",
+                 "union(toric(l1:1,1);ellipsoid(1,2);toric(euclidean))",
+                 "--kmax", "16"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "no_obstruction"
+
+
 def test_embed_strict_self(capsys):
     code = main(["embed", "ball(1)", "ball(1)", "--mode", "strict"])
     assert code == 1

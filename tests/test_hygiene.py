@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused imports, standard library only."""
+"""Source hygiene of the package: no unused imports, standard library only,
+no dead module-level names or private methods."""
 
 import ast
 import pathlib
@@ -79,19 +80,54 @@ def module_level_names(tree):
                     yield target.id, node.lineno
 
 
-def test_no_dead_module_level_names():
-    """Every module-level name is read somewhere in the package (as a name,
-    an attribute, an import or a quoted annotation) or listed in __all__."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in MODULES}
+def package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in MODULES}
+
+
+def package_reads(trees):
+    """Names read anywhere in the package: loaded names, quoted annotations,
+    __all__ entries, attributes read and names imported."""
     read = set()
     for tree in trees.values():
         read |= used_names(tree)
-        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
         read |= {alias.name for n in ast.walk(tree)
                  if isinstance(n, ast.ImportFrom) for alias in n.names}
+    return read
+
+
+def test_no_dead_module_level_names():
+    """Every module-level name is read somewhere in the package (as a name,
+    an attribute, an import or a quoted annotation) or listed in __all__."""
+    trees = package_trees()
+    read = package_reads(trees)
     dead = [f"{module}:{line} {name}"
             for module, tree in trees.items()
             for name, line in module_level_names(tree)
             if name not in read and not name.startswith("__")]
+    assert not dead
+
+
+def private_methods(tree):
+    """(class, method, line) per single-underscore method of a class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name.startswith("_") \
+                        and not node.name.startswith("__"):
+                    yield cls.name, node.name, node.lineno
+
+
+def test_no_dead_private_methods():
+    """A single-underscore method is package-internal, so the package itself
+    must read it; one kept only for tests is dead code."""
+    trees = package_trees()
+    read = package_reads(trees)
+    dead = [f"{module}:{line} {cls}.{name}"
+            for module, tree in trees.items()
+            for cls, name, line in private_methods(tree)
+            if name not in read]
     assert not dead

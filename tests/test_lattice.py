@@ -113,7 +113,7 @@ def test_euclidean_perimeter_exact_when_integral():
 
 def test_euclidean_perimeter_tracks_error():
     v = perimeter(TRIANGLE, EUCLIDEAN)
-    assert v.is_approx
+    assert not v.is_exact
     assert abs(v.value - (2 + math.sqrt(2))) <= v.err + 1e-15
 
 

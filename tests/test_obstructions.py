@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (Ball, Ellipsoid, INTERIOR_STRICT, Polydisk, WEAK,
+from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid,
+                    INTERIOR_STRICT, Polydisk, ToricNorm, WEAK, WeightedL1,
                     ball_capacities, disjoint_union_capacities)
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d,
@@ -17,6 +18,16 @@ F = Fraction
 
 def test_equal_sequences_give_no_weak_obstruction():
     verdict = embedding_obstruction(Ellipsoid(1, 2), Polydisk(1, 1), 50, WEAK)
+    assert not verdict.obstructed
+
+
+def test_union_into_its_reordering_is_unobstructed():
+    # the Euclidean part makes the entries sums of square roots that only
+    # compare equal exactly
+    parts = [Ellipsoid(1, 2), ToricNorm(EUCLIDEAN), ToricNorm(WeightedL1(1, 1))]
+    reordered = [parts[2], parts[0], parts[1]]
+    verdict = embedding_obstruction(DisjointUnion(parts), DisjointUnion(reordered),
+                                    16, WEAK)
     assert not verdict.obstructed
 
 

@@ -49,34 +49,30 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
         per_disp = cells.setdefault((dx, dy), {})
         key = (chain.weight, chain.nedges)
         if key not in per_disp:
-            per_disp[key] = (chain, False)
+            per_disp[key] = chain
             return
-        best, tie = per_disp[key]
-        a, b = length(chain), length(best)
-        cmp = a.compare(b)
-        if cmp < 0:
-            per_disp[key] = (chain, False)
-        elif cmp == 0:
-            winner = chain if chain.picks < best.picks else best
-            per_disp[key] = (winner, tie or not a._is_definite_tie(b))
+        best = per_disp[key]
+        cmp = length(chain).compare(length(best))
+        if cmp < 0 or cmp == 0 and chain.picks < best.picks:
+            per_disp[key] = chain
 
     lattice._enumerate_chains(lattice._Lengths(norm, budget), max_count,
                               node_limit, offer)
     bound = budget if isinstance(budget, CapacityValue) else CapacityValue.exact(budget)
-    point = lattice._Candidate(CapacityValue.exact(0), None, False,
+    point = lattice._Candidate(CapacityValue.exact(0), None,
                                LatticePolygon.point())
     minima = {1: {0: point}}
     for per_disp in cells.values():
         kept = list(per_disp.values())
-        for i, (chain1, tie1) in enumerate(kept):
-            for chain2, tie2 in kept[i:]:
+        for i, chain1 in enumerate(kept):
+            for chain2 in kept[i:]:
                 count = (chain1.weight + chain2.weight) // 2 + 1
                 perim = length(chain1) + length(chain2)
                 if count > max_count or perim.compare(bound) > 0:
                     continue
                 per_edge = minima.setdefault(count, {})
                 edges = chain1.nedges + chain2.nedges
-                cand = lattice._Candidate(perim, (chain1, chain2), tie1 or tie2)
+                cand = lattice._Candidate(perim, (chain1, chain2))
                 per_edge[edges] = lattice._prefer(per_edge.get(edges), cand)
     return minima
 
@@ -94,7 +90,7 @@ def test_euclidean_witnesses_minimize():
     length = perimeter(result.witness, EUCLIDEAN)
     assert abs(length.value - result.value.value) <= length.err + result.value.err
     # several congruent triangles achieve 2 + sqrt(2)
-    assert result.tie
+    assert len(enumerate_polygons(3, EUCLIDEAN, result.value)) > 1
 
 
 def test_weighted_l1_matches_polydisk():
@@ -211,6 +207,15 @@ def test_min_action_at_grading_examples():
         min_action_at_grading(EUCLIDEAN, 3)
 
 
+def test_negative_budgets_are_rejected():
+    for grading in (0, 2):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            min_action_at_grading(EUCLIDEAN, grading, budget=-1)
+    for budget in (-1, -1.0, F(-1, 10 ** 400)):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            enumerate_polygons(1, WeightedL1(1, 1), budget)
+
+
 def test_min_action_equals_toric_capacity():
     norm = WeightedL1(1, 1)
     for k in range(8, -1, -1):
@@ -220,12 +225,12 @@ def test_min_action_equals_toric_capacity():
 
 
 def toric_records(norm, kmax):
-    """Value reprs, witness vertices and tie flags of every toric entry point."""
+    """Value reprs and witness vertices of every toric entry point."""
     records = [[repr(v) for v in capacities(ToricNorm(norm), kmax)]]
     for k in range(kmax + 1):
         for allow_at_least in (False, True):
             result = toric_capacity(norm, k, allow_at_least=allow_at_least)
-            records.append((repr(result.value), result.witness.vertices, result.tie))
+            records.append((repr(result.value), result.witness.vertices))
         records.append(repr(min_action_at_grading(norm, 2 * k)))
     return records
 

@@ -1,8 +1,12 @@
+import decimal
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from echcap import ApproxTie, CapacitySequence, CapacityValue, as_fraction
+from echcap import (INTERIOR_STRICT, WEAK, ApproxTie, CapacitySequence,
+                    CapacityValue, as_fraction, dominates)
 
 
 def test_as_fraction_accepts_int_str_fraction():
@@ -30,9 +34,9 @@ def test_sqrt_of_perfect_square_is_exact():
 
 def test_sqrt_of_nonsquare_keeps_exact_square():
     v = CapacityValue.sqrt_rational(2)
-    assert v.is_approx
-    assert v.square == 2
-    # comparisons against exact rationals stay exact via the square
+    assert not v.is_exact
+    assert v.compare(CapacityValue.sqrt_rational(8).scaled(Fraction(1, 2))) == 0
+    # comparisons against exact rationals stay exact
     assert CapacityValue.exact(1).compare(v) == -1
     assert CapacityValue.exact(Fraction(3, 2)).compare(v) == 1
     assert v.compare(CapacityValue.sqrt_rational(2)) == 0
@@ -43,11 +47,95 @@ def test_addition_and_scaling():
     two = CapacityValue.exact(2)
     root2 = CapacityValue.sqrt_rational(2)
     s = two + root2
-    assert s.is_approx
+    assert not s.is_exact
     assert abs(s.value - 3.41421356237309) < 1e-12
-    assert (CapacityValue.exact(0) + root2).square == 2
+    assert (CapacityValue.exact(0) + root2) is root2
     scaled = root2.scaled(3)
-    assert scaled.square == 18  # 3*sqrt(2) = sqrt(18)
+    assert scaled.compare(CapacityValue.sqrt_rational(18)) == 0  # 3*sqrt(2) = sqrt(18)
+
+
+def test_sums_of_square_roots_compare_exactly():
+    root2, root8 = CapacityValue.sqrt_rational(2), CapacityValue.sqrt_rational(8)
+    twice = root2 + root2
+    assert twice.definitely_le(root8) and root8.definitely_le(twice)
+    assert not twice.definitely_lt(root8) and not root8.definitely_lt(twice)
+    # the float window cannot separate these: the difference is about 5e-16
+    big = CapacityValue.sqrt_rational(10 ** 30 + 1) + root2
+    near = CapacityValue.exact(10 ** 15) + root2
+    assert big.compare(near) == 1 and near.compare(big) == -1
+
+
+def sqrt_sum(terms):
+    total = CapacityValue.exact(0)
+    for n, q in terms:
+        total = total + CapacityValue.sqrt_rational(n).scaled(q)
+    return total
+
+
+def squarefree_form(terms):
+    """sum q sqrt(n) as {square-free part m: coefficient of sqrt(m)}."""
+    form = {}
+    for n, q in terms:
+        k = 1
+        for p in range(2, math.isqrt(n) + 1):
+            while n % (p * p) == 0:
+                n //= p * p
+                k *= p
+        form[n] = form.get(n, 0) + Fraction(q) * k
+    return {m: c for m, c in form.items() if c}
+
+
+def decimal_sum(terms):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        return sum(decimal.Decimal(n).sqrt() * Fraction(q).numerator
+                   / Fraction(q).denominator for n, q in terms)
+
+
+def test_compare_matches_square_free_and_decimal_oracles():
+    """Equality from square-free parts found by trial division (square
+    roots of distinct square-free integers are linearly independent over Q);
+    the order of unequal sums from 200 significant digits."""
+    rng = random.Random(5)
+    for _ in range(600):
+        a = [(rng.randint(1, 50), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:   # the same sum, as sqrt(n k^2) / k
+            b = []
+            for n, q in a:
+                k = rng.randint(1, 3)
+                b.append((n * k * k, Fraction(q, k)))
+            rng.shuffle(b)
+            if rng.random() < 0.3:
+                b.append((rng.randint(1, 50), Fraction(1, rng.randint(1, 7))))
+        else:
+            b = [(rng.randint(1, 50), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        expected = 0
+        if squarefree_form(a) != squarefree_form(b):
+            diff = decimal_sum(a) - decimal_sum(b)
+            assert abs(diff) > decimal.Decimal("1e-150")   # far above the rounding
+            expected = 1 if diff > 0 else -1
+        x, y = sqrt_sum(a), sqrt_sum(b)
+        assert x.compare(y) == expected and y.compare(x) == -expected, (a, b)
+        assert (x == y) == (expected == 0)
+    # below float resolution: sqrt(k^2 n + d) - k sqrt(n) has the sign of d
+    for _ in range(200):
+        n, k, d = rng.randint(2, 50), rng.randint(10 ** 6, 10 ** 15), rng.choice((-1, 1))
+        common = [(rng.randint(1, 50), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
+        x, y = sqrt_sum([(k * k * n + d, 1)] + common), sqrt_sum(common + [(n, k)])
+        assert x.compare(y) == d and y.compare(x) == -d, (n, k, d, common)
+
+
+def test_exact_values_never_raise_approx_tie():
+    four = CapacityValue.exact(4)
+    two_plus_root2 = CapacityValue.exact(2) + CapacityValue.sqrt_rational(2)
+    lower = CapacitySequence(0, [CapacityValue.exact(0), two_plus_root2])
+    upper = CapacitySequence(0, [CapacityValue.exact(0), four])
+    assert dominates(lower, upper, INTERIOR_STRICT).dominated
+    assert not dominates(upper, lower, WEAK).dominated
+    # sqrt(1/2) + sqrt(1/2) = sqrt(2): equal sums of unlike terms, no ApproxTie
+    half = CapacityValue.sqrt_rational(Fraction(1, 2))
+    assert (half + half).definitely_le(CapacityValue.sqrt_rational(2))
+    assert (half + half) == CapacityValue.sqrt_rational(2)
 
 
 def test_infinity_absorbs():
