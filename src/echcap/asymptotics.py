@@ -86,10 +86,9 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
                        node_limit: Optional[int] = None) -> VolumeReport:
     """Sampled convergence trace of c_k^2 / (4 k vol) up to kmax.
 
-    Every domain reads its full sequence from capacities(); a union costs
-    about kmax times the number of runs of equal entries in its first part's
-    sequence.  Toric domains are truncated (and flagged) because the polygon
-    search limits how far their sequences can go.
+    Every domain reads its full sequence from capacities().  Toric domains
+    are truncated (and flagged) because the polygon search limits how far
+    their sequences can go.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

@@ -10,6 +10,7 @@ common denominator, and exact values are built only for the entries returned.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -146,28 +147,34 @@ def maxplus_convolve(first: Sequence[CapacityValue],
                      kmax: int) -> List[CapacityValue]:
     """(f * g)_k = max over i+j=k of f_i + g_j, with infinity absorbing.
 
-    Entries are ints or CapacityValues of nondecreasing sequences.  Inside a
-    run of equal f_i the run's first index meets the largest g_j, so only run
-    starts are tried.  Among sums that compare equal the earliest i wins.
+    Entries are ints or CapacityValues of nondecreasing sequences, so
+    (f * g)_k is also the max over i+j <= k, and moving i or j back to the
+    start of its run of equal entries keeps f_i + g_j.  Each pair of run
+    starts puts its sum into slot i+j, and a running max over the slots gives
+    every k: the cost is runs(f) * runs(g) + kmax, whatever the order of f
+    and g.  Among sums that compare equal the first found wins: the lowest
+    slot, and within a slot the lowest i.
     """
-    out = []
-    starts: List[int] = []
-    for k in range(kmax + 1):
-        if not starts or first[k] != first[k - 1]:
-            starts.append(k)
-        out.append(max(first[i] + second[k - i] for i in starts))
-    return out
+    def runs(seq):
+        return [(k, seq[k]) for k in range(kmax + 1)
+                if k == 0 or seq[k] != seq[k - 1]]
+
+    g_runs = runs(second)
+    g_starts = [j for j, _ in g_runs]
+    slots = [first[0] + second[0]] * (kmax + 1)
+    for i, f_i in runs(first):
+        for j, g_j in g_runs[:bisect_right(g_starts, kmax - i)]:
+            s = f_i + g_j
+            if s > slots[i + j]:
+                slots[i + j] = s
+    return list(accumulate(slots, max))
 
 
 def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
                               kmax: int) -> CapacitySequence:
     """Capacity sequence of a disjoint union from its parts' sequences.
 
-    Exact parts are convolved as integers over their common denominator,
-    the parts with fewer runs of equal entries first: int max-plus is
-    commutative and associative, and the kernel's cost grows with the runs
-    of its first argument.  Other parts keep their order, because among
-    sums that compare equal the earliest wins.
+    Exact parts are convolved as integers over their common denominator.
     """
     if not sequences:
         raise ValueError("need at least one sequence")
@@ -183,10 +190,8 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
     den = None
     if all(e.is_exact for part in parts for e in part):
         den = math.lcm(*{e.frac.denominator for part in parts for e in part})
-        # a nondecreasing sequence has one run per distinct entry
-        parts = sorted(([e.frac.numerator * (den // e.frac.denominator)
-                         for e in part] for part in parts),
-                       key=lambda part: len(set(part)))
+        parts = [[e.frac.numerator * (den // e.frac.denominator) for e in part]
+                 for part in parts]
     acc = parts[0]
     for part in parts[1:]:
         acc = maxplus_convolve(acc, part, kmax)

@@ -229,7 +229,7 @@ def _write_meta(path: Optional[str], command: str, argv: List[str]) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_capacities(args, argv) -> int:
+def _cmd_capacities(args) -> int:
     domain = parse_domain_spec(args.spec)
     if args.full:
         if isinstance(domain, Ball):
@@ -250,11 +250,10 @@ def _cmd_capacities(args, argv) -> int:
         })
     else:
         sys.stdout.write(",".join(rendered) + "\n")
-    _write_meta(args.meta, "capacities", argv)
     return EXIT_OK
 
 
-def _cmd_embed(args, argv) -> int:
+def _cmd_embed(args) -> int:
     inner = parse_domain_spec(args.inner)
     outer = parse_domain_spec(args.outer)
     mode = INTERIOR_STRICT if args.mode == "strict" else WEAK
@@ -272,11 +271,10 @@ def _cmd_embed(args, argv) -> int:
         payload["lower"] = format_value(verdict.lower)
         payload["upper"] = format_value(verdict.upper)
     _emit(payload)
-    _write_meta(args.meta, "embed", argv)
     return EXIT_OBSTRUCTED if verdict.obstructed else EXIT_OK
 
 
-def _cmd_bound(args, argv) -> int:
+def _cmd_bound(args) -> int:
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError):
@@ -286,11 +284,10 @@ def _cmd_bound(args, argv) -> int:
         _emit({"a": args.a, "dmax": args.dmax, "bound": bound})
     else:
         sys.stdout.write(bound + "\n")
-    _write_meta(args.meta, args.command, argv)
     return EXIT_OK
 
 
-def _cmd_pack(args, argv) -> int:
+def _cmd_pack(args) -> int:
     sizes = _parse_size_list(args.sizes)
     report = obstructions.packing_obstructions(sizes, args.dmax)
     payload = {
@@ -309,11 +306,10 @@ def _cmd_pack(args, argv) -> int:
         ],
     }
     _emit(payload)
-    _write_meta(args.meta, "pack", argv)
     return EXIT_OK if report.all_hold else EXIT_OBSTRUCTED
 
 
-def _cmd_biran(args, argv) -> int:
+def _cmd_biran(args) -> int:
     sizes = _parse_size_list(args.sizes)
     verdict = obstructions.biran_sufficiency(sizes, args.dmax)
     payload = {
@@ -325,11 +321,10 @@ def _cmd_biran(args, argv) -> int:
         payload["multipliers"] = list(verdict.multipliers)
         payload["bound"] = verdict.bound
     _emit(payload)
-    _write_meta(args.meta, "biran", argv)
     return EXIT_OK if verdict.sufficient else EXIT_OBSTRUCTED
 
 
-def _cmd_asym(args, argv) -> int:
+def _cmd_asym(args) -> int:
     domain = parse_domain_spec(args.spec)
     report = asymptotics.volume_ratio_trace(
         domain, args.kmax, args.stride, node_limit=args.node_limit)
@@ -357,11 +352,10 @@ def _cmd_asym(args, argv) -> int:
         sys.stdout.write("k,c_k,ratio\n")
         for p in report.trace:
             sys.stdout.write(f"{p.k},{format_value(p.c_k)},{p.ratio:.9f}\n")
-    _write_meta(args.meta, "asym", argv)
     return EXIT_OK
 
 
-def _cmd_qw(args, argv) -> int:
+def _cmd_qw(args) -> int:
     domain = parse_domain_spec(args.spec)
     verdict = asymptotics.qw_check(domain, args.kmax, node_limit=args.node_limit)
     payload = {
@@ -373,7 +367,6 @@ def _cmd_qw(args, argv) -> int:
     if not verdict.holds:
         payload["k"] = verdict.k
     _emit(payload)
-    _write_meta(args.meta, "qw", argv)
     return EXIT_OK if verdict.holds else EXIT_OBSTRUCTED
 
 
@@ -460,7 +453,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.run(args, argv)
+        code = args.run(args)
+        _write_meta(args.meta, args.command, argv)
+        return code
     except ToricEnumerationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET

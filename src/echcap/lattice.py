@@ -180,9 +180,15 @@ class Polygonal(Norm):
             raise ValueError("scale factor must be positive")
         return Polygonal(tuple((x / c, y / c) for x, y in self.vertices))
 
-    def _lengths(self):
+    @cached_property
+    def _int_polar(self) -> Tuple[int, Tuple[IntPoint, ...]]:
+        """(den, polar vertices times den as ints).  The tuple is cached, not
+        the closure of _lengths(), so the norm still pickles."""
         den = math.lcm(*(c.denominator for u in self.polar for c in u))
-        polar = tuple((int(ux * den), int(uy * den)) for ux, uy in self.polar)
+        return den, tuple((int(ux * den), int(uy * den)) for ux, uy in self.polar)
+
+    def _lengths(self):
+        den, polar = self._int_polar
 
         def length(x, y):
             return max(ux * x + uy * y for ux, uy in polar)
@@ -382,6 +388,19 @@ class _Chain:
         self._exact = None
 
 
+def _floor(value: CapacityValue) -> int:
+    """Exact floor of a value with an exact form: its float's floor, moved
+    by exact comparisons until it is the floor."""
+    if value.is_exact:
+        return math.floor(value.frac)
+    n = math.floor(value.value)
+    while value.compare(CapacityValue.exact(n)) < 0:
+        n -= 1
+    while value.compare(CapacityValue.exact(n + 1)) >= 0:
+        n += 1
+    return n
+
+
 class _Lengths:
     """The length arithmetic of one search, from the norm's _lengths() hook.
 
@@ -390,34 +409,39 @@ class _Lengths:
     so every window of the search is an exact comparison.  Euclidean lengths
     are floats: the limit is the budget plus a slack of 10^-9 of it, windows
     are eps = slack wide (far above the float error), and exact values are
-    per-chain sums of CapacityValues.  A float budget (or an approximate
-    CapacityValue) gets the same slack before a rational norm floors it.
+    per-chain sums of CapacityValues, which fits() compares with the budget
+    exactly.  Only a float budget (or an approx() CapacityValue) has no exact
+    form: it keeps the slack, also before a rational norm floors it.
     """
 
     def __init__(self, norm: Norm, budget):
         if isinstance(budget, CapacityValue):
             if budget.is_infinite:
                 raise ValueError("length budget must be finite")
-            self.budget_f, frac = budget.value, budget.frac
+            has_exact_form = budget.is_exact or budget.roots is not None
+            self.budget = budget if has_exact_form else None
         elif isinstance(budget, float):
             if not math.isfinite(budget):
                 raise ValueError("length budget must be finite")
-            self.budget_f, frac = budget, None
+            if budget < 0:
+                raise ValueError("length budget must be >= 0")
+            self.budget = None
         else:
             frac = as_fraction(budget)
-            self.budget_f = float(frac)
-        if (self.budget_f if frac is None else frac) < 0:
-            raise ValueError("length budget must be >= 0")
+            if frac < 0:
+                raise ValueError("length budget must be >= 0")
+            budget = self.budget = CapacityValue.exact(frac)
+        self.budget_f = float(budget)
         self.norm = norm
         self.den, self.f = norm._lengths()
         slack = 1e-9 * max(1.0, self.budget_f)
         if self.den is None:
-            self.eps, self.limit, self.budget_frac = slack, self.budget_f + slack, frac
+            self.eps, self.limit = slack, self.budget_f + slack
             self.unit: Dict[IntPoint, CapacityValue] = {}
+        elif self.budget is None:
+            self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
         else:
-            if frac is None:
-                frac = Fraction(self.budget_f + slack)
-            self.eps, self.limit = 0, math.floor(frac * self.den)
+            self.eps, self.limit = 0, _floor(self.budget.scaled(self.den))
 
     def _exact(self, chain: _Chain) -> CapacityValue:
         """A Euclidean chain's length, one exact length per edge direction."""
@@ -452,8 +476,8 @@ class _Lengths:
         if self.den is not None:
             return True
         perim = self.value(chain1, chain2)
-        if self.budget_frac is not None and perim.is_exact:
-            return perim.frac <= self.budget_frac
+        if self.budget is not None:
+            return perim.compare(self.budget) <= 0
         return perim.value - perim.err <= self.limit
 
 

@@ -200,3 +200,12 @@ def test_meta_sidecar(tmp_path, capsys):
     assert "created_utc" in payload
     # the actual output stays timestamp-free
     assert "created" not in capsys.readouterr().out
+    # an obstructed verdict (exit 1) is a result: it gets a sidecar
+    meta.unlink()
+    assert main(["embed", "ball(2)", "ball(1)", "--kmax", "5",
+                 "--meta", str(meta)]) == 1
+    assert json.loads(meta.read_text())["command"] == "embed"
+    # an error (exit 2) writes none
+    meta.unlink()
+    assert main(["capacities", "ball(", "--meta", str(meta)]) == 2
+    assert not meta.exists()

@@ -4,7 +4,7 @@ The oracles are the earlier Fraction implementations of the closed forms,
 the quadratic max-plus convolution and the sampled two-part union trace.
 """
 
-import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -178,16 +178,7 @@ def test_maxplus_matches_quadratic_oracle():
     assert maxplus_convolve(f, g, 1)[1] is maxplus_oracle(f, g, 1)[1] is g[1]
 
 
-def test_union_of_closed_forms_matches_quadratic_oracle(monkeypatch):
-    module = importlib.import_module("echcap.capacities")
-    kernel = module.maxplus_convolve
-    first_runs = []
-
-    def spy(first, second, kmax):
-        first_runs.append(len(set(first[:kmax + 1])))
-        return kernel(first, second, kmax)
-
-    monkeypatch.setattr(module, "maxplus_convolve", spy)
+def test_union_of_closed_forms_matches_quadratic_oracle():
     rng = random.Random(31)
     cases = []
     for _ in range(4):
@@ -195,16 +186,31 @@ def test_union_of_closed_forms_matches_quadratic_oracle(monkeypatch):
         parts = [Ball(random_size(rng)), Ellipsoid(random_size(rng), random_size(rng)),
                  Polydisk(random_size(rng), random_size(rng))]
         rng.shuffle(parts)
-        cases.append((parts[:2], kmax))
+        cases.append((parts[:2], parts[2], kmax))
     # a thin ellipsoid placed first: all its entries up to kmax differ
-    cases.append(([Ellipsoid(F(1, 3), F(1000)), Ball(F(7, 5))], 250))
-    for parts, kmax in cases:
+    cases.append(([Ellipsoid(F(1, 3), F(1000)), Ball(F(7, 5))], Ball(F(2, 3)), 250))
+    for parts, third, kmax in cases:
         seqs = [capacities(p, kmax) for p in parts]
         want = maxplus_oracle(seqs[0].entries, seqs[1].entries, kmax)
-        first_runs.clear()
         assert fracs(capacities(DisjointUnion(parts), kmax)) == fracs(want)
-        # the part with fewer runs of equal entries is convolved first
-        assert first_runs == [min(len(set(fracs(seq))) for seq in seqs)]
+        # the result does not depend on the order of the parts
+        for union in (parts, parts + [third]):
+            got = strings(capacities(DisjointUnion(union), kmax))
+            for order in itertools.permutations(union):
+                assert strings(capacities(DisjointUnion(order), kmax)) == got
+
+
+@pytest.mark.parametrize("parts", [
+    (Ball(1), Ball(1)),
+    (Ball(1), Ellipsoid(7, 3)),
+], ids=["ball+ball", "ball+ellipsoid"])
+def test_two_part_union_spot_entries_at_k_1e5(parts):
+    kmax = 10 ** 5
+    got = capacities(DisjointUnion(parts), kmax)
+    f, g = ([int(e.as_fraction()) for e in capacities(p, kmax)] for p in parts)
+    rng = random.Random(11)
+    for k in [rng.randint(0, kmax) for _ in range(8)]:
+        assert got[k].as_fraction() == max(f[i] + g[k - i] for i in range(k + 1))
 
 
 def test_union_with_euclidean_toric_part_matches_oracle():

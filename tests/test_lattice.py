@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -141,6 +142,15 @@ def test_polygonal_gauge_matches_l1_diamond():
     wl = WeightedL1(a, b)
     for v in [(1, 0), (0, 1), (2, 3), (-1, 4), (5, -2)]:
         assert diamond.length(v).as_fraction() == wl.length(v).as_fraction()
+
+
+def test_polygonal_pickles_after_lengths_are_cached():
+    skew = Polygonal(((F(2, 3), F(1, 2)), (-1, 1), (-F(2, 3), -F(1, 2)), (1, -1)))
+    vectors = [(1, 0), (0, 1), (2, 3), (-1, 4), (5, -2)]
+    lengths = [skew.length(v) for v in vectors]
+    copy = pickle.loads(pickle.dumps(skew))
+    assert copy == skew
+    assert [copy.length(v) for v in vectors] == lengths
 
 
 def test_polygonal_validation():

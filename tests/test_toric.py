@@ -298,3 +298,24 @@ def test_budget_at_a_perimeter_is_inclusive(norm, k):
         assert found(P) and found(P * (1 + F(1, 10 ** 12)))
         assert not found(P * (1 - F(1, 10 ** 12)))
         assert not found(P * (1 - F(1, 10 ** 6)))
+
+
+@pytest.mark.parametrize("target, norm, budget", [
+    # just below 2 + sqrt(2), the least perimeter of a 3-point polygon
+    (3, EUCLIDEAN, CapacityValue.sqrt_rational(
+        F(float(2 + math.sqrt(2))) ** 2 - F(1, 10 ** 11))),
+    # just below 4, the perimeter of 24 of the 4-point polygons
+    (4, WeightedL1(1, 1), CapacityValue.sqrt_rational(16 - F(1, 10 ** 12))),
+    # below 4 by less than a float resolves: its float is 4.0
+    (4, WeightedL1(1, 1), CapacityValue.sqrt_rational(16 - F(1, 10 ** 30))),
+], ids=["euclidean", "l1:1,1", "l1:1,1-float-rounds-up"])
+def test_sum_of_roots_budget_is_compared_exactly(target, norm, budget):
+    found = enumerate_polygons(target, norm, budget)
+    assert all(perimeter(poly, norm).compare(budget) <= 0 for poly in found)
+    # some perimeter lies above the budget but within the float budget's slack
+    assert len(enumerate_polygons(target, norm, budget.value)) > len(found)
+
+
+def test_floor_moves_up_from_a_float_below_the_integer():
+    # sqrt 65 carried with a coarse float 7.9 +/- 0.2
+    assert lattice._floor(CapacityValue(None, 7.9, 0.2, ((65, 1),))) == 8
