@@ -39,14 +39,15 @@ def volume(domain: Domain) -> CapacityValue:
     raise TypeError(f"unsupported domain {domain!r}")
 
 
-def contains_polydisk(domain: Domain) -> bool:
-    """Polydisks have only piecewise smooth boundary; results that assume a
-    genuine contact boundary are labeled exploratory for them."""
-    if isinstance(domain, Polydisk):
-        return True
+def _contains(domain: Domain, kind: type) -> bool:
+    """Whether the domain, or a part of a disjoint union, is a kind.
+
+    Polydisks have only piecewise smooth boundary, so results that assume a
+    genuine contact boundary are labeled exploratory for them; the polygon
+    search caps the kmax of anything with a toric part."""
     if isinstance(domain, DisjointUnion):
-        return any(contains_polydisk(p) for p in domain.parts)
-    return False
+        return any(_contains(part, kind) for part in domain.parts)
+    return isinstance(domain, kind)
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,17 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
                        node_limit: Optional[int] = None) -> VolumeReport:
     """Sampled convergence trace of c_k^2 / (4 k vol) up to kmax.
 
-    Every domain reads its full sequence from capacities().  Toric domains
-    are truncated (and flagged) because the polygon search limits how far
-    their sequences can go.
+    Every domain reads its full sequence from capacities().  Toric domains,
+    and unions with a toric part, are truncated (and flagged) because the
+    polygon search limits how far their sequences can go.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     vol = volume(domain)
-    truncated = False
-    if isinstance(domain, ToricNorm):
-        truncated = True  # never near the k -> infinity regime
+    truncated = _contains(domain, ToricNorm)  # never near k -> infinity
+    if truncated:
         kmax = min(kmax, TORIC_TRACE_KMAX)
 
     seq = capacities(domain, kmax, node_limit=node_limit)
@@ -135,8 +135,8 @@ def qw_check(domain: Domain, kmax: int,
     only piecewise smooth."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    exploratory = contains_polydisk(domain)
-    if isinstance(domain, ToricNorm):
+    exploratory = _contains(domain, Polydisk)
+    if _contains(domain, ToricNorm):
         kmax = min(kmax, TORIC_TRACE_KMAX)
     vol_lo, vol_hi = _bounds(volume(domain).scaled(2))
     seq = capacities(domain, kmax, node_limit=node_limit)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, reduce
 from math import gcd
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import CapacityValue, RationalLike, as_fraction
@@ -409,9 +409,10 @@ class _Lengths:
     so every window of the search is an exact comparison.  Euclidean lengths
     are floats: the limit is the budget plus a slack of 10^-9 of it, windows
     are eps = slack wide (far above the float error), and exact values are
-    per-chain sums of CapacityValues, which fits() compares with the budget
-    exactly.  Only a float budget (or an approx() CapacityValue) has no exact
-    form: it keeps the slack, also before a rational norm floors it.
+    per-chain sums of CapacityValues, which fits() compares with an exact
+    budget when a pair's float lies within eps of it.  Only a float budget
+    (or an approx() CapacityValue) has no exact form: it keeps the slack,
+    also before a rational norm floors it.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -463,22 +464,24 @@ class _Lengths:
         return self._exact(chain1) + self._exact(chain2)
 
     def compare(self, chain1: _Chain, chain2: _Chain) -> int:
-        """Exact order of two chain lengths."""
-        if self.den is not None:
-            a, b = chain1.length, chain2.length
+        """Exact order of two chain lengths: by their search lengths, unless
+        those are Euclidean floats within eps of each other."""
+        a, b = chain1.length, chain2.length
+        if self.den is not None or abs(a - b) > self.eps:
             return (a > b) - (a < b)
         return self._exact(chain1).compare(self._exact(chain2))
 
     def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
-        """Whether the pair's perimeter is within the budget."""
-        if chain1.length + chain2.length > self.limit:
+        """Whether the pair's perimeter is within the budget.  A Euclidean
+        pair gets an exact value only when its float lies within eps of an
+        exact budget."""
+        length = chain1.length + chain2.length
+        if length > self.limit:
             return False
-        if self.den is not None:
+        if self.den is not None or self.budget is None \
+                or length < self.budget_f - self.eps:
             return True
-        perim = self.value(chain1, chain2)
-        if self.budget is not None:
-            return perim.compare(self.budget) <= 0
-        return perim.value - perim.err <= self.limit
+        return self.value(chain1, chain2).compare(self.budget) <= 0
 
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
@@ -587,6 +590,29 @@ def _preference(poly: LatticePolygon):
     return (len(poly.vertices), poly.vertices)
 
 
+def _pairs(lengths: _Lengths, groups: Iterable[Sequence[_Chain]],
+           max_count: int) -> Iterator[Tuple[int, _Chain, _Chain]]:
+    """(count, chain1, chain2) for every two chains of one group (one
+    displacement), chain1 not after chain2, that close to polygons (chain1
+    or chain2 as the upper chain) of count = (weight1 + weight2) / 2 + 1 <=
+    max_count lattice points and fit the budget."""
+    for chains in groups:
+        for i, chain1 in enumerate(chains):
+            for chain2 in chains[i:]:
+                count = (chain1.weight + chain2.weight) // 2 + 1
+                if count <= max_count and lengths.fits(chain1, chain2):
+                    yield count, chain1, chain2
+
+
+def _keep_all_pairs(lengths: _Lengths, max_count: int, node_limit: Optional[int]
+                    ) -> Iterator[Tuple[int, _Chain, _Chain]]:
+    """_pairs over every chain of the search."""
+    by_disp: Dict[IntPoint, List[_Chain]] = {}
+    _enumerate_chains(lengths, max_count, node_limit, lambda dx, dy, chain:
+                      by_disp.setdefault((dx, dy), []).append(chain))
+    return _pairs(lengths, by_disp.values(), max_count)
+
+
 def enumerate_polygons(target_count: int, norm: Norm, length_budget,
                        node_limit: Optional[int] = None) -> List[LatticePolygon]:
     """All canonical convex lattice polygons enclosing exactly target_count
@@ -599,34 +625,17 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     lengths = _Lengths(norm, length_budget)
-
-    found: List[LatticePolygon] = []
-    if target_count == 1:
-        found.append(LatticePolygon.point())
-
-    # chains grouped by displacement, then by weight
-    by_disp: Dict[IntPoint, Dict[int, List[_Chain]]] = {}
-
-    def emit(dx, dy, chain):
-        by_disp.setdefault((dx, dy), {}).setdefault(chain.weight, []).append(chain)
-
-    _enumerate_chains(lengths, target_count, node_limit, emit)
-
-    want = 2 * (target_count - 1)
-    for disp, by_weight in by_disp.items():
-        for w1, chains1 in by_weight.items():
-            chains2 = by_weight.get(want - w1)
-            if not chains2:
-                continue
-            for c1 in chains1:
-                for c2 in chains2:
-                    if lengths.fits(c1, c2):
-                        found.append(_polygon_from_pair(c1, c2))
+    found = [LatticePolygon.point()] if target_count == 1 else []
+    for count, chain1, chain2 in _keep_all_pairs(lengths, target_count, node_limit):
+        if count == target_count:
+            found.append(_polygon_from_pair(chain1, chain2))
+            if chain2 is not chain1:
+                found.append(_polygon_from_pair(chain2, chain1))
     found.sort(key=_preference)
     return found
 
 
-# -- minima per (lattice point count, edge count) ------------------------------
+# -- minimum perimeters ---------------------------------------------------------
 
 @dataclass
 class _Candidate:
@@ -660,48 +669,9 @@ def _prefer(best: Optional[_Candidate], cand: _Candidate) -> _Candidate:
     return cand if c < 0 else best
 
 
-def _cheapest(cands: Iterable[_Candidate], budget, what: str) -> _Candidate:
-    best = reduce(_prefer, cands, None)
-    if best is None:
-        raise RuntimeError(f"no {what} found within budget {budget!r}; "
-                           "search is incomplete")
-    return best
-
-
-class _CellTable:
-    """Per displacement, per (weight, direction-count) minimum-length chains.
-
-    Minima over polygon perimeters only ever need the cheapest chain of each
-    cell, because perimeters add across the two chains of a pair.
-    """
-
-    def __init__(self, lengths: _Lengths):
-        self.lengths = lengths
-        self.cells: Dict[IntPoint, Dict[Tuple[int, int], _Chain]] = {}
-
-    def offer(self, dx: int, dy: int, chain: _Chain) -> None:
-        per_disp = self.cells.setdefault((dx, dy), {})
-        key = (chain.weight, chain.nedges)
-        best = per_disp.get(key)
-        eps = self.lengths.eps
-        if best is None or chain.length < best.length - eps:
-            per_disp[key] = chain
-        elif chain.length <= best.length + eps:
-            cmp = self.lengths.compare(chain, best)
-            if cmp < 0 or cmp == 0 and chain.picks < best.picks:
-                per_disp[key] = chain
-
-
-def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
-                   ) -> Dict[int, Dict[int, _Candidate]]:
-    """count -> edge count -> cheapest candidate, over every polygon with at
-    most max_count lattice points and perimeter within the budget.
-
-    A pair's bucket follows from its chains: it encloses
-    (weight1 + weight2) / 2 + 1 points and has nedges1 + nedges2 edges.  The
-    upper chain and the negated lower chain lie on opposite sides of their
-    common chord, so they share an end direction only when both run along
-    the chord; the pair is then a segment, stored with the two edges v, -v.
+def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
+            ) -> Dict[int, _Candidate]:
+    """key -> cheapest candidate among the pairs with that key.
 
     A bucket keeps its least pair length and the pairs within eps of it:
     for rational norms exactly the pairs of least length, for the Euclidean
@@ -709,39 +679,49 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     there is exactly longer than the bucket minimum.  Only the kept pairs
     get exact values, reduced with _prefer in search order.
     """
+    eps = lengths.eps
+    near: Dict[int, list] = {}   # key -> [least length, pairs near a running least]
+    for key, chain1, chain2 in keyed_pairs:
+        length = chain1.length + chain2.length
+        bucket = near.get(key)
+        if bucket is None or length < bucket[0] - eps:
+            near[key] = bucket = [length, []]
+        elif length > bucket[0] + eps:
+            continue
+        bucket[1].append((length, chain1, chain2))
+        bucket[0] = min(bucket[0], length)
+    return {key: reduce(_prefer, (
+        _Candidate(lengths.value(chain1, chain2), (chain1, chain2))
+        for length, chain1, chain2 in pairs if length <= least + eps), None)
+        for key, (least, pairs) in near.items()}
+
+
+def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
+                   ) -> Dict[int, _Candidate]:
+    """count -> cheapest candidate, over every polygon with at most max_count
+    lattice points and perimeter within the budget.
+
+    Perimeters add across the two chains of a pair, so only the cheapest
+    chain of each (displacement, weight) cell is paired: of equal lengths
+    the one with fewer edges, then the first by picks.  That keeps the
+    preferred minimizer, whose chains each are cheapest in their cell (else
+    a shorter polygon with the same count exists) with the fewest edges
+    (else one with fewer vertices does).
+    """
     lengths = _Lengths(norm, budget)
-    eps, limit = lengths.eps, lengths.limit
-    table = _CellTable(lengths)
-    _enumerate_chains(lengths, max_count, node_limit, table.offer)
+    cells: Dict[IntPoint, Dict[int, _Chain]] = {}
 
-    # (count, edges) -> [least length, pairs within eps of a running least]
-    near: Dict[Tuple[int, int], list] = {}
-    for per_disp in table.cells.values():
-        cells = list(per_disp.values())
-        for i, chain1 in enumerate(cells):
-            for chain2 in cells[i:]:
-                count = (chain1.weight + chain2.weight) // 2 + 1
-                if count > max_count:
-                    continue
-                length = chain1.length + chain2.length
-                if length > limit:
-                    continue
-                key = (count, chain1.nedges + chain2.nedges)
-                bucket = near.get(key)
-                if bucket is None or length < bucket[0] - eps:
-                    near[key] = bucket = [length, []]
-                elif length > bucket[0] + eps:
-                    continue
-                bucket[1].append((length, chain1, chain2))
-                bucket[0] = min(bucket[0], length)
+    def offer(dx: int, dy: int, chain: _Chain) -> None:
+        per_disp = cells.setdefault((dx, dy), {})
+        best = per_disp.get(chain.weight)
+        if best is None or ((lengths.compare(chain, best), chain.nedges, chain.picks)
+                            < (0, best.nedges, best.picks)):
+            per_disp[chain.weight] = chain
 
-    point = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
-    minima: Dict[int, Dict[int, _Candidate]] = {1: {0: point}}
-    for (count, edges), (least, pairs) in near.items():
-        minima.setdefault(count, {})[edges] = reduce(_prefer, (
-            _Candidate(lengths.value(chain1, chain2), (chain1, chain2))
-            for length, chain1, chain2 in pairs
-            if length <= least + eps), None)
+    _enumerate_chains(lengths, max_count, node_limit, offer)
+    minima = _minima(lengths, _pairs(
+        lengths, [list(per_disp.values()) for per_disp in cells.values()], max_count))
+    minima[1] = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
     return minima
 
 
@@ -788,36 +768,41 @@ class ToricCapacity:
         return iter((self.value, self.witness))
 
 
-def toric_capacity(norm: Norm, k: int, node_limit: Optional[int] = None,
-                   allow_at_least: bool = False) -> ToricCapacity:
+def _toric_minima(norm: Norm, kmax: int,
+                  node_limit: Optional[int]) -> List[_Candidate]:
+    """The cheapest candidate for each k = 0..kmax, from one search at the
+    budget of kmax, which covers every smaller k because _initial_budget is
+    nondecreasing in k."""
+    budget = _initial_budget(norm, kmax)
+    minima = _bucket_minima(norm, budget, kmax + 1, node_limit)
+    try:
+        return [minima[count] for count in range(1, kmax + 2)]
+    except KeyError as missing:
+        raise RuntimeError(f"no polygon with {missing.args[0]} lattice points "
+                           f"found within budget {budget!r}; search is "
+                           "incomplete") from None
+
+
+def toric_capacity(norm: Norm, k: int,
+                   node_limit: Optional[int] = None) -> ToricCapacity:
     """Minimum norm-perimeter over lattice polygons with exactly k+1 enclosed
     lattice points, with a minimizing witness polygon.
 
-    allow_at_least relaxes "exactly k+1" to counts in [k+1, 2(k+1)]; it
-    exists only so the two readings can be compared in reports.  The upper
-    cutoff is where the count-pruned search stops being complete.  Every
-    call runs its own search under node_limit.
+    The search runs at the perimeter of the cheapest rectangle with at least
+    k+1 points, pairs one cheapest chain per (displacement, weight) cell and
+    buckets the pairs by lattice-point count.  Every call runs its own
+    search under node_limit.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    budget = _initial_budget(norm, k)
-    cap = 2 * (k + 1) if allow_at_least else k + 1
-    minima = _bucket_minima(norm, budget, cap, node_limit)
-    best = _cheapest((cand for count, per_edge in minima.items() if count > k
-                      for cand in per_edge.values()),
-                     budget, f"polygon with {k + 1} lattice points")
+    best = _toric_minima(norm, k, node_limit)[k]
     return ToricCapacity(best.value, best.witness)
 
 
 def _toric_sequence(norm: Norm, kmax: int,
                     node_limit: Optional[int]) -> List[CapacityValue]:
-    """[c_0, ..., c_kmax] from one search at the budget of kmax, which covers
-    every smaller k because _initial_budget is nondecreasing in k."""
-    budget = _initial_budget(norm, kmax)
-    minima = _bucket_minima(norm, budget, kmax + 1, node_limit)
-    return [_cheapest(minima.get(k + 1, {}).values(), budget,
-                      f"polygon with {k + 1} lattice points").value
-            for k in range(kmax + 1)]
+    """[c_0, ..., c_kmax] from one search."""
+    return [cand.value for cand in _toric_minima(norm, kmax, node_limit)]
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,
@@ -825,19 +810,27 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     """Minimum generator action over labeled generators of the given grading.
 
     A polygon with c enclosed points and E edges supports grading 2k exactly
-    when 0 <= 2(c - 1 - k) <= E, by labeling that many edges 'h'.  The search
-    budget defaults to the rectangle construction for k, which the all-'e'
-    minimizer always fits.
+    when 0 <= 2(c - 1 - k) <= E, by labeling that many edges 'h'; E <= c, so
+    c <= 2(k + 1).  The minimum is read from every chain pair of a search
+    with that cap.  A pair has nedges1 + nedges2 edges: its chains share an
+    end direction only when it is a segment, stored as the edges v and -v.
+    An exact budget is compared exactly.  The budget defaults to the
+    rectangle construction for k, which the all-'e' minimizer always fits;
+    RuntimeError if no generator fits it.
     """
     if grading < 0 or grading % 2 != 0:
         raise ValueError("grading must be a nonnegative even integer")
     k = grading // 2
     if budget is None:
         budget = _initial_budget(norm, k)
-    # edge count never exceeds boundary count which never exceeds the
-    # enclosed count, so 2(c - 1 - k) <= E <= c bounds c <= 2(k + 1)
-    minima = _bucket_minima(norm, budget, 2 * (k + 1), node_limit)
-    return _cheapest((cand for count, per_edge in minima.items()
-                      for edges, cand in per_edge.items()
-                      if 0 <= 2 * (count - 1 - k) <= edges),
-                     budget, f"generator of grading {grading}").value
+    lengths = _Lengths(norm, budget)
+    if k == 0:
+        return CapacityValue.exact(0)   # the point, labeled by nothing
+    best = _minima(lengths, (
+        (grading, chain1, chain2)
+        for count, chain1, chain2 in _keep_all_pairs(lengths, 2 * (k + 1), node_limit)
+        if 0 <= 2 * (count - 1 - k) <= chain1.nedges + chain2.nedges)).get(grading)
+    if best is None:
+        raise RuntimeError(f"no generator of grading {grading} found within "
+                           f"budget {budget!r}; search is incomplete")
+    return best.value

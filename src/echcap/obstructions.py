@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .capacities import WEAK, _nk_values, capacities, dominates
+from .capacities import (WEAK, _nk_values, _over_common_denominator,
+                         capacities, dominates)
 from .domains import Domain
 from .values import CapacityValue, RationalLike, as_fraction
 
@@ -154,15 +155,16 @@ def packing_obstructions(a_list: Sequence[RationalLike],
         raise ValueError("need a nonempty list of positive sizes")
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
+    den, scaled = _over_common_denominator(*sizes)
     inequalities = []
     all_hold = True
     for d in range(1, dmax + 1):
         budget = d * d + 3 * d
         for mult in _multiplier_tuples(len(sizes), budget):
-            lhs = sum((m * a for m, a in zip(mult, sizes)), Fraction(0))
-            ok = lhs < d
+            lhs = sum(m * a for m, a in zip(mult, scaled))
+            ok = lhs < d * den
             all_hold = all_hold and ok
-            inequalities.append(PackingInequality(mult, d, lhs, ok))
+            inequalities.append(PackingInequality(mult, d, Fraction(lhs, den), ok))
     return PackingReport(tuple(inequalities), all_hold)
 
 
@@ -206,11 +208,11 @@ def biran_sufficiency(a_list: Sequence[RationalLike], dmax: int) -> BiranVerdict
         raise ValueError("need a nonempty list of positive sizes")
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
-    if sum(a * a for a in sizes) > 1:
+    den, scaled = _over_common_denominator(*sizes)
+    if sum(a * a for a in scaled) > den * den:
         return BiranVerdict("fails_volume")
     for d in range(1, dmax + 1):
         for mult in _biran_tuples(len(sizes), 3 * d - 1, d * d + 1):
-            lhs = sum((m * a for m, a in zip(mult, sizes)), Fraction(0))
-            if lhs > d:
+            if sum(m * a for m, a in zip(mult, scaled)) > d * den:
                 return BiranVerdict("fails_inequality", mult, d)
     return BiranVerdict("sufficient")

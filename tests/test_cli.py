@@ -158,6 +158,19 @@ def test_asym_json_truncation_label(capsys):
     assert "truncated" in captured.err
 
 
+def test_asym_and_qw_truncate_unions_with_a_toric_part(capsys):
+    code = main(["asym", "union(toric(l1:1,1);ball(1))", "--kmax", "1000",
+                 "--format", "json"])
+    assert code == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["truncated"] is True
+    assert payload["trace"][-1]["k"] == 25
+    assert "truncated at k=25" in captured.err
+    assert main(["qw", "union(toric(euclidean);ball(1))", "--kmax", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["kmax"] == 25
+
+
 def test_qw(capsys):
     assert main(["qw", "ball(1)", "--kmax", "100"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -31,7 +31,10 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
 
     Chain lengths are sums of one exact CapacityValue per edge direction;
     the cell table and the pairing compare them for every chain, with no
-    length filter and no eps window.
+    length filter and no eps window.  Cells are keyed by weight and edge
+    count and buckets by count and edge count before each count's buckets
+    are reduced, so this also checks that the search's cells and buckets by
+    weight and count alone lose no minimizer.
     """
     exact = {}
 
@@ -59,9 +62,7 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     lattice._enumerate_chains(lattice._Lengths(norm, budget), max_count,
                               node_limit, offer)
     bound = budget if isinstance(budget, CapacityValue) else CapacityValue.exact(budget)
-    point = lattice._Candidate(CapacityValue.exact(0), None,
-                               LatticePolygon.point())
-    minima = {1: {0: point}}
+    buckets = {}
     for per_disp in cells.values():
         kept = list(per_disp.values())
         for i, chain1 in enumerate(kept):
@@ -70,10 +71,13 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
                 perim = length(chain1) + length(chain2)
                 if count > max_count or perim.compare(bound) > 0:
                     continue
-                per_edge = minima.setdefault(count, {})
-                edges = chain1.nedges + chain2.nedges
+                key = (count, chain1.nedges + chain2.nedges)
                 cand = lattice._Candidate(perim, (chain1, chain2))
-                per_edge[edges] = lattice._prefer(per_edge.get(edges), cand)
+                buckets[key] = lattice._prefer(buckets.get(key), cand)
+    minima = {1: lattice._Candidate(CapacityValue.exact(0), None,
+                                    LatticePolygon.point())}
+    for (count, _), cand in sorted(buckets.items()):
+        minima[count] = lattice._prefer(minima.get(count), cand)
     return minima
 
 
@@ -115,14 +119,6 @@ def test_toric_domain_dispatch():
     assert seq[1].as_fraction() == 2
     assert abs(seq[2].value - (2 + math.sqrt(2))) < 1e-9
     assert seq[3].as_fraction() == 4
-
-
-def test_allow_at_least_never_exceeds_exact():
-    norm = WeightedL1(1, 1)
-    for k in range(8):
-        exact = toric_capacity(norm, k).value.as_fraction()
-        relaxed = toric_capacity(norm, k, allow_at_least=True).value.as_fraction()
-        assert relaxed <= exact
 
 
 def test_node_limit_raises():
@@ -228,9 +224,8 @@ def toric_records(norm, kmax):
     """Value reprs and witness vertices of every toric entry point."""
     records = [[repr(v) for v in capacities(ToricNorm(norm), kmax)]]
     for k in range(kmax + 1):
-        for allow_at_least in (False, True):
-            result = toric_capacity(norm, k, allow_at_least=allow_at_least)
-            records.append((repr(result.value), result.witness.vertices))
+        result = toric_capacity(norm, k)
+        records.append((repr(result.value), result.witness.vertices))
         records.append(repr(min_action_at_grading(norm, 2 * k)))
     return records
 
@@ -314,6 +309,23 @@ def test_sum_of_roots_budget_is_compared_exactly(target, norm, budget):
     assert all(perimeter(poly, norm).compare(budget) <= 0 for poly in found)
     # some perimeter lies above the budget but within the float budget's slack
     assert len(enumerate_polygons(target, norm, budget.value)) > len(found)
+    # the least generator action at the grading of target points fits too
+    try:
+        least = min_action_at_grading(norm, 2 * (target - 1), budget)
+    except RuntimeError:
+        pass
+    else:
+        assert least.compare(budget) <= 0
+
+
+def test_min_action_budget_is_compared_exactly():
+    exact = CapacityValue.exact(2) + CapacityValue.sqrt_rational(2)
+    below = CapacityValue.sqrt_rational(
+        F(float(2 + math.sqrt(2))) ** 2 - F(1, 10 ** 11))
+    assert below.compare(exact) < 0
+    with pytest.raises(RuntimeError, match="no generator of grading 4"):
+        min_action_at_grading(EUCLIDEAN, 4, budget=below)
+    assert min_action_at_grading(EUCLIDEAN, 4, budget=exact).compare(exact) == 0
 
 
 def test_floor_moves_up_from_a_float_below_the_integer():

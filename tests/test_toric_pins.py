@@ -1,0 +1,74 @@
+"""Pinned outputs of the toric entry points.
+
+toric_pins.json holds value reprs and witness vertices of toric_capacity,
+the reprs of min_action_at_grading and capacities(), and the length and
+sha256 of enumerate_polygons lists, as computed by an earlier version of the
+search.  The all-exact oracle in test_toric.py shares the chain enumeration
+and the length arithmetic with the code under test; this file shares
+nothing with it, so it also pins the witnesses those share.
+
+Regenerate (only when an output is meant to change, and say why) with
+
+    PYTHONPATH=src python tests/test_toric_pins.py
+"""
+
+import hashlib
+import json
+import pathlib
+from fractions import Fraction
+
+from echcap import (EUCLIDEAN, Polygonal, ToricNorm, WeightedL1, capacities,
+                    enumerate_polygons, min_action_at_grading, toric_capacity)
+
+FIXTURE = pathlib.Path(__file__).with_name("toric_pins.json")
+
+NORMS = {
+    "euclidean": (EUCLIDEAN, 12),
+    "l1:7/3,2": (WeightedL1(Fraction(7, 3), 2), 12),
+    "hexagon": (Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))), 10),
+}
+BUDGETS = {"4.9": 4.9, "6": 6}
+
+
+def entry_points(norm, kmax):
+    return {
+        "capacities": [repr(v) for v in capacities(ToricNorm(norm), kmax)],
+        "toric_capacity": [
+            [repr(result.value), [list(v) for v in result.witness.vertices]]
+            for result in (toric_capacity(norm, k) for k in range(kmax + 1))],
+        "min_action_at_grading": [repr(min_action_at_grading(norm, 2 * k))
+                                  for k in range(kmax + 1)],
+    }
+
+
+def polygon_lists(norm):
+    out = {}
+    for label, budget in BUDGETS.items():
+        for target in range(1, 7):
+            polys = enumerate_polygons(target, norm, budget)
+            text = repr([p.vertices for p in polys]).encode()
+            out[f"target {target}, budget {label}"] = [
+                len(polys), hashlib.sha256(text).hexdigest()]
+    return out
+
+
+def pins():
+    return {name: {**entry_points(norm, kmax), "enumerate_polygons": polygon_lists(norm)}
+            for name, (norm, kmax) in NORMS.items()}
+
+
+def test_toric_entry_points_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = pins()
+    for name in NORMS:
+        for key, value in expected[name].items():
+            assert got[name][key] == value, (name, key)
+    assert got.keys() == expected.keys()
+
+
+if __name__ == "__main__":
+    # one line per entry point and norm, so a diff shows which one moved
+    FIXTURE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(name)}: {{\n" + ",\n".join(
+            f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
+        + "\n}" for name, records in pins().items()) + "\n}\n", encoding="utf-8")
