@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .capacities import capacities
@@ -101,7 +102,7 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
         kmax = min(kmax, TORIC_TRACE_KMAX)
 
     seq = capacities(domain, kmax, node_limit=node_limit)
-    trace = [TracePoint(k, seq[k], _ratio(seq[k], k, vol))
+    trace = [TracePoint(k, c_k := seq[k], _ratio(c_k, k, vol))
              for k in _sample_points(kmax, stride)]
 
     last_decade = [p for p in trace if p.k * 10 >= kmax]
@@ -140,8 +141,7 @@ def qw_check(domain: Domain, kmax: int,
         kmax = min(kmax, TORIC_TRACE_KMAX)
     vol_lo, vol_hi = _bounds(volume(domain).scaled(2))
     seq = capacities(domain, kmax, node_limit=node_limit)
-    for k in range(1, kmax + 1):
-        c_k = seq[k]
+    for k, c_k in enumerate(islice(seq, 1, None), 1):
         lo, hi = _bounds(c_k)
         if hi * hi < 2 * k * vol_lo:
             continue

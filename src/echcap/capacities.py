@@ -3,8 +3,8 @@
 (a, b)_k below always means the k-th smallest element, counted with
 repetitions, of the multiset {a*m + b*n : m, n nonnegative integers}.
 
-The kernels run on Python ints: rational sizes are scaled by their least
-common denominator, and exact values are built only for the entries returned.
+The kernels run on Python ints over the least common denominator of the
+sizes and hand those ints to CapacitySequence, which keeps them as they are.
 """
 
 from __future__ import annotations
@@ -13,60 +13,45 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import List, Optional, Sequence, Tuple
 
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
-from .lattice import _toric_sequence
-from .values import CapacitySequence, CapacityValue, RationalLike, as_fraction
+from .lattice import _toric_minima
+from .values import (CapacitySequence, CapacityValue, RationalLike,
+                     _over_common_denominator, as_fraction)
 
 WEAK = "weak"
 INTERIOR_STRICT = "interior_strict"
 
 
-def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
-    """(d, [q * d for q in sizes]) with d the least common denominator."""
-    den = math.lcm(*(q.denominator for q in sizes))
-    return den, [q.numerator * (den // q.denominator) for q in sizes]
-
-
-def _exact_values(scaled: Sequence[int], den: int) -> List[CapacityValue]:
-    """Entries scaled[i] / den, one value object per run of equal entries."""
-    out: List[CapacityValue] = []
-    prev = None
-    for v in scaled:
-        if v != prev:
-            prev, value = v, CapacityValue.exact(Fraction(v, den))
-        out.append(value)
-    return out
-
-
-def _nk_values(a: int, b: int, kmax: int) -> List[int]:
-    """The kmax smallest values of {a*m + b*n} for positive ints a and b,
-    sorted ascending with repetitions.
+def _nk_values(a: RationalLike, b: RationalLike,
+               kmax: int) -> Tuple[int, List[int]]:
+    """(den, v): the kmax smallest values of {a*m + b*n}, sorted ascending
+    with repetitions, as ints v over den, the least common denominator.
 
     Each point of the triangle {x, y >= 0, a*x + b*y <= level} lies in the
     unit square of a lattice point of that triangle, so the triangle holds at
     least level^2 / (2ab) > kmax lattice points.
     """
-    level = math.isqrt(2 * a * b * kmax) + 1
-    values: List[int] = []
-    for am in range(0, level + 1, a):
-        values.extend(range(am, level + 1, b))
-    values.sort()
-    return values[:kmax]
-
-
-def nk_sequence(a: RationalLike, b: RationalLike, kmax: int) -> List[CapacityValue]:
-    """[(a,b)_1, ..., (a,b)_kmax] as exact values (list index k-1 holds (a,b)_k)."""
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("weights must be positive")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     den, (a, b) = _over_common_denominator(a, b)
-    return _exact_values(_nk_values(a, b, kmax), den)
+    level = math.isqrt(2 * a * b * kmax) + 1
+    values: List[int] = []
+    for am in range(0, level + 1, a):
+        values.extend(range(am, level + 1, b))
+    values.sort()
+    return den, values[:kmax]
+
+
+def nk_sequence(a: RationalLike, b: RationalLike, kmax: int) -> List[CapacityValue]:
+    """[(a,b)_1, ..., (a,b)_kmax] as exact values (list index k-1 holds (a,b)_k)."""
+    return list(CapacitySequence._from_ints(1, *_nk_values(a, b, kmax)))
 
 
 def nk_via_triangle(a: RationalLike, b: RationalLike,
@@ -92,27 +77,20 @@ def ellipsoid_capacities(a: RationalLike, b: RationalLike,
     """Distinguished capacities of E(a, b): entry k is (a, b)_{k+1}."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    return CapacitySequence(0, nk_sequence(a, b, kmax + 1))
+    return CapacitySequence._from_ints(0, *_nk_values(a, b, kmax + 1))
 
 
 def ellipsoid_full_capacities(a: RationalLike, b: RationalLike,
                               kmax: int) -> CapacitySequence:
     """Full capacities of E(a, b): entry k is (a, b)_k, starting at k = 1."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    return CapacitySequence(1, nk_sequence(a, b, kmax))
+    return CapacitySequence._from_ints(1, *_nk_values(a, b, kmax))
 
 
 def ball_capacities(a: RationalLike, kmax: int) -> CapacitySequence:
-    """Capacities of B(a): entry k is d*a where (d^2+d)/2 <= k <= (d^2+3d)/2."""
-    a = as_fraction(a)
-    if a <= 0:
+    """Capacities of B(a) = E(a, a): entry k is d*a, (d^2+d)/2 <= k <= (d^2+3d)/2."""
+    if as_fraction(a) <= 0:
         raise ValueError("ball size must be positive")
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    scaled = [(math.isqrt(8 * k + 1) - 1) // 2 * a.numerator
-              for k in range(kmax + 1)]
-    return CapacitySequence(0, _exact_values(scaled, a.denominator))
+    return ellipsoid_capacities(a, a, kmax)
 
 
 def polydisk_capacities(a: RationalLike, b: RationalLike,
@@ -139,7 +117,7 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
         cheapest[u:u * v + 1:u] = map(min, cheapest[u:u * v + 1:u],
                                       range(base, base + b * v, b))
     suffix = list(accumulate(reversed(cheapest), min))[::-1]
-    return CapacitySequence(0, _exact_values(suffix[1:kmax + 2], den))
+    return CapacitySequence._from_ints(0, den, suffix[1:kmax + 2])
 
 
 def maxplus_convolve(first: Sequence[CapacityValue],
@@ -174,7 +152,7 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
                               kmax: int) -> CapacitySequence:
     """Capacity sequence of a disjoint union from its parts' sequences.
 
-    Exact parts are convolved as integers over their common denominator.
+    Exact parts are convolved as ints over the lcm of their denominators.
     """
     if not sequences:
         raise ValueError("need at least one sequence")
@@ -186,16 +164,17 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
             )
         if seq.kmax < kmax:
             raise ValueError(f"input defined only up to k={seq.kmax} < {kmax}")
-    parts = [seq.entries[:kmax + 1] for seq in sequences]
-    den = None
-    if all(e.is_exact for part in parts for e in part):
-        den = math.lcm(*{e.frac.denominator for part in parts for e in part})
-        parts = [[e.frac.numerator * (den // e.frac.denominator) for e in part]
-                 for part in parts]
+    if any(seq.den is None for seq in sequences):
+        den, parts = None, [list(seq)[:kmax + 1] for seq in sequences]
+    else:
+        den = math.lcm(*(seq.den for seq in sequences))
+        parts = [[v * (den // seq.den) for v in seq._items[:kmax + 1]]
+                 for seq in sequences]
     acc = parts[0]
     for part in parts[1:]:
         acc = maxplus_convolve(acc, part, kmax)
-    return CapacitySequence(0, acc if den is None else _exact_values(acc, den))
+    return CapacitySequence(0, acc) if den is None else \
+        CapacitySequence._from_ints(0, den, acc)
 
 
 def capacities(domain: Domain, kmax: int, *,
@@ -210,7 +189,8 @@ def capacities(domain: Domain, kmax: int, *,
     if isinstance(domain, Polydisk):
         return polydisk_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, ToricNorm):
-        return CapacitySequence(0, _toric_sequence(domain.norm, kmax, node_limit))
+        minima = _toric_minima(domain.norm, kmax, node_limit)
+        return CapacitySequence(0, (best.value for best in minima))
     if isinstance(domain, DisjointUnion):
         # equal parts (frozen dataclasses) share one computation
         seqs = {p: capacities(p, kmax, node_limit=node_limit)
@@ -244,8 +224,7 @@ def dominates(lower: CapacitySequence, upper: CapacitySequence,
             f"cannot compare origin {lower.index_origin} against "
             f"{upper.index_origin}"
         )
-    for k in range(lower.index_origin, min(lower.kmax, upper.kmax) + 1):
-        lo, hi = lower[k], upper[k]
+    for k, lo, hi in zip(count(lower.index_origin), lower, upper):
         if mode == INTERIOR_STRICT and k >= 1 and not lo.is_infinite:
             ok = lo.definitely_lt(hi)
         else:

@@ -159,9 +159,10 @@ class _Parser:
         if kind == "poly":
             self.expect(":")
             raw = self.bracketed()
-            try:
-                data = json.loads(raw)
-                verts = [(int(x), int(y)) for x, y in data]
+            try:   # JSON floats and booleans are not integers
+                verts = [(x, y) for x, y in json.loads(raw)]
+                if any(type(c) is not int for v in verts for c in v):
+                    raise TypeError
             except (ValueError, TypeError):
                 raise self.error("polygon literal must be a JSON array of "
                                  "[x,y] integer pairs")
@@ -240,7 +241,7 @@ def _cmd_capacities(args) -> int:
             raise SpecParseError("--full is defined for balls and ellipsoids only", 0)
     else:
         seq = capacities(domain, args.kmax, node_limit=args.node_limit)
-    rendered = [format_value(v) for v in seq.entries]
+    rendered = [format_value(v) for v in seq]
     if args.format == "json":
         _emit({
             "spec": args.spec,

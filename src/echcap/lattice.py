@@ -32,11 +32,17 @@ Length = Union[int, float]     # a search length: int over a denominator, or flo
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
-    """Explicit argument wins, then ECHCAP_NODE_LIMIT, then the default."""
-    if node_limit is not None:
-        return int(node_limit)
-    env = os.environ.get("ECHCAP_NODE_LIMIT")
-    return int(env) if env else DEFAULT_NODE_LIMIT
+    """Explicit argument wins, then ECHCAP_NODE_LIMIT, then the default.
+    ValueError for a negative limit or a non-integer ECHCAP_NODE_LIMIT."""
+    if node_limit is None:
+        env = os.environ.get("ECHCAP_NODE_LIMIT")
+        try:
+            node_limit = int(env) if env else DEFAULT_NODE_LIMIT
+        except ValueError:
+            raise ValueError(f"ECHCAP_NODE_LIMIT must be an integer, got {env!r}") from None
+    if int(node_limit) < 0:
+        raise ValueError(f"node limit must be >= 0, got {node_limit}")
+    return int(node_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +803,6 @@ def toric_capacity(norm: Norm, k: int,
         raise ValueError("k must be >= 0")
     best = _toric_minima(norm, k, node_limit)[k]
     return ToricCapacity(best.value, best.witness)
-
-
-def _toric_sequence(norm: Norm, kmax: int,
-                    node_limit: Optional[int]) -> List[CapacityValue]:
-    """[c_0, ..., c_kmax] from one search."""
-    return [cand.value for cand in _toric_minima(norm, kmax, node_limit)]
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,

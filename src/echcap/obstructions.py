@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .capacities import (WEAK, _nk_values, _over_common_denominator,
-                         capacities, dominates)
+from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
-from .values import CapacityValue, RationalLike, as_fraction
+from .values import (CapacityValue, RationalLike, _over_common_denominator,
+                     as_fraction)
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     need = (dmax * dmax + 3 * dmax + 2) // 2
-    # (a, 1) scaled by the denominator of a
-    values = _nk_values(a.numerator, a.denominator, need)
-    return max(Fraction(values[(d * d + 3 * d + 2) // 2 - 1], d * a.denominator)
+    den, values = _nk_values(a, 1, need)
+    return max(Fraction(values[(d * d + 3 * d + 2) // 2 - 1], d * den)
                for d in range(1, dmax + 1))
 
 

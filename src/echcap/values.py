@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ApproxTie
 
@@ -38,6 +39,12 @@ def format_fraction(q: Fraction) -> str:
     """'p/q', or the bare numerator for an integer: the inverse of
     as_fraction on strings."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
+    """(d, [q * d for q in sizes]) with d the least common denominator."""
+    den = math.lcm(*(q.denominator for q in sizes))
+    return den, [q.numerator * (den // q.denominator) for q in sizes]
 
 
 def _ulp(x: float) -> float:
@@ -207,8 +214,6 @@ class CapacityValue:
     def compare(self, other: "CapacityValue") -> int:
         """-1, 0, +1.  Exact unless a value is from approx(), where 0 means
         equal or indistinguishable within error bounds."""
-        if self is other:   # closed forms share one value per run of equal entries
-            return 0
         if self.is_infinite or other.is_infinite:
             if self.is_infinite and other.is_infinite:
                 return 0
@@ -272,58 +277,74 @@ class CapacitySequence:
 
     index_origin 0 is the distinguished spectrum (entry at k=0 must be 0);
     index_origin 1 is the full spectrum (entries start at k=1).
+
+    Exact rationals are stored as ints over a common denominator den; any
+    other sequence keeps its values, with den None.  Values are built on
+    read: one per run of equal entries when iterating, one per index.
     """
 
-    __slots__ = ("index_origin", "entries")
+    __slots__ = ("index_origin", "den", "_items")
 
     def __init__(self, index_origin: int, entries: Iterable[CapacityValue]):
+        items, den = tuple(entries), None
+        if items and all(e.is_exact for e in items):
+            den, items = _over_common_denominator(*(e.frac for e in items))
+        self._store(index_origin, den, items)
+
+    @classmethod
+    def _from_ints(cls, index_origin: int, den: int, scaled: Sequence[int]):
+        """The sequence scaled[i] / den, from a kernel's ints."""
+        return cls.__new__(cls)._store(index_origin, den, scaled)
+
+    def _store(self, index_origin: int, den: Optional[int], items: Sequence):
         if index_origin not in (0, 1):
             raise ValueError(f"index_origin must be 0 or 1, got {index_origin}")
-        entries = tuple(entries)
-        if not entries:
+        if not items:
             raise ValueError("capacity sequence needs at least one entry")
-        if index_origin == 0 and not (entries[0].is_exact and entries[0].frac == 0):
-            raise ValueError(f"distinguished sequences start at 0, got {entries[0]!r}")
-        for i in range(len(entries) - 1):
-            if entries[i].compare(entries[i + 1]) > 0:
-                raise ValueError(
-                    f"sequence not nondecreasing at k={index_origin + i}: "
-                    f"{entries[i]!r} > {entries[i + 1]!r}"
-                )
-        self.index_origin = index_origin
-        self.entries = entries
+        self.index_origin, self.den, self._items = index_origin, den, items
+        if index_origin == 0 and self[0] != CapacityValue.exact(0):
+            raise ValueError(f"distinguished sequences start at 0, got {self[0]!r}")
+        for k, (a, b) in enumerate(zip(items, items[1:]), index_origin):
+            if a > b:   # ints, or CapacityValue.compare() > 0
+                raise ValueError(f"sequence not nondecreasing at k={k}: "
+                                 f"{self[k]!r} > {self[k + 1]!r}")
+        return self
 
     @property
     def kmax(self) -> int:
-        return self.index_origin + len(self.entries) - 1
+        return self.index_origin + len(self._items) - 1
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._items)
 
     def __iter__(self):
-        return iter(self.entries)
+        if self.den is None:
+            yield from self._items
+            return
+        prev = value = None
+        for v in self._items:
+            if v != prev:
+                prev, value = v, CapacityValue.exact(Fraction(v, self.den))
+            yield value
 
     def __getitem__(self, k: int) -> CapacityValue:
         i = k - self.index_origin
-        if i < 0 or i >= len(self.entries):
+        if i < 0 or i >= len(self._items):
             raise IndexError(f"k={k} outside defined range "
                              f"[{self.index_origin}, {self.kmax}]")
-        return self.entries[i]
-
-    def fractions(self) -> Sequence[Fraction]:
-        """All entries as exact fractions; raises if any entry is not exact."""
-        return [e.as_fraction() for e in self.entries]
+        v = self._items[i]
+        return v if self.den is None else CapacityValue.exact(Fraction(v, self.den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CapacitySequence):
             return NotImplemented
         return (self.index_origin == other.index_origin
-                and self.entries == other.entries)
+                and tuple(self) == tuple(other))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        head = ", ".join(repr(e) for e in self.entries[:6])
-        tail = ", ..." if len(self.entries) > 6 else ""
+        head = ", ".join(repr(e) for e in islice(self, 6))
+        tail = ", ..." if len(self) > 6 else ""
         return (f"CapacitySequence(origin={self.index_origin}, "
                 f"kmax={self.kmax}, [{head}{tail}])")

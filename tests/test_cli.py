@@ -4,6 +4,7 @@ import pytest
 
 from echcap import DisjointUnion, Ellipsoid, SpecParseError, ToricNorm, WeightedL1
 from echcap.cli import format_value, main, parse_domain_spec
+from echcap.lattice import resolve_node_limit
 from echcap.values import CapacityValue
 
 
@@ -184,6 +185,16 @@ def test_parse_error_exit_code(capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_polygon_literal_rejects_non_integer_coordinates(capsys):
+    for x in ("1.5", "1.0", "true", '"1"'):
+        spec = f"toric(poly:[[{x},0],[0,1],[-1,0],[0,-1]])"
+        assert main(["capacities", spec, "--kmax", "4"]) == 2
+        assert "integer pairs" in capsys.readouterr().err
+    assert main(["capacities", "toric(poly:[[1,0],[0,1],[-1,0],[0,-1]])",
+                 "--kmax", "4"]) == 0
+    assert capsys.readouterr().out == "0,2,4,4,6\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -202,6 +213,22 @@ def test_env_node_limit(capsys, monkeypatch):
     monkeypatch.setenv("ECHCAP_NODE_LIMIT", "10")
     assert main(["capacities", "toric(euclidean)", "--kmax", "20"]) == 3
     monkeypatch.delenv("ECHCAP_NODE_LIMIT")
+
+
+def test_negative_or_malformed_node_limit_is_a_usage_error(capsys, monkeypatch):
+    argv = ["capacities", "toric(euclidean)", "--kmax", "4"]
+    with pytest.raises(ValueError, match="node limit must be >= 0"):
+        resolve_node_limit(-5)
+    assert main(argv + ["--node-limit", "-5"]) == 2
+    assert "node limit must be >= 0, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("ECHCAP_NODE_LIMIT", "-5")
+    assert main(argv) == 2
+    assert "node limit must be >= 0, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("ECHCAP_NODE_LIMIT", "ten")
+    assert main(argv) == 2
+    assert "ECHCAP_NODE_LIMIT must be an integer, got 'ten'" in capsys.readouterr().err
+    assert main(argv + ["--node-limit", "0"]) == 3   # 0 stays a valid limit
+    assert resolve_node_limit(0) == 0
 
 
 def test_meta_sidecar(tmp_path, capsys):

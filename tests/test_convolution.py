@@ -71,9 +71,9 @@ def test_union_of_balls_lower_bound_at_partition_indices():
 def test_convolution_commutative_associative():
     rng = random.Random(3)
     for _ in range(5):
-        a = random_sequence(rng, 50).entries
-        b = random_sequence(rng, 50).entries
-        c = random_sequence(rng, 50).entries
+        a = list(random_sequence(rng, 50))
+        b = list(random_sequence(rng, 50))
+        c = list(random_sequence(rng, 50))
         ab = maxplus_convolve(a, b, 50)
         ba = maxplus_convolve(b, a, 50)
         assert [v.as_fraction() for v in ab] == [v.as_fraction() for v in ba]
@@ -120,17 +120,17 @@ def test_union_domain_dispatch():
 def test_union_computes_each_distinct_part_once(monkeypatch):
     single = capacities(ToricNorm(EUCLIDEAN), 10)
     module = importlib.import_module("echcap.capacities")
-    search = module._toric_sequence
+    search = module._toric_minima
     calls = []
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(module, "_toric_sequence", counted)
+    monkeypatch.setattr(module, "_toric_minima", counted)
     pair = capacities(DisjointUnion([ToricNorm(EUCLIDEAN), ToricNorm(EUCLIDEAN)]), 10)
     assert len(calls) == 1
-    assert pair.entries == tuple(maxplus_convolve(single.entries, single.entries, 10))
+    assert tuple(pair) == tuple(maxplus_convolve(list(single), list(single), 10))
     # as computed with one search per part
     assert ",".join(format_value(v) for v in pair) == \
         "0,2,4,~5.414213562373,~6.828427124746,~7.414213562373," \

@@ -166,12 +166,12 @@ def test_maxplus_matches_quadratic_oracle():
         for nparts in (2, 3):
             kmax = rng.randint(50, 200)
             seqs = [random_exact_sequence(rng, kmax, dens) for _ in range(nparts)]
-            want = list(seqs[0].entries)
+            want = list(seqs[0])
             for seq in seqs[1:]:
-                want = maxplus_oracle(want, seq.entries, kmax)
+                want = maxplus_oracle(want, list(seq), kmax)
             assert fracs(disjoint_union_capacities(seqs, kmax)) == fracs(want)
-            assert fracs(maxplus_convolve(seqs[0].entries, seqs[1].entries, kmax)) \
-                == fracs(maxplus_oracle(seqs[0].entries, seqs[1].entries, kmax))
+            assert fracs(maxplus_convolve(list(seqs[0]), list(seqs[1]), kmax)) \
+                == fracs(maxplus_oracle(list(seqs[0]), list(seqs[1]), kmax))
     # sums that cannot be ordered: the earliest i wins, as in the oracle
     f = [CapacityValue.exact(0), CapacityValue.approx(1.0, 1e-9)]
     g = [CapacityValue.exact(0), CapacityValue.approx(1.0 + 1e-12, 1e-9)]
@@ -191,7 +191,7 @@ def test_union_of_closed_forms_matches_quadratic_oracle():
     cases.append(([Ellipsoid(F(1, 3), F(1000)), Ball(F(7, 5))], Ball(F(2, 3)), 250))
     for parts, third, kmax in cases:
         seqs = [capacities(p, kmax) for p in parts]
-        want = maxplus_oracle(seqs[0].entries, seqs[1].entries, kmax)
+        want = maxplus_oracle(list(seqs[0]), list(seqs[1]), kmax)
         assert fracs(capacities(DisjointUnion(parts), kmax)) == fracs(want)
         # the result does not depend on the order of the parts
         for union in (parts, parts + [third]):
@@ -222,7 +222,7 @@ def test_union_with_euclidean_toric_part_matches_oracle():
         for parts, (f, g) in [((ToricNorm(EUCLIDEAN), other), (toric, seq)),
                               ((other, ToricNorm(EUCLIDEAN)), (seq, toric))]:
             got = capacities(DisjointUnion(parts), kmax)
-            assert strings(got) == strings(maxplus_oracle(f.entries, g.entries, kmax))
+            assert strings(got) == strings(maxplus_oracle(list(f), list(g), kmax))
 
 
 # -- volume trace --------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_union_with_euclidean_toric_part_matches_oracle():
 ])
 def test_two_part_trace_matches_sampled_oracle(parts, kmax, stride):
     report = volume_ratio_trace(DisjointUnion(parts), kmax, stride)
-    first, second = (capacities(p, kmax).entries for p in parts)
+    first, second = (list(capacities(p, kmax)) for p in parts)
     ks = [p.k for p in report.trace]
     assert ks[-1] == kmax
     assert strings(p.c_k for p in report.trace) == \

@@ -1,11 +1,14 @@
-"""Pinned outputs of the toric entry points.
+"""Pinned outputs of the toric entry points and of capacity sequences.
 
 toric_pins.json holds value reprs and witness vertices of toric_capacity,
 the reprs of min_action_at_grading and capacities(), and the length and
 sha256 of enumerate_polygons lists, as computed by an earlier version of the
 search.  The all-exact oracle in test_toric.py shares the chain enumeration
 and the length arithmetic with the code under test; this file shares
-nothing with it, so it also pins the witnesses those share.
+nothing with it, so it also pins the witnesses those share.  Its "sequences"
+key holds the sha256 of `echcap capacities` csv output for closed forms and
+unions over prime denominators, as computed when a sequence still held one
+CapacityValue reference per entry instead of ints over a denominator.
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -13,12 +16,15 @@ Regenerate (only when an output is meant to change, and say why) with
 """
 
 import hashlib
+import io
 import json
 import pathlib
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 from echcap import (EUCLIDEAN, Polygonal, ToricNorm, WeightedL1, capacities,
                     enumerate_polygons, min_action_at_grading, toric_capacity)
+from echcap.cli import main
 
 FIXTURE = pathlib.Path(__file__).with_name("toric_pins.json")
 
@@ -28,6 +34,21 @@ NORMS = {
     "hexagon": (Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))), 10),
 }
 BUDGETS = {"4.9": 4.9, "6": 6}
+
+# arguments of `echcap capacities`, csv output
+SEQUENCES = [
+    "ball(89/97) --kmax 10000",
+    "ellipsoid(101/89,97/83) --kmax 10000",
+    "ellipsoid(7/3,5/11) --kmax 10000 --full",
+    "ball(13/7) --kmax 3000 --full",
+    "polydisk(89/97,101/103) --kmax 10000",
+    "union(ball(89/97);ellipsoid(101/89,97/83)) --kmax 4000",
+    "union(ball(3/7);polydisk(13/11,5/17);ball(19/23)) --kmax 3000",
+    "union(toric(l1:7/3,2);ball(11/13)) --kmax 20",
+    "union(toric(l1:5/3,7/2);ball(11/13);polydisk(2,17/19)) --kmax 20",
+    "union(toric(euclidean);ball(3/2)) --kmax 16",
+    "union(toric(euclidean);polydisk(13/11,2);ellipsoid(7/3,5/11)) --kmax 14",
+]
 
 
 def entry_points(norm, kmax):
@@ -52,6 +73,16 @@ def polygon_lists(norm):
     return out
 
 
+def sequence_digests():
+    out = {}
+    for args in SEQUENCES:
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(["capacities", *args.split()]) == 0, args
+        out[args] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return out
+
+
 def pins():
     return {name: {**entry_points(norm, kmax), "enumerate_polygons": polygon_lists(norm)}
             for name, (norm, kmax) in NORMS.items()}
@@ -63,12 +94,22 @@ def test_toric_entry_points_match_pins():
     for name in NORMS:
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
+    assert got.keys() == expected.keys() - {"sequences"}
+
+
+def test_sequences_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["sequences"]
+    got = sequence_digests()
+    for args, digest in expected.items():
+        assert got[args] == digest, args
     assert got.keys() == expected.keys()
 
 
 if __name__ == "__main__":
-    # one line per entry point and norm, so a diff shows which one moved
+    # one line per entry point and norm, or per sequence, so a diff shows
+    # which one moved
     FIXTURE.write_text("{\n" + ",\n".join(
         f"{json.dumps(name)}: {{\n" + ",\n".join(
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
-        + "\n}" for name, records in pins().items()) + "\n}\n", encoding="utf-8")
+        + "\n}" for name, records in {**pins(), "sequences": sequence_digests()}.items())
+        + "\n}\n", encoding="utf-8")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (INTERIOR_STRICT, WEAK, ApproxTie, CapacitySequence,
-                    CapacityValue, as_fraction, dominates)
+from echcap import (EUCLIDEAN, INTERIOR_STRICT, WEAK, ApproxTie,
+                    CapacitySequence, CapacityValue, ToricNorm, as_fraction,
+                    capacities, dominates, ellipsoid_capacities)
 
 
 def test_as_fraction_accepts_int_str_fraction():
@@ -179,6 +180,27 @@ def test_sequence_validation():
         CapacitySequence(0, [e(0), e(2), e(1)])  # not monotone
     with pytest.raises(IndexError):
         seq[4]
+    # the exact form (ints over a denominator) and the value form raise alike
+    root2 = CapacityValue.sqrt_rational(2)
+    for start, decrease in [
+            (lambda: CapacitySequence._from_ints(0, 7, [7, 14]),
+             lambda: CapacitySequence._from_ints(0, 7, [0, 14, 7])),
+            (lambda: CapacitySequence(0, [root2, e(2)]),
+             lambda: CapacitySequence(0, [e(0), e(2), root2]))]:
+        with pytest.raises(ValueError, match="start at 0, got CapacityValue"):
+            start()
+        with pytest.raises(ValueError, match=r"at k=1: CapacityValue\(2\) > "):
+            decrease()
+    # a hand-built exact sequence over coprime denominators is the kernel's
+    kernel = ellipsoid_capacities(Fraction(1, 89), Fraction(1, 97), 40)
+    by_hand = CapacitySequence(0, map(e, sorted(
+        Fraction(m, 89) + Fraction(n, 97) for m in range(41) for n in range(41))[:41]))
+    assert by_hand == kernel and repr(by_hand) == repr(kernel)
+    assert by_hand.den == kernel.den == 89 * 97
+    assert [by_hand[k] for k in range(41)] == list(kernel)
+    # a sequence with a Euclidean value keeps its values
+    assert CapacitySequence(0, [e(0), root2, e(2)]).den is None
+    assert capacities(ToricNorm(EUCLIDEAN), 4).den is None
 
 
 def test_full_sequence_indexing():
