@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .capacities import (INTERIOR_STRICT, WEAK, capacities,
                          ellipsoid_full_capacities)
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import (ApproxTie, SpecParseError, ToricEnumerationBudgetExceeded)
-from .lattice import EUCLIDEAN, Polygonal, WeightedL1
+from .lattice import EUCLIDEAN, Polygonal, WeightedL1, resolve_node_limit
 from .values import CapacityValue, format_fraction
 
 EXIT_OK = 0
@@ -241,7 +242,14 @@ def _cmd_capacities(args) -> int:
             raise SpecParseError("--full is defined for balls and ellipsoids only", 0)
     else:
         seq = capacities(domain, args.kmax, node_limit=args.node_limit)
-    rendered = [format_value(v) for v in seq]
+    # iterating shares one value object per run of equal entries, so each
+    # run is formatted once
+    rendered = []
+    last = text = None
+    for value in seq:
+        if value is not last:
+            last, text = value, format_value(value)
+        rendered.append(text)
     if args.format == "json":
         _emit({
             "spec": args.spec,
@@ -275,17 +283,27 @@ def _cmd_embed(args) -> int:
     return EXIT_OBSTRUCTED if verdict.obstructed else EXIT_OK
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, bound) -> int:
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"bad rational {args.a!r}", 0)
-    bound = format_fraction(args.bound(a, args.dmax))
+    text = format_fraction(bound(a, args.dmax))
     if args.format == "json":
-        _emit({"a": args.a, "dmax": args.dmax, "bound": bound})
+        _emit({"a": args.a, "dmax": args.dmax, "bound": text})
     else:
-        sys.stdout.write(bound + "\n")
+        sys.stdout.write(text + "\n")
     return EXIT_OK
+
+
+# the bounds are looked up on the module at call time, not held by the cached
+# parser, so patched or wrapped versions are the ones called
+def _cmd_fbound(args) -> int:
+    return _cmd_bound(args, obstructions.f_lower_bound)
+
+
+def _cmd_gbound(args) -> int:
+    return _cmd_bound(args, obstructions.g_lower_bound)
 
 
 def _cmd_pack(args) -> int:
@@ -371,7 +389,10 @@ def _cmd_qw(args) -> int:
     return EXIT_OK if verdict.holds else EXIT_OBSTRUCTED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first `main` call and then reused: it
+    depends on no input and holds only this module's command functions."""
     parser = argparse.ArgumentParser(
         prog="echcap",
         description="Exact capacities of four-dimensional model domains and "
@@ -408,14 +429,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_bound, bound=obstructions.f_lower_bound)
+    p.set_defaults(run=_cmd_fbound)
 
     p = sub.add_parser("gbound", help="polydisk-into-ball lower bound")
     p.add_argument("a")
     p.add_argument("--dmax", type=int, default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_bound, bound=obstructions.g_lower_bound)
+    p.set_defaults(run=_cmd_gbound)
 
     p = sub.add_parser("pack", help="ball packing inequalities")
     p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
@@ -454,6 +475,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        args.node_limit = resolve_node_limit(args.node_limit)
         code = args.run(args)
         _write_meta(args.meta, args.command, argv)
         return code

@@ -1,7 +1,7 @@
 """Embedding obstructions assembled from capacity sequences.
 
 Covers the ellipsoid-into-ball bound, the polydisk-into-ball bound evaluated
-on the lower hull of its feasible set, ball packing inequalities, and the
+on the staircase of its feasible set, ball packing inequalities, and the
 classical sufficiency conditions for packing a ball.
 """
 
@@ -16,6 +16,12 @@ from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
                      as_fraction)
+
+__all__ = [
+    "BiranVerdict", "ObstructionVerdict", "PackingInequality", "PackingReport",
+    "biran_sufficiency", "embedding_obstruction", "f_lower_bound", "g_d",
+    "g_lower_bound", "lambda_d_path", "packing_obstructions",
+]
 
 
 @dataclass(frozen=True)
@@ -91,16 +97,24 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
 
 
 def g_d(a: RationalLike, d: int) -> Fraction:
-    """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, by scanning the hull.
+    """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, over the staircase.
 
-    The minimum of a linear objective over the feasible set is attained at a
-    hull vertex; scanning all of them also covers the case where a matches an
-    edge slope and two vertices tie.
+    Every feasible point is dominated componentwise by the staircase point
+    (m, ceil(need/(m+1)) - 1) with the same m (or by (need-1, 0) when
+    m >= need), and the objective increases in both coordinates, so the
+    minimum over the staircase m < need is exact.  With a = p/q it is taken
+    on the ints p*m + q*n.
     """
     a = as_fraction(a)
     if a < 1:
         raise ValueError("aspect ratio a must be >= 1")
-    return min((a * m + n) / d for m, n in lambda_d_path(d))
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    p, q = a.numerator, a.denominator
+    need = (d + 1) * (d + 2) // 2
+    # ceil(need/(m+1)) - 1 == (need-1) // (m+1)
+    best = min(p * m + q * ((need - 1) // (m + 1)) for m in range(need))
+    return Fraction(best, q * d)
 
 
 def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:

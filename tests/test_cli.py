@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from echcap import DisjointUnion, Ellipsoid, SpecParseError, ToricNorm, WeightedL1
+from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
+                    WeightedL1, obstructions)
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
 from echcap.values import CapacityValue
@@ -11,7 +17,6 @@ from echcap.values import CapacityValue
 # -- spec parsing --------------------------------------------------------------
 
 def test_parse_basic_domains():
-    from fractions import Fraction
     dom = parse_domain_spec("ellipsoid(3/2,2)")
     assert isinstance(dom, Ellipsoid)
     assert dom.a == Fraction(3, 2) and dom.b == 2
@@ -38,7 +43,6 @@ def test_parse_errors_carry_positions():
 
 
 def test_format_value():
-    from fractions import Fraction
     assert format_value(CapacityValue.exact(Fraction(5))) == "5"
     assert format_value(CapacityValue.exact(Fraction(3, 2))) == "3/2"
     assert format_value(CapacityValue.infinite()) == "inf"
@@ -216,18 +220,25 @@ def test_env_node_limit(capsys, monkeypatch):
 
 
 def test_negative_or_malformed_node_limit_is_a_usage_error(capsys, monkeypatch):
-    argv = ["capacities", "toric(euclidean)", "--kmax", "4"]
     with pytest.raises(ValueError, match="node limit must be >= 0"):
         resolve_node_limit(-5)
-    assert main(argv + ["--node-limit", "-5"]) == 2
-    assert "node limit must be >= 0, got -5" in capsys.readouterr().err
-    monkeypatch.setenv("ECHCAP_NODE_LIMIT", "-5")
-    assert main(argv) == 2
-    assert "node limit must be >= 0, got -5" in capsys.readouterr().err
-    monkeypatch.setenv("ECHCAP_NODE_LIMIT", "ten")
-    assert main(argv) == 2
-    assert "ECHCAP_NODE_LIMIT must be an integer, got 'ten'" in capsys.readouterr().err
-    assert main(argv + ["--node-limit", "0"]) == 3   # 0 stays a valid limit
+    # commands and domains that never search reject a bad limit too
+    for argv in (["capacities", "toric(euclidean)", "--kmax", "4"],
+                 ["capacities", "ball(1)", "--kmax", "3"], ["fbound", "5"],
+                 ["pack", "1/2"]):
+        assert main(argv + ["--node-limit", "-5"]) == 2
+        assert "node limit must be >= 0, got -5" in capsys.readouterr().err
+        monkeypatch.setenv("ECHCAP_NODE_LIMIT", "-5")
+        assert main(argv) == 2
+        assert "node limit must be >= 0, got -5" in capsys.readouterr().err
+        monkeypatch.setenv("ECHCAP_NODE_LIMIT", "ten")
+        assert main(argv) == 2
+        assert "ECHCAP_NODE_LIMIT must be an integer, got 'ten'" in capsys.readouterr().err
+        monkeypatch.delenv("ECHCAP_NODE_LIMIT")
+    # 0 stays a valid limit
+    assert main(["capacities", "toric(euclidean)", "--kmax", "4", "--node-limit", "0"]) == 3
+    assert main(["capacities", "ball(1)", "--kmax", "3", "--node-limit", "0"]) == 0
+    assert capsys.readouterr().out == "0,1,1,2\n"
     assert resolve_node_limit(0) == 0
 
 
@@ -249,3 +260,98 @@ def test_meta_sidecar(tmp_path, capsys):
     meta.unlink()
     assert main(["capacities", "ball(", "--meta", str(meta)]) == 2
     assert not meta.exists()
+
+
+# -- one process, many calls ---------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# (argv, exit code): all eight commands, csv and json output, an argparse
+# usage error, a spec parse error, a search over its node limit and --help
+MIXED_CALLS = [
+    (["capacities", "ellipsoid(3/2,1)", "--kmax", "12"], 0),
+    (["capacities", "toric(euclidean)", "--kmax", "4", "--format", "json"], 0),
+    (["capacities", "ellipsoid(2,1)", "--kmax", "5", "--full"], 0),
+    (["embed", "ellipsoid(2,1)", "ball(3/2)", "--kmax", "20"], 1),
+    (["fbound", "5", "--dmax", "10"], 0),
+    (["gbound", "7/2", "--format", "json"], 0),
+    (["pack", "1/2,1/2", "--dmax", "3"], 1),
+    (["biran", "1/2,1/2"], 0),
+    (["asym", "ball(1)", "--kmax", "40", "--stride", "10"], 0),
+    (["asym", "toric(euclidean)", "--kmax", "30", "--stride", "10",
+      "--format", "json"], 0),
+    (["qw", "ellipsoid(1,2)", "--kmax", "50"], 0),
+    (["capacities", "ball(1)", "--kmax", "not-a-number"], 2),
+    (["embed", "ball(1)", "ball(1/0)"], 2),
+    (["capacities", "toric(euclidean)", "--kmax", "20", "--node-limit", "10"], 3),
+    (["gbound", "--help"], 0),
+]
+
+
+def run_calls(capsys, calls):
+    out = []
+    for argv, _ in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_main_is_repeatable_in_one_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
+    first = run_calls(capsys, MIXED_CALLS)
+    assert [code for code, _, _ in first] == [code for _, code in MIXED_CALLS]
+    assert run_calls(capsys, MIXED_CALLS) == first
+
+
+def test_in_process_calls_match_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    picked = [MIXED_CALLS[i] for i in (1, 5, 11, 12, 13)]
+    for (argv, _), expected in zip(picked, run_calls(capsys, picked)):
+        proc = subprocess.run([sys.executable, "-m", "echcap.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_bounds_are_looked_up_at_call_time(capsys, monkeypatch):
+    assert main(["fbound", "5"]) == 0 and main(["gbound", "5"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(obstructions, "f_lower_bound",
+                        lambda a, dmax: seen.append(("f", a, dmax)) or Fraction(7))
+    monkeypatch.setattr(obstructions, "g_lower_bound",
+                        lambda a, dmax: seen.append(("g", a, dmax)) or Fraction(9, 2))
+    assert main(["fbound", "5", "--dmax", "3"]) == 0
+    assert main(["gbound", "3/2", "--dmax", "4"]) == 0
+    assert capsys.readouterr().out == "7\n9/2\n"
+    assert seen == [("f", 5, 3), ("g", Fraction(3, 2), 4)]
+
+
+def test_parser_is_built_on_the_first_call_only():
+    script = """
+import argparse, io, contextlib
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import echcap.cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    echcap.cli.main(["capacities", "ball(1)", "--kmax", "2"])
+    after_one = len(built)
+    echcap.cli.main(["fbound", "2"])
+    echcap.cli.main(["gbound", "2"])
+print(at_import, after_one, len(built))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    at_import, after_one, after_three = map(int, proc.stdout.split())
+    assert at_import == 0          # importing the CLI builds no parser
+    assert after_one == 9          # the top-level parser and its 8 subparsers
+    assert after_three == after_one

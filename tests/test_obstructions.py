@@ -105,6 +105,28 @@ def test_g_d_against_feasible_set_scan():
             assert g_d(a, d) == brute(a, d)
 
 
+def g_d_hull_oracle(a, d, path=None):
+    """Oracle: the Fraction minimum over the points of lambda_d_path(d), the
+    lower-left hull of the staircase."""
+    return min((a * m + n) / d for m, n in path or lambda_d_path(d))
+
+
+def test_g_matches_hull_oracle():
+    rng = random.Random(20100513)
+    paths = {d: lambda_d_path(d) for d in range(1, 31)}
+    for _ in range(300):
+        q = rng.randint(1, 97)
+        a = F(rng.randint(q, 8 * q), q)
+        dmax = rng.randint(1, 30)
+        per_d = [g_d_hull_oracle(a, d, paths[d]) for d in range(1, dmax + 1)]
+        assert g_d(a, dmax) == per_d[-1]
+        assert g_lower_bound(a, dmax) == max(per_d)
+    with pytest.raises(ValueError):
+        g_d(2, 0)
+    with pytest.raises(ValueError):
+        g_d(F(1, 2), 3)
+
+
 def test_g_known_pieces():
     assert all(g_d(a, 1) == 2 for a in [F(1), F(2), F(10)])
     assert g_d(F(5, 2), 6) == (3 * F(5, 2) + 6) / 6
