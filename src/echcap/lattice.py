@@ -4,11 +4,11 @@ Polygons are stored up to translation: the lexicographically smallest vertex
 sits at the origin.  Degenerate polygons are allowed: a single point has no
 edges, a segment is traversed as the edge pair {v, -v}.
 
-The enumeration engine represents a convex polygon as a multiset of edge
-vectors (primitive direction x multiplicity) that is sorted by angle and sums
-to zero, and searches that space depth-first under a perimeter budget.  It is
-complete: every canonical polygon whose perimeter fits the budget is visited
-exactly once.
+The search engine represents a convex polygon as an angle-sorted multiset of
+edge vectors (primitive direction x multiplicity) summing to zero, split into
+two chains of equal displacement.  Capacities build the least chain of each
+cell by dynamic programming; enumerate_polygons walks every chain depth-first
+and visits each canonical polygon within the perimeter budget exactly once.
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ def reeb_orbit_data(norm: Norm, m: int, n: int):
 # ---------------------------------------------------------------------------
 
 class _Chain:
-    """A convex chain of upper half-plane edges, recorded during the search.
+    """A convex chain of upper half-plane edges, as the search pairs it.
 
     weight = (twice the area between the chain and the chords to the origin)
     plus (number of boundary lattice steps); pairing two chains of equal
@@ -384,14 +384,13 @@ class _Chain:
     (weight1 + weight2) / 2 + 1.
     """
 
-    __slots__ = ("picks", "length", "weight", "nedges", "_exact")
+    __slots__ = ("picks", "length", "weight", "nedges")
 
     def __init__(self, picks, length, weight):
         self.picks = picks          # tuple of (px, py, mult), increasing angle
         self.length = length        # in the units of the search's _Lengths
         self.weight = weight
         self.nedges = len(picks)    # distinct edge directions contributed
-        self._exact = None
 
 
 def _floor(value: CapacityValue) -> int:
@@ -407,6 +406,17 @@ def _floor(value: CapacityValue) -> int:
     return n
 
 
+class _Memo(dict):
+    """(x, y) -> f(x, y), each computed on its first lookup."""
+
+    def __init__(self, f: Callable[[int, int], Length]):
+        self.f = f
+
+    def __missing__(self, key: IntPoint) -> Length:
+        value = self[key] = self.f(*key)
+        return value
+
+
 class _Lengths:
     """The length arithmetic of one search, from the norm's _lengths() hook.
 
@@ -418,7 +428,7 @@ class _Lengths:
     per-chain sums of CapacityValues, which fits() compares with an exact
     budget when a pair's float lies within eps of it.  Only a float budget
     (or an approx() CapacityValue) has no exact form: it keeps the slack,
-    also before a rational norm floors it.
+    also before a rational norm floors it.  chord memoizes f per displacement.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -441,41 +451,39 @@ class _Lengths:
         self.budget_f = float(budget)
         self.norm = norm
         self.den, self.f = norm._lengths()
+        self.chord = _Memo(self.f)
         slack = 1e-9 * max(1.0, self.budget_f)
         if self.den is None:
             self.eps, self.limit = slack, self.budget_f + slack
-            self.unit: Dict[IntPoint, CapacityValue] = {}
+            self.unit = _Memo(lambda x, y: norm.length((x, y)))
+            self.exacts: Dict[tuple, CapacityValue] = {(): CapacityValue.exact(0)}
         elif self.budget is None:
             self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
         else:
             self.eps, self.limit = 0, _floor(self.budget.scaled(self.den))
 
-    def _exact(self, chain: _Chain) -> CapacityValue:
-        """A Euclidean chain's length, one exact length per edge direction."""
-        if chain._exact is None:
-            total = CapacityValue.exact(0)
-            for px, py, c in chain.picks:
-                u = self.unit.get((px, py))
-                if u is None:
-                    u = self.unit[(px, py)] = self.norm.length((px, py))
-                total = total + u.scaled(c)
-            chain._exact = total
-        return chain._exact
+    def exact(self, picks: tuple) -> CapacityValue:
+        """A Euclidean chain's length, one exact length per edge direction,
+        summed pick by pick; every sum is kept for its picks."""
+        total = self.exacts.get(picks)
+        if total is None:
+            px, py, c = picks[-1]
+            total = self.exacts[picks] = (self.exact(picks[:-1])
+                                          + self.unit[px, py].scaled(c))
+        return total
 
     def value(self, chain1: _Chain, chain2: _Chain) -> CapacityValue:
         """Exact perimeter of the polygon that pairs the two chains."""
         if self.den is not None:
             return CapacityValue.exact(Fraction(chain1.length + chain2.length,
                                                 self.den))
-        return self._exact(chain1) + self._exact(chain2)
+        return self.exact(chain1.picks) + self.exact(chain2.picks)
 
-    def compare(self, chain1: _Chain, chain2: _Chain) -> int:
-        """Exact order of two chain lengths: by their search lengths, unless
-        those are Euclidean floats within eps of each other."""
-        a, b = chain1.length, chain2.length
-        if self.den is not None or abs(a - b) > self.eps:
-            return (a > b) - (a < b)
-        return self._exact(chain1).compare(self._exact(chain2))
+    def compare(self, entry1, entry2) -> int:
+        """Order of two cell entries (length, nedges, picks) with Euclidean
+        float lengths within eps: exact length, then nedges, then picks."""
+        c = self.exact(entry1[2]).compare(self.exact(entry2[2]))
+        return c or (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:])
 
     def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
         """Whether the pair's perimeter is within the budget.  A Euclidean
@@ -527,51 +535,37 @@ def _enumerate_chains(lengths: _Lengths, max_count: int,
     node_cap = resolve_node_limit(node_limit)
     # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
     dirs = _upper_directions(lengths)
-    if not dirs:
-        return
     ndirs = len(dirs)
-    f, limit = lengths.f, lengths.limit
+    f, chord, limit = lengths.f, lengths.chord, lengths.limit
     dir_len = [f(x, y) for x, y in dirs]
     nodes = 0
-    picks: List[Tuple[int, int, int]] = []
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
 
-    def rec(start: int, sx: int, sy: int, two_area: int,
-            length: Length, total_mult: int) -> None:
+    def rec(start: int, sx: int, sy: int, w: int, length: Length,
+            picks: tuple) -> None:
         nonlocal nodes
         for j in range(start, ndirs):
             px, py = dirs[j]
             dl = dir_len[j]
-            c = 0
-            csx, csy, c2a, clen, cmult = sx, sy, two_area, length, total_mult
-            appended = False
+            csx, csy, cw, clen, c = sx, sy, w, length, 0
             while True:
                 nodes += 1
                 if nodes > node_cap:
                     raise ToricEnumerationBudgetExceeded(
                         node_cap, max_count, lengths.budget_f, nodes)
-                c2a += csx * py - csy * px
+                cw += csx * py - csy * px + 1
                 csx += px
                 csy += py
                 clen += dl
-                cmult += 1
                 c += 1
-                if c2a + cmult > weight_cap:
+                if cw > weight_cap or clen + chord[csx, csy] > limit:
                     break
-                if clen + f(csx, csy) > limit:
-                    break
-                if appended:
-                    picks[-1] = (px, py, c)
-                else:
-                    picks.append((px, py, c))
-                    appended = True
-                emit(csx, csy, _Chain(tuple(picks), clen, c2a + cmult))
-                rec(j + 1, csx, csy, c2a, clen, cmult)
-            if appended:
-                picks.pop()
+                cpicks = picks + ((px, py, c),)
+                emit(csx, csy, _Chain(cpicks, clen, cw))
+                rec(j + 1, csx, csy, cw, clen, cpicks)
 
-    rec(0, 0, 0, 0, 0, 0)
+    rec(0, 0, 0, 0, 0, ())
 
 
 def _polygon_from_pair(upper: _Chain, lower: _Chain) -> LatticePolygon:
@@ -702,31 +696,68 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
         for key, (least, pairs) in near.items()}
 
 
+def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int]
+                 ) -> Dict[Tuple[int, int, int], Tuple[Length, int, tuple]]:
+    """(sx, sy, weight) -> (length, nedges, picks) of the least chain of each
+    cell that _enumerate_chains emits, by dynamic programming: each direction,
+    in angular order, adds c >= 1 copies of itself to every entry of a table
+    snapshot, the empty chain included, under the same prunes.  A copy adds
+    sx*py - sy*px + 1 to the weight and f(px, py) to the length, both fixed
+    by the cell, so the cell order (exact length, nedges, picks) survives
+    every extension and the winners, float sums included, are the walk's.
+    The node limit counts these transitions."""
+    node_cap = resolve_node_limit(node_limit)
+    f, chord, limit, eps = lengths.f, lengths.chord, lengths.limit, lengths.eps
+    weight_cap = 2 * max_count - 3
+    table = {(0, 0, 0): (0, 0, ())}
+    nodes = 0
+    for px, py in _upper_directions(lengths):
+        dl = f(px, py)
+        for (sx, sy, w), (length, nedges, picks) in list(table.items()):
+            nedges += 1
+            c = 0
+            while True:
+                nodes += 1
+                if nodes > node_cap:
+                    raise ToricEnumerationBudgetExceeded(
+                        node_cap, max_count, lengths.budget_f, nodes)
+                w += sx * py - sy * px + 1
+                sx += px
+                sy += py
+                length += dl
+                c += 1
+                if w > weight_cap or length + chord[sx, sy] > limit:
+                    break
+                key = (sx, sy, w)
+                best = table.get(key)
+                if best is None or length < best[0] - eps:
+                    table[key] = (length, nedges, picks + ((px, py, c),))
+                elif length <= best[0] + eps:
+                    entry = (length, nedges, picks + ((px, py, c),))
+                    if entry < best if eps == 0 else lengths.compare(entry, best) < 0:
+                        table[key] = entry
+    del table[0, 0, 0]
+    return table
+
+
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
                    ) -> Dict[int, _Candidate]:
     """count -> cheapest candidate, over every polygon with at most max_count
     lattice points and perimeter within the budget.
 
     Perimeters add across the two chains of a pair, so only the cheapest
-    chain of each (displacement, weight) cell is paired: of equal lengths
-    the one with fewer edges, then the first by picks.  That keeps the
-    preferred minimizer, whose chains each are cheapest in their cell (else
-    a shorter polygon with the same count exists) with the fewest edges
-    (else one with fewer vertices does).
+    chain of each (displacement, weight) cell of _chain_cells is paired: of
+    equal lengths the one with fewer edges, then the first by picks.  That
+    keeps the preferred minimizer, whose chains each are cheapest in their
+    cell (else a shorter polygon with the same count exists) with the fewest
+    edges (else one with fewer vertices does).
     """
     lengths = _Lengths(norm, budget)
-    cells: Dict[IntPoint, Dict[int, _Chain]] = {}
-
-    def offer(dx: int, dy: int, chain: _Chain) -> None:
-        per_disp = cells.setdefault((dx, dy), {})
-        best = per_disp.get(chain.weight)
-        if best is None or ((lengths.compare(chain, best), chain.nedges, chain.picks)
-                            < (0, best.nedges, best.picks)):
-            per_disp[chain.weight] = chain
-
-    _enumerate_chains(lengths, max_count, node_limit, offer)
-    minima = _minima(lengths, _pairs(
-        lengths, [list(per_disp.values()) for per_disp in cells.values()], max_count))
+    groups: Dict[IntPoint, List[_Chain]] = {}
+    for (sx, sy, w), (length, _, picks) in _chain_cells(
+            lengths, max_count, node_limit).items():
+        groups.setdefault((sx, sy), []).append(_Chain(picks, length, w))
+    minima = _minima(lengths, _pairs(lengths, groups.values(), max_count))
     minima[1] = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
     return minima
 
@@ -736,15 +767,12 @@ def _initial_budget(norm: Norm, k: int) -> CapacityValue:
     guaranteed to dominate some polygon with exactly k+1 lattice points."""
     if k == 0:
         return CapacityValue.exact(0)
-    target = k + 1
-    unit_x = norm.length((1, 0))
-    unit_y = norm.length((0, 1))
-    best: Optional[CapacityValue] = None
-    for m in range(0, k + 1):
-        n = -(-target // (m + 1)) - 1
-        perim = unit_x.scaled(2 * m) + unit_y.scaled(2 * n)
-        if best is None or perim.compare(best) < 0:
-            best = perim
+    # the staircase of least m-by-n rectangles with (m+1)(n+1) > k, on ints
+    ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
+    den = math.lcm(ux.denominator, uy.denominator)
+    ix, iy = int(ux * den), int(uy * den)
+    best = CapacityValue.exact(Fraction(2 * min(
+        ix * m + iy * (k // (m + 1)) for m in range(k + 1)), den))
     # segments along the unit ball's own vertex directions can beat the axes
     # for skewed polygonal norms
     if isinstance(norm, Polygonal):
@@ -795,9 +823,10 @@ def toric_capacity(norm: Norm, k: int,
     lattice points, with a minimizing witness polygon.
 
     The search runs at the perimeter of the cheapest rectangle with at least
-    k+1 points, pairs one cheapest chain per (displacement, weight) cell and
-    buckets the pairs by lattice-point count.  Every call runs its own
-    search under node_limit.
+    k+1 points, builds one cheapest chain per (displacement, weight) cell by
+    dynamic programming, pairs them and buckets the pairs by lattice-point
+    count.  Every call runs its own search under node_limit, which counts
+    the transitions of that dynamic program.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -22,6 +22,7 @@ BENCH_POLYGONS = [Polygonal(v) for v in (
     ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)),
     ((3, 1), (-1, 2), (-3, -1), (1, -2)),
 )]
+SKEW = Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1)))
 
 
 # -- oracle: every chain and pair gets an exact length -------------------------
@@ -79,6 +80,35 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     for (count, _), cand in sorted(buckets.items()):
         minima[count] = lattice._prefer(minima.get(count), cand)
     return minima
+
+
+def depth_first_cells(lengths, max_count):
+    """Reference for lattice._chain_cells: every chain of the depth-first
+    walk is offered to its (displacement, weight) cell, and a cell keeps the
+    least by exact length, then nedges, then picks.  Also returns the keys
+    of the cells where an offer's length tied the cell's, or was compared
+    exactly as a Euclidean float within eps of it."""
+    cells, tied = {}, set()
+
+    def offer(dx, dy, chain):
+        key = (dx, dy, chain.weight)
+        best = cells.get(key)
+        if best is None:
+            cells[key] = chain
+            return
+        a, b = chain.length, best.length
+        if lengths.den is None and abs(a - b) <= lengths.eps:
+            order = lengths.exact(chain.picks).compare(lengths.exact(best.picks))
+            tied.add(key)
+        else:
+            order = (a > b) - (a < b)
+            if order == 0:
+                tied.add(key)
+        if (order, chain.nedges, chain.picks) < (0, best.nedges, best.picks):
+            cells[key] = chain
+
+    lattice._enumerate_chains(lengths, max_count, None, offer)
+    return cells, tied
 
 
 def test_euclidean_spectrum_start():
@@ -244,6 +274,51 @@ def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch
     assert got == toric_records(norm, kmax)
 
 
+@pytest.mark.parametrize("norm, k", [
+    *(pytest.param(EUCLIDEAN, k, id=f"euclidean-{k}") for k in (6, 12, 20)),
+    *(pytest.param(WeightedL1(a, b), k, id=f"l1:{a},{b}-{k}")
+      for a, b in [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3))] for k in (6, 25)),
+    *(pytest.param(norm, k, id=f"{name}-{k}")
+      for name, norm in [("hexagon", HEXAGON), ("skew", SKEW)] for k in (6, 14)),
+])
+def test_chain_cells_match_depth_first_cells(norm, k):
+    budget = lattice._initial_budget(norm, k)
+    cells, tied = depth_first_cells(lattice._Lengths(norm, budget), k + 1)
+    table = lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None)
+    # same keys, and per cell the same float or int length, nedges and picks
+    assert table == {key: (chain.length, chain.nedges, chain.picks)
+                     for key, chain in cells.items()}
+    assert tied   # the order past the length is exercised
+
+
+def test_capacities_do_not_walk_every_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a capacity walked every chain depth-first")
+
+    monkeypatch.setattr(lattice, "_enumerate_chains", refuse)
+    for norm in (EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW):
+        assert len(capacities(ToricNorm(norm), 10)) == 11
+        assert toric_capacity(norm, 10).witness.lattice_point_count == 11
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (F(7, 3), 2)], ids=["1,1", "7/3,2"])
+def test_weighted_l1_matches_polydisk_at_60(a, b):
+    assert capacities(ToricNorm(WeightedL1(a, b)), 60) == polydisk_capacities(a, b, 60)
+
+
+def test_diamond_matches_weighted_l1():
+    diamond = Polygonal(((1, 0), (0, 1), (-1, 0), (0, -1)))
+    assert capacities(ToricNorm(diamond), 30) == \
+        capacities(ToricNorm(WeightedL1(2, 2)), 30) == polydisk_capacities(2, 2, 30)
+
+
+def test_euclidean_50_fits_the_default_node_limit(monkeypatch):
+    monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
+    seq = list(capacities(ToricNorm(EUCLIDEAN), 50))
+    assert len(seq) == 51
+    assert all(x.compare(y) <= 0 for x, y in zip(seq, seq[1:]))
+
+
 @pytest.mark.parametrize("a, b", [
     (F(1), 1 + F(1, 10 ** 20)),
     (1 + F(1, 10 ** 20), F(1)),
@@ -326,6 +401,20 @@ def test_min_action_budget_is_compared_exactly():
     with pytest.raises(RuntimeError, match="no generator of grading 4"):
         min_action_at_grading(EUCLIDEAN, 4, budget=below)
     assert min_action_at_grading(EUCLIDEAN, 4, budget=exact).compare(exact) == 0
+
+
+@pytest.mark.parametrize("norm", [
+    EUCLIDEAN, *(WeightedL1(a, b) for a, b in
+                 [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3)), (F(1, 10), 7), (1, 4)]),
+], ids=["euclidean", "l1:1,1", "l1:7/3,2", "l1:3/2,2/3", "l1:1/10,7", "l1:1,4"])
+def test_initial_budget_is_the_least_rectangle(norm):
+    # every m-by-n rectangle with at least k+1 points, perimeters as values
+    ux, uy = norm.length((1, 0)), norm.length((0, 1))
+    for k in range(0, 31):
+        perims = [ux.scaled(2 * m) + uy.scaled(2 * n)
+                  for m in range(k + 1) for n in range(k + 1) if (m + 1) * (n + 1) > k]
+        least = min(perims, key=lambda v: v.as_fraction())
+        assert repr(lattice._initial_budget(norm, k)) == repr(least), k
 
 
 def test_floor_moves_up_from_a_float_below_the_integer():
