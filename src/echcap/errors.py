@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class EchcapError(Exception):
     """Base class for errors raised by this package."""
@@ -22,15 +24,22 @@ class ToricEnumerationBudgetExceeded(EchcapError):
 
     Carries the node limit, the lattice-point cap and the perimeter budget
     of the search that ran out, and the nodes it had visited when it stopped.
+    A search that walks its edge directions one by one (the capacity search)
+    also says how far it got: directions_done of directions_total were
+    complete; the other searches leave both None.
     """
 
     def __init__(self, node_limit: int, max_count: int, budget: float,
-                 nodes: int):
-        super().__init__(node_limit, max_count, budget, nodes)
+                 nodes: int, directions_done: Optional[int] = None,
+                 directions_total: Optional[int] = None):
+        super().__init__(node_limit, max_count, budget, nodes,
+                         directions_done, directions_total)
         self.node_limit = node_limit
         self.max_count = max_count
         self.budget = budget
         self.nodes = nodes
+        self.directions_done = directions_done
+        self.directions_total = directions_total
 
     def __str__(self) -> str:
         return (f"polygon search exceeded its node limit of {self.node_limit} "

@@ -17,13 +17,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, reduce
+from functools import cached_property, reduce
 from math import gcd
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import CapacityValue, RationalLike, as_fraction
+from .values import CapacityValue, RationalLike, _squarefree, as_fraction
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -457,6 +457,7 @@ class _Lengths:
             self.eps, self.limit = slack, self.budget_f + slack
             self.unit = _Memo(lambda x, y: norm.length((x, y)))
             self.exacts: Dict[tuple, CapacityValue] = {(): CapacityValue.exact(0)}
+            self.radicals = _Memo(lambda x, y: _squarefree(x * x + y * y))
         elif self.budget is None:
             self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
         else:
@@ -479,11 +480,21 @@ class _Lengths:
                                                 self.den))
         return self.exact(chain1.picks) + self.exact(chain2.picks)
 
+    def key(self, picks: tuple) -> tuple:
+        """A Euclidean length sum c s sqrt(r), px^2 + py^2 = s^2 r with r square-
+        free, as each r's int coefficient: equal iff lengths are (Besicovitch)."""
+        coef: Dict[int, int] = {}
+        for px, py, c in picks:
+            r, s = self.radicals[px, py]
+            coef[r] = coef.get(r, 0) + c * s
+        return tuple(sorted(coef.items()))
+
     def compare(self, entry1, entry2) -> int:
-        """Order of two cell entries (length, nedges, picks) with Euclidean
-        float lengths within eps: exact length, then nedges, then picks."""
-        c = self.exact(entry1[2]).compare(self.exact(entry2[2]))
-        return c or (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:])
+        """Order of two cell entries (length, nedges, picks) with Euclidean float
+        lengths within eps: exact length (equal if keys are), nedges, picks."""
+        if self.key(entry1[2]) != self.key(entry2[2]):
+            return self.exact(entry1[2]).compare(self.exact(entry2[2]))
+        return (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:])
 
     def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
         """Whether the pair's perimeter is within the budget.  A Euclidean
@@ -500,25 +511,17 @@ class _Lengths:
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     """Primitive vectors in the upper half-plane (y > 0, or y == 0 and x > 0)
-    with twice their length within the limit, sorted by angle from (1, 0).
-
-    max |x| over the unit ball is the dual norm of (1, 0), so the dual norms
-    of the axes bound the box searched."""
-    norm, f, limit = lengths.norm, lengths.f, lengths.limit
-    half = Fraction(limit) / (2 * (lengths.den or 1))
-    bx = math.floor(half * norm.dual_eval((1, 0)).as_fraction())
-    by = math.floor(half * norm.dual_eval((0, 1)).as_fraction())
-    dirs = [(1, 0)] if 2 * f(1, 0) <= limit else []
-    for y in range(1, by + 1):
-        for x in range(-bx, bx + 1):
-            if gcd(abs(x), y) == 1 and 2 * f(x, y) <= limit:
-                dirs.append((x, y))
-
-    def angle_cmp(a, b):
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    dirs.sort(key=cmp_to_key(angle_cmp))
+    with twice their length (kept in the chord memo) within the limit, sorted
+    by angle from (1, 0).  The dual norms of the axes, max |x| and max |y|
+    over the unit ball, bound the box searched."""
+    chord, limit, scale = lengths.chord, lengths.limit, 2 * (lengths.den or 1)
+    duals = (lengths.norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
+    bx, by = (int(limit * q.numerator // (scale * q.denominator)) for q in duals)
+    dirs = [(x, y) for y in range(by + 1) for x in range(-bx, bx + 1)
+            if (y or x > 0) and gcd(x, y) == 1 and 2 * chord[x, y] <= limit]
+    dirs.sort(key=lambda v: math.atan2(v[1], v[0]))
+    if any(ax * cy - ay * cx <= 0 for (ax, ay), (cx, cy) in zip(dirs, dirs[1:])):
+        raise RuntimeError("the float angle key misordered two directions")
     return dirs
 
 
@@ -536,8 +539,8 @@ def _enumerate_chains(lengths: _Lengths, max_count: int,
     # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
     dirs = _upper_directions(lengths)
     ndirs = len(dirs)
-    f, chord, limit = lengths.f, lengths.chord, lengths.limit
-    dir_len = [f(x, y) for x, y in dirs]
+    chord, limit = lengths.chord, lengths.limit
+    dir_len = [chord[x, y] for x, y in dirs]
     nodes = 0
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
@@ -676,9 +679,9 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
     A bucket keeps its least pair length and the pairs within eps of it:
     for rational norms exactly the pairs of least length, for the Euclidean
     norm a float window far wider than the float error, so a pair dropped
-    there is exactly longer than the bucket minimum.  Only the kept pairs
-    get exact values, reduced with _prefer in search order.
-    """
+    there is exactly longer than the bucket minimum.  Of exactly equal kept
+    lengths (equal Euclidean keys) the pairs of fewest edges (witness vertex
+    count) vie by witness for one exact value, else each pair gets its own."""
     eps = lengths.eps
     near: Dict[int, list] = {}   # key -> [least length, pairs near a running least]
     for key, chain1, chain2 in keyed_pairs:
@@ -690,53 +693,81 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
             continue
         bucket[1].append((length, chain1, chain2))
         bucket[0] = min(bucket[0], length)
-    return {key: reduce(_prefer, (
-        _Candidate(lengths.value(chain1, chain2), (chain1, chain2))
-        for length, chain1, chain2 in pairs if length <= least + eps), None)
-        for key, (least, pairs) in near.items()}
+    minima = {}
+    for key, (least, pairs) in near.items():
+        kept = [(c1, c2) for length, c1, c2 in pairs if length <= least + eps]
+        if lengths.den is None and len({lengths.key(c1.picks + c2.picks)
+                                        for c1, c2 in kept}) > 1:
+            minima[key] = reduce(_prefer, (_Candidate(lengths.value(*pair), pair)
+                                           for pair in kept))
+            continue
+        fewest = min(c1.nedges + c2.nedges for c1, c2 in kept)
+        tied = [p for p in kept if p[0].nedges + p[1].nedges == fewest]
+        pair = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda p: _preference(_Candidate(None, p).witness))
+        minima[key] = _Candidate(lengths.value(*pair), pair)
+    return minima
 
 
 def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int]
-                 ) -> Dict[Tuple[int, int, int], Tuple[Length, int, tuple]]:
-    """(sx, sy, weight) -> (length, nedges, picks) of the least chain of each
-    cell that _enumerate_chains emits, by dynamic programming: each direction,
-    in angular order, adds c >= 1 copies of itself to every entry of a table
-    snapshot, the empty chain included, under the same prunes.  A copy adds
-    sx*py - sy*px + 1 to the weight and f(px, py) to the length, both fixed
-    by the cell, so the cell order (exact length, nedges, picks) survives
-    every extension and the winners, float sums included, are the walk's.
-    The node limit counts these transitions."""
+                 ) -> Dict[IntPoint, Dict[int, Tuple[Length, int, tuple]]]:
+    """(sx, sy) -> weight -> (length, nedges, picks) of the least chain of
+    each cell that _enumerate_chains emits, by dynamic programming: each
+    direction p, in angular order, adds c >= 1 copies of itself to the table's
+    entries, the empty chain included, under the same prunes.  A copy adds
+    sx*py - sy*px + 1 to the weight and f(p) to the length, both fixed by the
+    cell, so the cell order (exact length, nedges, picks) survives every
+    extension and the winners, float sums included, are the walk's.  Only
+    entries under the first copy's length cap (raised by eps) and weight cap
+    run the copy loop, none where the chord of s is over the former; entries
+    ending in p are not extended again, as what they replaced is dominated by
+    their longer run.  The node limit counts each entry looked at in a
+    displacement not skipped, and each further copy tried on it."""
     node_cap = resolve_node_limit(node_limit)
-    f, chord, limit, eps = lengths.f, lengths.chord, lengths.limit, lengths.eps
+    chord, limit, eps = lengths.chord, lengths.limit, lengths.eps
     weight_cap = 2 * max_count - 3
-    table = {(0, 0, 0): (0, 0, ())}
+    table = {(0, 0): {0: (0, 0, ())}}
     nodes = 0
-    for px, py in _upper_directions(lengths):
-        dl = f(px, py)
-        for (sx, sy, w), (length, nedges, picks) in list(table.items()):
-            nedges += 1
-            c = 0
-            while True:
-                nodes += 1
+    dirs = _upper_directions(lengths)
+
+    def exceeded(nodes, done):
+        return ToricEnumerationBudgetExceeded(
+            node_cap, max_count, lengths.budget_f, nodes, done, len(dirs))
+
+    for done, (px, py) in enumerate(dirs):
+        dl = chord[px, py]
+        for s, cells in list(table.items()):
+            top = limit - dl - chord[s[0] + px, s[1] + py] + eps
+            if chord[s] > top:   # no chain to s is shorter than its chord
+                continue
+            wtop = weight_cap - 1 - (s[0] * py - s[1] * px)
+            for w, (length, nedges, picks) in cells.items():
+                nodes += 1   # the entry, or its first copy
                 if nodes > node_cap:
-                    raise ToricEnumerationBudgetExceeded(
-                        node_cap, max_count, lengths.budget_f, nodes)
-                w += sx * py - sy * px + 1
-                sx += px
-                sy += py
-                length += dl
-                c += 1
-                if w > weight_cap or length + chord[sx, sy] > limit:
-                    break
-                key = (sx, sy, w)
-                best = table.get(key)
-                if best is None or length < best[0] - eps:
-                    table[key] = (length, nedges, picks + ((px, py, c),))
-                elif length <= best[0] + eps:
-                    entry = (length, nedges, picks + ((px, py, c),))
-                    if entry < best if eps == 0 else lengths.compare(entry, best) < 0:
-                        table[key] = entry
-    del table[0, 0, 0]
+                    raise exceeded(nodes, done)
+                if w > wtop or length > top or picks and picks[-1][:2] == (px, py):
+                    continue
+                (sx, sy), nedges, c = s, nedges + 1, 0
+                while True:
+                    w += sx * py - sy * px + 1
+                    sx += px
+                    sy += py
+                    length += dl
+                    c += 1
+                    if w > weight_cap or length + chord[sx, sy] > limit:
+                        break
+                    group = table.setdefault((sx, sy), {})
+                    best = group.get(w)
+                    if best is None or length < best[0] - eps:
+                        group[w] = (length, nedges, picks + ((px, py, c),))
+                    elif length <= best[0] + eps:
+                        entry = (length, nedges, picks + ((px, py, c),))
+                        if entry < best if eps == 0 else lengths.compare(entry, best) < 0:
+                            group[w] = entry
+                    nodes += 1   # the next copy
+                    if nodes > node_cap:
+                        raise exceeded(nodes, done)
+    del table[0, 0]
     return table
 
 
@@ -746,18 +777,15 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     lattice points and perimeter within the budget.
 
     Perimeters add across the two chains of a pair, so only the cheapest
-    chain of each (displacement, weight) cell of _chain_cells is paired: of
-    equal lengths the one with fewer edges, then the first by picks.  That
-    keeps the preferred minimizer, whose chains each are cheapest in their
-    cell (else a shorter polygon with the same count exists) with the fewest
-    edges (else one with fewer vertices does).
-    """
+    chain of each cell of _chain_cells is paired, within its displacement
+    group: of equal lengths the one with fewer edges, then the first by
+    picks.  That keeps the preferred minimizer, whose chains each are
+    cheapest in their cell (else a shorter polygon with the same count
+    exists) with the fewest edges (else one with fewer vertices does)."""
     lengths = _Lengths(norm, budget)
-    groups: Dict[IntPoint, List[_Chain]] = {}
-    for (sx, sy, w), (length, _, picks) in _chain_cells(
-            lengths, max_count, node_limit).items():
-        groups.setdefault((sx, sy), []).append(_Chain(picks, length, w))
-    minima = _minima(lengths, _pairs(lengths, groups.values(), max_count))
+    groups = ([_Chain(picks, length, w) for w, (length, _, picks) in cells.items()]
+              for cells in _chain_cells(lengths, max_count, node_limit).values())
+    minima = _minima(lengths, _pairs(lengths, groups, max_count))
     minima[1] = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
     return minima
 

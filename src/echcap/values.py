@@ -51,6 +51,12 @@ def _ulp(x: float) -> float:
     return math.ulp(abs(x)) if x else math.ulp(1.0)
 
 
+def _squarefree(n: int) -> Tuple[int, int]:
+    """(r, s) with n = s^2 r and r square-free, for n >= 1."""
+    s = max(d for d in range(1, math.isqrt(n) + 1) if n % (d * d) == 0)
+    return n // (s * s), s
+
+
 def _sign(plus: Roots, minus: Roots) -> int:
     """Exact sign of sum(plus) - sum(minus), terms (n, q) meaning q sqrt(n).
 

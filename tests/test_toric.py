@@ -1,6 +1,7 @@
 import importlib
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from echcap import (EUCLIDEAN, CapacityValue, LabeledGenerator, LatticePolygon,
 
 F = Fraction
 lattice = importlib.import_module("echcap.lattice")
+values = importlib.import_module("echcap.values")
 
 HEXAGON = Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
 # the toric(poly:...) norms of bench/workloads.py
@@ -111,6 +113,12 @@ def depth_first_cells(lengths, max_count):
     return cells, tied
 
 
+def flat_cells(table):
+    """lattice._chain_cells' table keyed by (sx, sy, weight)."""
+    return {(sx, sy, w): entry for (sx, sy), group in table.items()
+            for w, entry in group.items()}
+
+
 def test_euclidean_spectrum_start():
     expected = [0.0, 2.0, 2 + math.sqrt(2), 4.0]
     for k in range(3, -1, -1):
@@ -165,6 +173,29 @@ def test_node_limit_raises():
     capacities(ToricNorm(EUCLIDEAN), 20)
     with pytest.raises(ToricEnumerationBudgetExceeded):
         toric_capacity(EUCLIDEAN, 20, node_limit=50)
+
+
+def test_node_limit_reports_directions_done():
+    budget = lattice._initial_budget(EUCLIDEAN, 20)
+    total = len(lattice._upper_directions(lattice._Lengths(EUCLIDEAN, budget)))
+    done = []
+    for limit in (50, 2000):
+        with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+            toric_capacity(EUCLIDEAN, 20, node_limit=limit)
+        exc, copy = info.value, pickle.loads(pickle.dumps(info.value))
+        assert exc.directions_total == total
+        assert (copy.nodes, copy.directions_done, copy.directions_total) == \
+            (limit + 1, exc.directions_done, total)
+        done.append(exc.directions_done)
+    assert 0 < done[0] < done[1] < total   # a larger limit gets further
+    # the depth-first searches do not walk direction by direction
+    for search in (lambda: enumerate_polygons(5, EUCLIDEAN, 10, node_limit=10),
+                   lambda: min_action_at_grading(EUCLIDEAN, 10, node_limit=10)):
+        with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+            search()
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (copy.nodes, copy.directions_done, copy.directions_total) == \
+            (11, None, None)
 
 
 def test_toric_capacity_is_minimal_over_complete_enumeration():
@@ -275,20 +306,32 @@ def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch
 
 
 @pytest.mark.parametrize("norm, k", [
-    *(pytest.param(EUCLIDEAN, k, id=f"euclidean-{k}") for k in (6, 12, 20)),
+    *(pytest.param(EUCLIDEAN, k, id=f"euclidean-{k}") for k in (6, 12, 20, 30)),
     *(pytest.param(WeightedL1(a, b), k, id=f"l1:{a},{b}-{k}")
       for a, b in [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3))] for k in (6, 25)),
     *(pytest.param(norm, k, id=f"{name}-{k}")
       for name, norm in [("hexagon", HEXAGON), ("skew", SKEW)] for k in (6, 14)),
+    pytest.param(SKEW, 25, id="skew-25"),
 ])
 def test_chain_cells_match_depth_first_cells(norm, k):
     budget = lattice._initial_budget(norm, k)
     cells, tied = depth_first_cells(lattice._Lengths(norm, budget), k + 1)
-    table = lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None)
+    table = flat_cells(lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None))
     # same keys, and per cell the same float or int length, nedges and picks
     assert table == {key: (chain.length, chain.nedges, chain.picks)
                      for key, chain in cells.items()}
     assert tied   # the order past the length is exercised
+
+
+@pytest.mark.parametrize("k", [2, 6, 7, 12])
+def test_chain_cells_keep_chains_that_meet_an_exact_budget(k):
+    # at the budget c_k some chain plus its closing chord lands on the budget
+    # itself, so the first-copy threshold keeps it only through its eps margin
+    budget = toric_capacity(EUCLIDEAN, k).value
+    cells, _ = depth_first_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1)
+    table = lattice._chain_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1, None)
+    assert flat_cells(table) == {key: (chain.length, chain.nedges, chain.picks)
+                                 for key, chain in cells.items()}
 
 
 def test_capacities_do_not_walk_every_chain(monkeypatch):
@@ -317,6 +360,76 @@ def test_euclidean_50_fits_the_default_node_limit(monkeypatch):
     seq = list(capacities(ToricNorm(EUCLIDEAN), 50))
     assert len(seq) == 51
     assert all(x.compare(y) <= 0 for x, y in zip(seq, seq[1:]))
+
+
+def test_euclidean_50_needs_few_transitions():
+    # the chain-cell table skips the (displacement, direction) pairs whose
+    # first copy cannot fit before trying them
+    assert len(capacities(ToricNorm(EUCLIDEAN), 50, node_limit=250_000)) == 51
+    # and does not extend a chain by the direction it was just given: about
+    # 34.4 k nodes at k = 30, 37.1 k without that rule
+    assert len(capacities(ToricNorm(EUCLIDEAN), 30, node_limit=35_500)) == 31
+    # the 26 k copies tried there alone fit 30 k nodes, but the 8.3 k table
+    # entries that fail the weight, length or same-direction test are looked
+    # at and counted too, so the limit bounds that work as well
+    with pytest.raises(ToricEnumerationBudgetExceeded):
+        capacities(ToricNorm(EUCLIDEAN), 30, node_limit=30_000)
+
+
+def test_euclidean_key_is_exact_equality():
+    key = lattice._Lengths(EUCLIDEAN, 10).key
+    assert key(((3, 4, 1),)) == key(((1, 0, 5),))    # both 5
+    assert key(((2, 2, 1),)) == key(((1, 1, 2),))    # both 2 sqrt 2
+    assert key(((1, 7, 1),)) == key(((1, 1, 5),)) != key(((1, 0, 7),))
+
+
+def test_euclidean_keys_agree_with_exact_sign():
+    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    dirs = [(1, 0), (0, 1), (1, 1), (2, 2), (1, 2), (2, 1), (3, 4), (1, 7), (5, 5)]
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        picks1, picks2 = (tuple((*rng.choice(dirs), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 3))) for _ in range(2))
+        equal = lengths.key(picks1) == lengths.key(picks2)
+        exact1, exact2 = lengths.exact(picks1), lengths.exact(picks2)
+        sign = values._sign(exact1._terms(), exact2._terms())
+        assert equal == (sign == 0), (picks1, picks2)
+        seen.add(equal)
+    assert seen == {True, False}
+
+
+def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
+    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    # equal floats, unequal keys: 5 > 3 sqrt 2, though (1, 0) picks first
+    five, root18 = (5.0, 1, ((1, 0, 5),)), (5.0, 1, ((1, 1, 3),))
+    assert (lengths.compare(five, root18), lengths.compare(root18, five)) == (1, -1)
+
+    # equal keys are ordered by nedges, then picks, with no exact value built
+    def refuse(picks):
+        raise AssertionError("an exact value was built for equal keys")
+
+    monkeypatch.setattr(lengths, "exact", refuse)
+    assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 2, ((1, 0, 5),))) == -1
+    assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 1, ((1, 0, 5),))) == 1
+
+
+def test_minima_decide_unequal_keys_exactly():
+    # crafted chains with equal floats: pairs of length 10 and 8 sqrt 2, whose
+    # keys differ, so the bucket compares exact values before witnesses
+    five = lattice._Chain(((1, 0, 5),), 5.0, 3)
+    four_root2 = lattice._Chain(((1, 1, 4),), 5.0, 3)
+    best = lattice._minima(lattice._Lengths(EUCLIDEAN, 20),
+                           [(7, four_root2, four_root2), (7, five, five)])[7]
+    assert best.value.compare(CapacityValue.exact(10)) == 0
+    assert best.witness.vertices == ((0, 0), (5, 0))
+
+
+def test_upper_directions_check_the_float_angle_order(monkeypatch):
+    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    monkeypatch.setattr(lattice.math, "atan2", lambda y, x: 0.0)
+    with pytest.raises(RuntimeError, match="misordered"):
+        lattice._upper_directions(lengths)
 
 
 @pytest.mark.parametrize("a, b", [
