@@ -178,7 +178,10 @@ class _Parser:
 
 def parse_domain_spec(text: str) -> Domain:
     parser = _Parser(text)
-    domain = parser.domain()
+    try:
+        domain = parser.domain()
+    except RecursionError:
+        raise parser.error("spec nested too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after domain spec")
@@ -477,8 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args.node_limit = resolve_node_limit(args.node_limit)
         code = args.run(args)
-        _write_meta(args.meta, args.command, argv)
-        return code
     except ToricEnumerationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         if exc.directions_total is not None:
@@ -488,6 +489,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (SpecParseError, ApproxTie, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    try:
+        _write_meta(args.meta, args.command, argv)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write the --meta file: {exc}\n")
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -23,10 +23,10 @@ class ToricEnumerationBudgetExceeded(EchcapError):
     """The polygon search exceeded its configured node limit.
 
     Carries the node limit, the lattice-point cap and the perimeter budget
-    of the search that ran out, and the nodes it had visited when it stopped.
-    A search that walks its edge directions one by one (the capacity search)
-    also says how far it got: directions_done of directions_total were
-    complete; the other searches leave both None.
+    of the search that ran out, the nodes it had visited when it stopped,
+    and how far it got: directions_done of directions_total edge directions
+    were complete.  Every polygon search walks its edge directions one by
+    one and sets both; they are None only when a caller leaves them out.
     """
 
     def __init__(self, node_limit: int, max_count: int, budget: float,

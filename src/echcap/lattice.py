@@ -6,9 +6,11 @@ edges, a segment is traversed as the edge pair {v, -v}.
 
 The search engine represents a convex polygon as an angle-sorted multiset of
 edge vectors (primitive direction x multiplicity) summing to zero, split into
-two chains of equal displacement.  Capacities build the least chain of each
-cell by dynamic programming; enumerate_polygons walks every chain depth-first
-and visits each canonical polygon within the perimeter budget exactly once.
+two chains of equal displacement.  One dynamic program over the edge
+directions builds the chains: capacities keep the least chain of each
+(displacement, weight) cell, enumerate_polygons and min_action_at_grading
+keep every chain, and enumerate_polygons visits each canonical polygon
+within the perimeter budget exactly once.
 """
 
 from __future__ import annotations
@@ -525,52 +527,6 @@ def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     return dirs
 
 
-def _enumerate_chains(lengths: _Lengths, max_count: int,
-                      node_limit: Optional[int], emit) -> None:
-    """Emit every nonempty upper-half convex chain with length + |displacement|
-    within the limit whose pairs can enclose at most max_count lattice
-    points.  emit(dx, dy, chain) is called once per chain.
-
-    Any closed polygon of perimeter <= budget splits uniquely into such a
-    chain and the negation of another one with the same displacement, so this
-    search is the complete half of the polygon search space.
-    """
-    node_cap = resolve_node_limit(node_limit)
-    # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
-    dirs = _upper_directions(lengths)
-    ndirs = len(dirs)
-    chord, limit = lengths.chord, lengths.limit
-    dir_len = [chord[x, y] for x, y in dirs]
-    nodes = 0
-    # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
-    weight_cap = 2 * max_count - 3
-
-    def rec(start: int, sx: int, sy: int, w: int, length: Length,
-            picks: tuple) -> None:
-        nonlocal nodes
-        for j in range(start, ndirs):
-            px, py = dirs[j]
-            dl = dir_len[j]
-            csx, csy, cw, clen, c = sx, sy, w, length, 0
-            while True:
-                nodes += 1
-                if nodes > node_cap:
-                    raise ToricEnumerationBudgetExceeded(
-                        node_cap, max_count, lengths.budget_f, nodes)
-                cw += csx * py - csy * px + 1
-                csx += px
-                csy += py
-                clen += dl
-                c += 1
-                if cw > weight_cap or clen + chord[csx, csy] > limit:
-                    break
-                cpicks = picks + ((px, py, c),)
-                emit(csx, csy, _Chain(cpicks, clen, cw))
-                rec(j + 1, csx, csy, cw, clen, cpicks)
-
-    rec(0, 0, 0, 0, 0, ())
-
-
 def _polygon_from_pair(upper: _Chain, lower: _Chain) -> LatticePolygon:
     """Close an upper chain against the negation of another with the same
     displacement.  Both edge blocks are already in increasing angular order."""
@@ -593,27 +549,19 @@ def _preference(poly: LatticePolygon):
     return (len(poly.vertices), poly.vertices)
 
 
-def _pairs(lengths: _Lengths, groups: Iterable[Sequence[_Chain]],
-           max_count: int) -> Iterator[Tuple[int, _Chain, _Chain]]:
-    """(count, chain1, chain2) for every two chains of one group (one
-    displacement), chain1 not after chain2, that close to polygons (chain1
-    or chain2 as the upper chain) of count = (weight1 + weight2) / 2 + 1 <=
-    max_count lattice points and fit the budget."""
-    for chains in groups:
+def _pairs(lengths: _Lengths, table, max_count: int
+           ) -> Iterator[Tuple[int, _Chain, _Chain]]:
+    """(count, chain1, chain2) for every two chains of one displacement of a
+    _chain_cells table, chain1 not after chain2, that close to polygons
+    (chain1 or chain2 as the upper chain) of count = (weight1 + weight2) / 2
+    + 1 <= max_count lattice points and fit the budget."""
+    for cells in table.values():
+        chains = [_Chain(picks, length, w) for length, _, picks, w in cells.values()]
         for i, chain1 in enumerate(chains):
             for chain2 in chains[i:]:
                 count = (chain1.weight + chain2.weight) // 2 + 1
                 if count <= max_count and lengths.fits(chain1, chain2):
                     yield count, chain1, chain2
-
-
-def _keep_all_pairs(lengths: _Lengths, max_count: int, node_limit: Optional[int]
-                    ) -> Iterator[Tuple[int, _Chain, _Chain]]:
-    """_pairs over every chain of the search."""
-    by_disp: Dict[IntPoint, List[_Chain]] = {}
-    _enumerate_chains(lengths, max_count, node_limit, lambda dx, dy, chain:
-                      by_disp.setdefault((dx, dy), []).append(chain))
-    return _pairs(lengths, by_disp.values(), max_count)
 
 
 def enumerate_polygons(target_count: int, norm: Norm, length_budget,
@@ -622,14 +570,16 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     lattice points with perimeter <= length_budget, sorted canonically.
 
     Points and segments are included.  The enumeration is complete and
-    duplicate-free; it raises ToricEnumerationBudgetExceeded if the search
-    needs more nodes than the configured limit.
+    duplicate-free: it pairs every chain of _chain_cells.  It raises
+    ToricEnumerationBudgetExceeded, with the directions done, if building
+    the chains needs more nodes than the configured limit.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     lengths = _Lengths(norm, length_budget)
     found = [LatticePolygon.point()] if target_count == 1 else []
-    for count, chain1, chain2 in _keep_all_pairs(lengths, target_count, node_limit):
+    table = _chain_cells(lengths, target_count, node_limit, every=True)
+    for count, chain1, chain2 in _pairs(lengths, table, target_count):
         if count == target_count:
             found.append(_polygon_from_pair(chain1, chain2))
             if chain2 is not chain1:
@@ -709,25 +659,36 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
     return minima
 
 
-def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int]
-                 ) -> Dict[IntPoint, Dict[int, Tuple[Length, int, tuple]]]:
-    """(sx, sy) -> weight -> (length, nedges, picks) of the least chain of
-    each cell that _enumerate_chains emits, by dynamic programming: each
-    direction p, in angular order, adds c >= 1 copies of itself to the table's
-    entries, the empty chain included, under the same prunes.  A copy adds
+def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
+                 every: bool = False
+                 ) -> Dict[IntPoint, Dict[int, Tuple[Length, int, tuple, int]]]:
+    """(sx, sy) -> cell -> (length, nedges, picks, weight) of the nonempty
+    upper-half convex chains with length + |displacement| within the limit
+    whose pairs can enclose at most max_count lattice points.  Any closed
+    polygon of perimeter <= budget splits uniquely into such a chain and the
+    negation of another one with the same displacement.
+
+    Dynamic programming: each direction p, in angular order, adds c >= 1
+    copies of itself to the table's entries, the empty chain included, so a
+    length is summed pick by pick.  A cell is a weight, and keeps the least
+    chain in the order (exact length, nedges, picks): a copy adds
     sx*py - sy*px + 1 to the weight and f(p) to the length, both fixed by the
-    cell, so the cell order (exact length, nedges, picks) survives every
-    extension and the winners, float sums included, are the walk's.  Only
-    entries under the first copy's length cap (raised by eps) and weight cap
-    run the copy loop, none where the chord of s is over the former; entries
-    ending in p are not extended again, as what they replaced is dominated by
-    their longer run.  The node limit counts each entry looked at in a
-    displacement not skipped, and each further copy tried on it."""
+    cell, so that order survives every extension and the winners are those
+    of a walk over every chain.  With every set each chain is its own cell,
+    under a fresh key, and the table holds every chain.  Only entries under
+    the first copy's length cap (raised by eps) and weight cap run the copy
+    loop, none where the chord of s is over the former; entries ending in p
+    are not extended again, as they are p's own copies (or, of winners,
+    what they replaced is dominated by their longer run).  The node limit
+    counts each entry looked at in a displacement not skipped, and each
+    further copy tried on it."""
     node_cap = resolve_node_limit(node_limit)
     chord, limit, eps = lengths.chord, lengths.limit, lengths.eps
+    # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
-    table = {(0, 0): {0: (0, 0, ())}}
+    table = {(0, 0): {0: (0, 0, (), 0)}}
     nodes = 0
+    # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
     dirs = _upper_directions(lengths)
 
     def exceeded(nodes, done):
@@ -741,7 +702,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int]
             if chord[s] > top:   # no chain to s is shorter than its chord
                 continue
             wtop = weight_cap - 1 - (s[0] * py - s[1] * px)
-            for w, (length, nedges, picks) in cells.items():
+            for length, nedges, picks, w in cells.values():
                 nodes += 1   # the entry, or its first copy
                 if nodes > node_cap:
                     raise exceeded(nodes, done)
@@ -757,13 +718,14 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int]
                     if w > weight_cap or length + chord[sx, sy] > limit:
                         break
                     group = table.setdefault((sx, sy), {})
-                    best = group.get(w)
+                    cell = len(group) if every else w
+                    best = group.get(cell)
                     if best is None or length < best[0] - eps:
-                        group[w] = (length, nedges, picks + ((px, py, c),))
+                        group[cell] = (length, nedges, picks + ((px, py, c),), w)
                     elif length <= best[0] + eps:
-                        entry = (length, nedges, picks + ((px, py, c),))
+                        entry = (length, nedges, picks + ((px, py, c),), w)
                         if entry < best if eps == 0 else lengths.compare(entry, best) < 0:
-                            group[w] = entry
+                            group[cell] = entry
                     nodes += 1   # the next copy
                     if nodes > node_cap:
                         raise exceeded(nodes, done)
@@ -783,9 +745,8 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     cheapest in their cell (else a shorter polygon with the same count
     exists) with the fewest edges (else one with fewer vertices does)."""
     lengths = _Lengths(norm, budget)
-    groups = ([_Chain(picks, length, w) for w, (length, _, picks) in cells.items()]
-              for cells in _chain_cells(lengths, max_count, node_limit).values())
-    minima = _minima(lengths, _pairs(lengths, groups, max_count))
+    table = _chain_cells(lengths, max_count, node_limit)
+    minima = _minima(lengths, _pairs(lengths, table, max_count))
     minima[1] = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
     return minima
 
@@ -868,12 +829,14 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
 
     A polygon with c enclosed points and E edges supports grading 2k exactly
     when 0 <= 2(c - 1 - k) <= E, by labeling that many edges 'h'; E <= c, so
-    c <= 2(k + 1).  The minimum is read from every chain pair of a search
-    with that cap.  A pair has nedges1 + nedges2 edges: its chains share an
-    end direction only when it is a segment, stored as the edges v and -v.
-    An exact budget is compared exactly.  The budget defaults to the
-    rectangle construction for k, which the all-'e' minimizer always fits;
-    RuntimeError if no generator fits it.
+    c <= 2(k + 1).  The minimum is read from the pairs of every chain of
+    _chain_cells with that cap.  A pair has nedges1 + nedges2 edges: its
+    chains share an end direction only when it is a segment, stored as the
+    edges v and -v.  An exact budget is compared exactly.  The budget
+    defaults to the rectangle construction for k, which the all-'e'
+    minimizer always fits; RuntimeError if no generator fits it, and
+    ToricEnumerationBudgetExceeded, with the directions done, past the node
+    limit.
     """
     if grading < 0 or grading % 2 != 0:
         raise ValueError("grading must be a nonnegative even integer")
@@ -883,9 +846,10 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     lengths = _Lengths(norm, budget)
     if k == 0:
         return CapacityValue.exact(0)   # the point, labeled by nothing
+    table = _chain_cells(lengths, 2 * (k + 1), node_limit, every=True)
     best = _minima(lengths, (
         (grading, chain1, chain2)
-        for count, chain1, chain2 in _keep_all_pairs(lengths, 2 * (k + 1), node_limit)
+        for count, chain1, chain2 in _pairs(lengths, table, 2 * (k + 1))
         if 0 <= 2 * (count - 1 - k) <= chain1.nedges + chain2.nedges)).get(grading)
     if best is None:
         raise RuntimeError(f"no generator of grading {grading} found within "

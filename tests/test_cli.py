@@ -44,6 +44,22 @@ def test_parse_errors_carry_positions():
         assert err.value.position >= 0
 
 
+def test_deeply_nested_spec_is_a_parse_error(capsys):
+    deep = "union(" * 200 + "ball(1)" + ")" * 200
+    dom = parse_domain_spec(deep)
+    for _ in range(200):
+        assert isinstance(dom, DisjointUnion) and len(dom.parts) == 1
+        dom = dom.parts[0]
+    too_deep = "union(" * 2000 + "ball(1)" + ")" * 2000
+    with pytest.raises(SpecParseError, match="spec nested too deeply") as err:
+        parse_domain_spec(too_deep)
+    assert 0 < err.value.position < len(too_deep)
+    assert main(["capacities", too_deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec nested too deeply (at position ")
+    assert "Traceback" not in err
+
+
 def test_format_value():
     assert format_value(CapacityValue.exact(Fraction(5))) == "5"
     assert format_value(CapacityValue.exact(Fraction(3, 2))) == "3/2"
@@ -281,6 +297,15 @@ def test_meta_sidecar(tmp_path, capsys):
     meta.unlink()
     assert main(["capacities", "ball(", "--meta", str(meta)]) == 2
     assert not meta.exists()
+
+
+def test_unwritable_meta_path_is_a_usage_error(tmp_path, capsys):
+    meta = tmp_path / "missing" / "meta.json"
+    assert main(["capacities", "ball(1)", "--kmax", "2", "--meta", str(meta)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "0,1,1\n"   # the payload was already written
+    assert err.startswith("error: cannot write the --meta file: ")
+    assert str(meta) in err and "Traceback" not in err
 
 
 # -- one process, many calls ---------------------------------------------------

@@ -27,10 +27,43 @@ BENCH_POLYGONS = [Polygonal(v) for v in (
 SKEW = Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1)))
 
 
-# -- oracle: every chain and pair gets an exact length -------------------------
+# -- oracles: the depth-first chain walk, and exact lengths for every pair ------
+
+def depth_first_chains(lengths, max_count):
+    """Every nonempty upper-half convex chain with length + |displacement|
+    within the limit whose pairs can enclose at most max_count lattice
+    points, as (dx, dy, chain), by a depth-first walk: each chain is extended
+    by every later direction, one copy at a time, while the weight and
+    length prunes of lattice._chain_cells hold.  Lengths are summed in the
+    same order, pick by pick."""
+    dirs = lattice._upper_directions(lengths)
+    chord, limit = lengths.chord, lengths.limit
+    # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
+    weight_cap = 2 * max_count - 3
+    chains = []
+
+    def walk(start, sx, sy, w, length, picks):
+        for j in range(start, len(dirs)):
+            px, py = dirs[j]
+            csx, csy, cw, clen, c = sx, sy, w, length, 0
+            while True:
+                cw += csx * py - csy * px + 1
+                csx += px
+                csy += py
+                clen += chord[px, py]
+                c += 1
+                if cw > weight_cap or clen + chord[csx, csy] > limit:
+                    break
+                cpicks = picks + ((px, py, c),)
+                chains.append((csx, csy, lattice._Chain(cpicks, clen, cw)))
+                walk(j + 1, csx, csy, cw, clen, cpicks)
+
+    walk(0, 0, 0, 0, 0, ())
+    return chains
+
 
 def bucket_minima_oracle(norm, budget, max_count, node_limit):
-    """All-exact reference for lattice._bucket_minima.
+    """All-exact reference for lattice._bucket_minima (node_limit unused).
 
     Chain lengths are sums of one exact CapacityValue per edge direction;
     the cell table and the pairing compare them for every chain, with no
@@ -50,20 +83,16 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
         return exact[chain]
 
     cells = {}
-
-    def offer(dx, dy, chain):
+    for dx, dy, chain in depth_first_chains(lattice._Lengths(norm, budget), max_count):
         per_disp = cells.setdefault((dx, dy), {})
         key = (chain.weight, chain.nedges)
-        if key not in per_disp:
+        best = per_disp.get(key)
+        if best is None:
             per_disp[key] = chain
-            return
-        best = per_disp[key]
+            continue
         cmp = length(chain).compare(length(best))
         if cmp < 0 or cmp == 0 and chain.picks < best.picks:
             per_disp[key] = chain
-
-    lattice._enumerate_chains(lattice._Lengths(norm, budget), max_count,
-                              node_limit, offer)
     bound = budget if isinstance(budget, CapacityValue) else CapacityValue.exact(budget)
     buckets = {}
     for per_disp in cells.values():
@@ -91,13 +120,12 @@ def depth_first_cells(lengths, max_count):
     of the cells where an offer's length tied the cell's, or was compared
     exactly as a Euclidean float within eps of it."""
     cells, tied = {}, set()
-
-    def offer(dx, dy, chain):
+    for dx, dy, chain in depth_first_chains(lengths, max_count):
         key = (dx, dy, chain.weight)
         best = cells.get(key)
         if best is None:
             cells[key] = chain
-            return
+            continue
         a, b = chain.length, best.length
         if lengths.den is None and abs(a - b) <= lengths.eps:
             order = lengths.exact(chain.picks).compare(lengths.exact(best.picks))
@@ -108,15 +136,18 @@ def depth_first_cells(lengths, max_count):
                 tied.add(key)
         if (order, chain.nedges, chain.picks) < (0, best.nedges, best.picks):
             cells[key] = chain
-
-    lattice._enumerate_chains(lengths, max_count, None, offer)
     return cells, tied
 
 
 def flat_cells(table):
-    """lattice._chain_cells' table keyed by (sx, sy, weight)."""
-    return {(sx, sy, w): entry for (sx, sy), group in table.items()
-            for w, entry in group.items()}
+    """lattice._chain_cells' table keyed by (sx, sy, weight), each entry as
+    (length, nedges, picks); a cell's key is its weight."""
+    flat = {}
+    for (sx, sy), group in table.items():
+        for w, (length, nedges, picks, weight) in group.items():
+            assert weight == w
+            flat[sx, sy, w] = (length, nedges, picks)
+    return flat
 
 
 def test_euclidean_spectrum_start():
@@ -188,14 +219,14 @@ def test_node_limit_reports_directions_done():
             (limit + 1, exc.directions_done, total)
         done.append(exc.directions_done)
     assert 0 < done[0] < done[1] < total   # a larger limit gets further
-    # the depth-first searches do not walk direction by direction
+    # the searches over every chain walk the same directions
     for search in (lambda: enumerate_polygons(5, EUCLIDEAN, 10, node_limit=10),
                    lambda: min_action_at_grading(EUCLIDEAN, 10, node_limit=10)):
         with pytest.raises(ToricEnumerationBudgetExceeded) as info:
             search()
         copy = pickle.loads(pickle.dumps(info.value))
-        assert (copy.nodes, copy.directions_done, copy.directions_total) == \
-            (11, None, None)
+        assert copy.nodes == 11
+        assert 0 <= copy.directions_done < copy.directions_total
 
 
 def test_toric_capacity_is_minimal_over_complete_enumeration():
@@ -335,13 +366,45 @@ def test_chain_cells_keep_chains_that_meet_an_exact_budget(k):
 
 
 def test_capacities_do_not_walk_every_chain(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a capacity walked every chain depth-first")
+    chain_cells = lattice._chain_cells
 
-    monkeypatch.setattr(lattice, "_enumerate_chains", refuse)
+    def winners_only(*args, every=False):
+        assert not every, "a capacity built every chain"
+        return chain_cells(*args)
+
+    monkeypatch.setattr(lattice, "_chain_cells", winners_only)
     for norm in (EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW):
         assert len(capacities(ToricNorm(norm), 10)) == 11
         assert toric_capacity(norm, 10).witness.lattice_point_count == 11
+
+
+EVERY_CHAIN_NORMS = [("euclidean", EUCLIDEAN), ("l1:1,1", WeightedL1(1, 1)),
+                     ("l1:7/3,2", WeightedL1(F(7, 3), 2)), ("hexagon", HEXAGON),
+                     ("skew", SKEW)]
+
+
+@pytest.mark.parametrize("norm, budget, max_count", [
+    *(pytest.param(norm, lattice._initial_budget(norm, k), k + 1, id=f"{name}-rect-{k}")
+      for name, norm in EVERY_CHAIN_NORMS for k in (4, 12)),
+    *(pytest.param(norm, 7.25, 13, id=f"{name}-float") for name, norm in EVERY_CHAIN_NORMS),
+    # the exact budgets c_k, where some chain meets the budget exactly
+    *(pytest.param(EUCLIDEAN, k, k + 1, id=f"euclidean-c{k}") for k in (2, 6, 12)),
+])
+def test_every_chain_matches_depth_first_walk(norm, budget, max_count):
+    if isinstance(budget, int):
+        budget = toric_capacity(EUCLIDEAN, budget).value
+    table = lattice._chain_cells(lattice._Lengths(norm, budget), max_count, None,
+                                 every=True)
+    got = sorted((sx, sy, w, length, nedges, picks)
+                 for (sx, sy), group in table.items()
+                 for length, nedges, picks, w in group.values())
+    walk = sorted((dx, dy, chain.weight, chain.length, chain.nedges, chain.picks)
+                  for dx, dy, chain in depth_first_chains(
+                      lattice._Lengths(norm, budget), max_count))
+    # the same chains, each once, with float lengths equal bit for bit
+    assert got == walk
+    assert [float(x[3]).hex() for x in got] == [float(x[3]).hex() for x in walk]
+    assert len({x[5] for x in got}) == len(got) > 0
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(7, 3), 2)], ids=["1,1", "7/3,2"])
