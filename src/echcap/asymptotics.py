@@ -79,8 +79,10 @@ def _sample_points(kmax: int, stride: int) -> List[int]:
 
 
 def _ratio(c_k: CapacityValue, k: int, vol: CapacityValue) -> float:
-    if c_k.is_exact and vol.is_exact:
-        return float(c_k.frac * c_k.frac / (4 * k * vol.frac))
+    if c_k.is_exact and vol.is_exact:   # int / int rounds as float(Fraction)
+        c, v = c_k.frac, vol.frac
+        return ((c.numerator ** 2 * v.denominator)
+                / (4 * k * c.denominator ** 2 * v.numerator))
     return (c_k.value * c_k.value) / (4.0 * k * vol.value)
 
 
@@ -139,8 +141,16 @@ def qw_check(domain: Domain, kmax: int,
     exploratory = _contains(domain, Polydisk)
     if _contains(domain, ToricNorm):
         kmax = min(kmax, TORIC_TRACE_KMAX)
-    vol_lo, vol_hi = _bounds(volume(domain).scaled(2))
+    vol_y = volume(domain).scaled(2)
     seq = capacities(domain, kmax, node_limit=node_limit)
+    if vol_y.is_exact and seq.den is not None:
+        # c_k^2 < 2 k vol_Y on ints: v^2 q < 2 k p den^2, with vol_Y = p/q
+        q = vol_y.frac.denominator
+        bound = 2 * vol_y.frac.numerator * seq.den ** 2
+        k = next((k for k, v in enumerate(islice(seq._items, 1, None), 1)
+                  if v * v * q >= k * bound), None)
+        return QwVerdict(k is None, kmax, k, exploratory)
+    vol_lo, vol_hi = _bounds(vol_y)
     for k, c_k in enumerate(islice(seq, 1, None), 1):
         lo, hi = _bounds(c_k)
         if hi * hi < 2 * k * vol_lo:

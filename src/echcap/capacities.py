@@ -224,8 +224,17 @@ def dominates(lower: CapacitySequence, upper: CapacitySequence,
             f"cannot compare origin {lower.index_origin} against "
             f"{upper.index_origin}"
         )
+    strict = mode == INTERIOR_STRICT
+    if lower.den is not None and upper.den is not None:
+        # ints over two denominators: a/dl <= b/du iff a*du <= b*dl
+        dl, du = lower.den, upper.den
+        for k, a, b in zip(count(lower.index_origin), lower._items, upper._items):
+            a, b = a * du, b * dl
+            if a > b or (strict and k >= 1 and a == b):
+                return Dominance(False, k, lower[k], upper[k])
+        return Dominance(True)
     for k, lo, hi in zip(count(lower.index_origin), lower, upper):
-        if mode == INTERIOR_STRICT and k >= 1 and not lo.is_infinite:
+        if strict and k >= 1 and not lo.is_infinite:
             ok = lo.definitely_lt(hi)
         else:
             ok = lo.definitely_le(hi)

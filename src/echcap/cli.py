@@ -26,6 +26,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -245,14 +246,21 @@ def _cmd_capacities(args) -> int:
             raise SpecParseError("--full is defined for balls and ellipsoids only", 0)
     else:
         seq = capacities(domain, args.kmax, node_limit=args.node_limit)
-    # iterating shares one value object per run of equal entries, so each
-    # run is formatted once
+    # each run of equal entries is formatted once
     rendered = []
     last = text = None
-    for value in seq:
-        if value is not last:
-            last, text = value, format_value(value)
-        rendered.append(text)
+    if seq.den is None:   # iterating shares one value object per run
+        for value in seq:
+            if value is not last:
+                last, text = value, format_value(value)
+            rendered.append(text)
+    else:                 # ints over den, reduced as format_fraction would
+        den = seq.den
+        for v in seq._items:
+            if v != last:
+                g = math.gcd(v, den)
+                last, text = v, str(v // g) if g == den else f"{v // g}/{den // g}"
+            rendered.append(text)
     if args.format == "json":
         _emit({
             "spec": args.spec,
@@ -488,6 +496,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_BUDGET
     except (SpecParseError, ApproxTie, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except RecursionError:
+        # a union that parsed but is nested deeper than hashing or
+        # evaluating its parts can recurse
+        sys.stderr.write("error: spec nested too deeply\n")
         return EXIT_USAGE
     try:
         _write_meta(args.meta, args.command, argv)

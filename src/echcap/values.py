@@ -344,8 +344,13 @@ class CapacitySequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CapacitySequence):
             return NotImplemented
-        return (self.index_origin == other.index_origin
-                and tuple(self) == tuple(other))
+        if self.index_origin != other.index_origin or len(self) != len(other):
+            return False
+        if self.den is None or other.den is None:
+            return tuple(self) == tuple(other)
+        # a/d1 == b/d2 iff a*d2 == b*d1
+        return all(a * other.den == b * self.den
+                   for a, b in zip(self._items, other._items))
 
     __hash__ = None
 

@@ -1,12 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from echcap import (ApproxTie, Ball, CapacitySequence, CapacityValue,
                     DisjointUnion, Ellipsoid, EUCLIDEAN, Polydisk, Polygonal,
-                    ToricNorm, WeightedL1, asymptotics)
-from echcap.asymptotics import (qw_check, volume, volume_ratio_trace,
+                    QwVerdict, ToricNorm, WeightedL1, asymptotics)
+from echcap.asymptotics import (_ratio, qw_check, volume, volume_ratio_trace,
                                 weinstein_bound)
 from echcap.cli import main
 
@@ -127,3 +128,64 @@ def test_invalid_arguments():
         volume_ratio_trace(Ball(1), 0)
     with pytest.raises(ValueError):
         qw_check(Ball(1), 0)
+
+
+def value_form(seq):
+    """The same entries held as CapacityValues (den None): qw_check then
+    takes its _bounds path."""
+    return CapacitySequence.__new__(CapacitySequence)._store(
+        seq.index_origin, None, tuple(seq))
+
+
+def qw_both_paths(monkeypatch, domain, kmax, seq=None):
+    """qw_check on the int path and on the _bounds path, for domain's own
+    sequence or for seq standing in for it."""
+    seq = asymptotics.capacities(domain, kmax) if seq is None else seq
+    assert seq.den is not None
+    verdicts = []
+    for form in (seq, value_form(seq)):
+        monkeypatch.setattr(asymptotics, "capacities", lambda *a, form=form, **kw: form)
+        verdicts.append(qw_check(domain, kmax))
+    monkeypatch.undo()
+    assert verdicts[0] == verdicts[1], domain
+    return verdicts[0]
+
+
+def test_qw_int_path_matches_bounds_path(monkeypatch):
+    rng = random.Random(7)
+    primes = (3, 7, 11, 13, 89, 97)
+
+    def size():
+        q = rng.choice(primes)
+        return F(rng.randint(q // 2 + 1, 3 * q), q)
+    for trial in range(24):
+        parts = [rng.choice((Ball(size()), Ellipsoid(size(), size()),
+                             Polydisk(size(), size()))) for _ in range(1 + trial % 3)]
+        domain = parts[0] if len(parts) == 1 else DisjointUnion(parts)
+        assert qw_both_paths(monkeypatch, domain, rng.randint(1, 300)).holds
+
+
+def test_qw_int_path_on_the_bound_itself(monkeypatch):
+    # no closed form or union reaches c_k^2 = 2 k vol_Y: a search over
+    # ellipsoids, polydisks and two-part unions with sizes p/q, p <= 8,
+    # q <= 5, at k <= 40 came nearest with ball(1/5) at k = 36, where
+    # c_k^2 / (2 k vol_Y) = 8/9.  So the tie is put into a sequence by hand:
+    # ball(1) has vol_Y = 1, and c_2 = 2 meets the bound 2 * 2 * 1 = 4.
+    ball = Ball(1)
+    tie = CapacitySequence._from_ints(0, 7, [0, 7, 14, 14])
+    below = CapacitySequence._from_ints(0, 7, [0, 7, 13, 14])
+    assert qw_both_paths(monkeypatch, ball, 3, tie) == QwVerdict(False, 3, 2)
+    assert qw_both_paths(monkeypatch, ball, 3, below) == QwVerdict(True, 3)
+    assert asymptotics.capacities(Ball(F(1, 5)), 36)[36] == CapacityValue.exact(F(8, 5))
+    assert qw_both_paths(monkeypatch, Ball(F(1, 5)), 36).holds
+
+
+def test_int_ratio_rounds_as_float_of_fraction():
+    rng = random.Random(81)
+    for _ in range(2000):
+        bits = rng.choice((8, 64, 200, 1100))
+        c = F(rng.randint(0, 2 ** bits), rng.randint(1, 2 ** bits))
+        vol = F(rng.randint(1, 2 ** bits), rng.randint(1, 2 ** bits))
+        k = rng.randint(1, 10 ** 6)
+        assert _ratio(CapacityValue.exact(c), k, CapacityValue.exact(vol)) \
+            == float(c * c / (4 * k * vol))

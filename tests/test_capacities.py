@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from echcap import (Ball, Ellipsoid, INTERIOR_STRICT, MismatchedIndexOrigin,
-                    Polydisk, WEAK, ball_capacities, capacities, dominates,
-                    ellipsoid_capacities, ellipsoid_full_capacities,
+from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
+                    Ellipsoid, INTERIOR_STRICT, MismatchedIndexOrigin,
+                    Polydisk, WEAK, ball_capacities, capacities, describe,
+                    dominates, ellipsoid_capacities, ellipsoid_full_capacities,
                     nk_sequence, nk_via_triangle, polydisk_capacities, scale)
+from echcap.cli import format_value, main
 
 F = Fraction
 
@@ -220,3 +223,88 @@ def test_dominates_requires_matching_origin():
     with pytest.raises(MismatchedIndexOrigin):
         dominates(ellipsoid_capacities(1, 1, 5),
                   ellipsoid_full_capacities(1, 1, 5))
+
+
+# -- the int form read directly (den set) against the value form ---------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 89, 97)
+
+
+def random_domain(rng, parts=1):
+    """A ball, ellipsoid or polydisk with sizes over prime denominators, or
+    a disjoint union of `parts` of them."""
+    def size():
+        q = rng.choice(PRIMES)
+        return F(rng.randint(q // 2 + 1, 3 * q), q)
+    if parts > 1:
+        return DisjointUnion([random_domain(rng) for _ in range(parts)])
+    kind = rng.choice((Ball, Ellipsoid, Polydisk))
+    return kind(size()) if kind is Ball else kind(size(), size())
+
+
+def value_form(seq):
+    """The same entries held as CapacityValues (den None), which makes every
+    consumer take its value path."""
+    return CapacitySequence.__new__(CapacitySequence)._store(
+        seq.index_origin, None, tuple(seq))
+
+
+def test_cli_int_rendering_matches_format_value(capsys):
+    rng = random.Random(14)
+    for trial in range(24):
+        domain = random_domain(rng, parts=1 + trial % 3)
+        kmax = rng.randint(0, 400 if trial % 3 == 0 else 60)
+        seq = capacities(domain, kmax)
+        assert seq.den is not None
+        expected = ",".join(format_value(v) for v in seq)
+        spec = describe(domain)
+        assert main(["capacities", spec, "--kmax", str(kmax)]) == 0
+        assert capsys.readouterr().out == expected + "\n", spec
+        assert main(["capacities", spec, "--kmax", str(kmax), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == expected.split(",")
+    for a, b in [(F(7, 3), F(5, 11)), (F(13, 7), F(13, 7)), (F(1), F(89, 97))]:
+        spec = f"ellipsoid({a},{b})"
+        expected = ",".join(map(format_value, ellipsoid_full_capacities(a, b, 300)))
+        assert main(["capacities", spec, "--kmax", "300", "--full"]) == 0
+        assert capsys.readouterr().out == expected + "\n", spec
+
+
+def assert_same_dominance(lower, upper, mode):
+    got = dominates(lower, upper, mode)
+    want = dominates(value_form(lower), value_form(upper), mode)
+    assert got == want and repr(got) == repr(want), (lower, upper, mode)
+    return got
+
+
+def test_dominates_int_path_matches_value_path():
+    rng = random.Random(1414)
+    outcomes = set()
+    for trial in range(60):
+        kmax = rng.randint(1, 200)
+        lower = capacities(random_domain(rng, parts=1 + trial % 2), kmax)
+        upper = capacities(random_domain(rng, parts=1 + trial % 3 // 2), kmax)
+        for mode in (WEAK, INTERIOR_STRICT):
+            verdict = assert_same_dominance(lower, upper, mode)
+            outcomes.add((mode, verdict.dominated, lower.den == upper.den))
+    # both verdicts in both modes, over mismatched denominators
+    assert {(m, d, False) for m in (WEAK, INTERIOR_STRICT)
+            for d in (True, False)} <= outcomes
+
+
+def test_dominates_int_path_on_equal_entries_over_other_dens():
+    # c_1 = 89/97 on both sides, stored over different denominators
+    ball = ball_capacities(F(89, 97), 50)
+    for outer in (ellipsoid_capacities(F(89, 97), F(101, 89), 50),
+                  ellipsoid_capacities(F(89, 97), F(269, 101), 50),
+                  capacities(DisjointUnion([Ball(F(89, 97)), Ball(F(1, 101))]), 50)):
+        assert outer.den != ball.den
+        weak = assert_same_dominance(ball, outer, WEAK)
+        strict = assert_same_dominance(ball, outer, INTERIOR_STRICT)
+        assert weak.dominated
+        assert (strict.dominated, strict.k) == (False, 1)
+        assert strict.lower == strict.upper == CapacityValue.exact(F(89, 97))
+    # equal entries first at k = 3, after strict inequalities at k = 1, 2
+    lower = CapacitySequence._from_ints(0, 6, [0, 1, 2, 6, 7])
+    upper = CapacitySequence._from_ints(0, 4, [0, 1, 2, 4, 4])
+    assert assert_same_dominance(lower, upper, WEAK).k == 4
+    assert assert_same_dominance(lower, upper, INTERIOR_STRICT).k == 3

@@ -60,6 +60,20 @@ def test_deeply_nested_spec_is_a_parse_error(capsys):
     assert "Traceback" not in err
 
 
+def test_union_nested_too_deep_to_evaluate_is_a_usage_error(capsys):
+    # 600 levels parse, but hashing and evaluating the parts recurse once
+    # per level (or more) and run out of stack
+    for depth, code in [(300, 0), (600, 2)]:
+        spec = "union(" * depth + "ball(1)" + ")" * depth
+        assert main(["capacities", spec, "--kmax", "3"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out == "0,1,1,2\n"
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: spec nested too deeply\n"
+
+
 def test_format_value():
     assert format_value(CapacityValue.exact(Fraction(5))) == "5"
     assert format_value(CapacityValue.exact(Fraction(3, 2))) == "3/2"

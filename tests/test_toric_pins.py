@@ -8,7 +8,11 @@ and the length arithmetic with the code under test; this file shares
 nothing with it, so it also pins the witnesses those share.  Its "sequences"
 key holds the sha256 of `echcap capacities` csv output for closed forms and
 unions over prime denominators, as computed when a sequence still held one
-CapacityValue reference per entry instead of ints over a denominator.
+CapacityValue reference per entry instead of ints over a denominator.  Its
+"commands" key holds the exit code and the sha256 of the stdout of
+`capacities --format json` and `--full`, `embed` in both modes, `qw` and
+`asym` in csv and json, as computed when those commands still read every
+entry of a sequence as a CapacityValue instead of its ints.
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -50,6 +54,44 @@ SEQUENCES = [
     "union(toric(euclidean);polydisk(13/11,2);ellipsoid(7/3,5/11)) --kmax 14",
 ]
 
+# full argv of CLI calls whose outputs read a sequence's ints
+COMMANDS = [
+    "capacities ball(89/97) --kmax 3000 --format json",
+    "capacities ellipsoid(101/89,97/83) --kmax 3000 --format json",
+    "capacities polydisk(89/97,101/103) --kmax 2000 --format json",
+    "capacities union(ball(89/97);ellipsoid(101/89,97/83)) --kmax 1500 --format json",
+    "capacities union(toric(l1:7/3,2);ball(11/13)) --kmax 20 --format json",
+    "capacities union(toric(euclidean);ball(3/2)) --kmax 16 --format json",
+    "capacities ellipsoid(7/3,5/11) --kmax 3000 --full --format json",
+    "capacities ball(13/7) --kmax 2000 --full --format json",
+    "capacities ellipsoid(101/89,97/83) --kmax 2000 --full",
+    "embed ellipsoid(101/89,97/83) ellipsoid(7/5,9/7) --kmax 2000",
+    "embed ellipsoid(101/89,97/83) ellipsoid(7/5,9/7) --kmax 2000 --mode strict",
+    "embed ball(89/97) ellipsoid(89/97,101/89) --kmax 1500",
+    "embed ball(89/97) ellipsoid(89/97,101/89) --kmax 1500 --mode strict",
+    "embed ellipsoid(1,97/13) ball(273/100) --kmax 1500",
+    "embed ellipsoid(1,97/13) ball(273/100) --kmax 1500 --mode strict",
+    "embed polydisk(89/97,101/103) ball(97/53) --kmax 1500 --mode strict",
+    "embed union(ball(3/7);ball(5/11)) ball(13/17) --kmax 800",
+    "embed union(ball(3/7);ball(5/11)) ball(31/29) --kmax 800 --mode strict",
+    "embed ball(1/2) union(ball(3/7);polydisk(13/11,5/17)) --kmax 800",
+    "embed ball(2/5) union(ball(3/7);polydisk(13/11,5/17)) --kmax 800 --mode strict",
+    "embed union(toric(euclidean);ball(3/2)) ball(3) --kmax 12",
+    "qw ball(89/97) --kmax 3000",
+    "qw ellipsoid(101/89,97/83) --kmax 3000",
+    "qw polydisk(89/97,101/103) --kmax 1000",
+    "qw union(ball(3/7);polydisk(13/11,5/17);ball(19/23)) --kmax 500",
+    "qw union(ball(89/97);ellipsoid(101/89,97/83)) --kmax 800",
+    "qw toric(euclidean) --kmax 10",
+    "asym ball(89/97) --kmax 2000 --stride 7",
+    "asym ball(89/97) --kmax 2000 --stride 7 --format json",
+    "asym ellipsoid(101/89,97/83) --kmax 3000",
+    "asym ellipsoid(101/89,97/83) --kmax 3000 --stride 50 --format json",
+    "asym union(ball(3/7);ellipsoid(7/3,5/11)) --kmax 600 --stride 3",
+    "asym union(ball(3/7);ellipsoid(7/3,5/11)) --kmax 600 --stride 3 --format json",
+    "asym toric(euclidean) --kmax 12 --format json",
+]
+
 
 def entry_points(norm, kmax):
     return {
@@ -83,6 +125,16 @@ def sequence_digests():
     return out
 
 
+def command_digests():
+    out = {}
+    for argv in COMMANDS:
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = main(argv.split())
+        out[argv] = [code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
+    return out
+
+
 def pins():
     return {name: {**entry_points(norm, kmax), "enumerate_polygons": polygon_lists(norm)}
             for name, (norm, kmax) in NORMS.items()}
@@ -94,7 +146,7 @@ def test_toric_entry_points_match_pins():
     for name in NORMS:
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
-    assert got.keys() == expected.keys() - {"sequences"}
+    assert got.keys() == expected.keys() - {"sequences", "commands"}
 
 
 def test_sequences_match_pins():
@@ -105,11 +157,20 @@ def test_sequences_match_pins():
     assert got.keys() == expected.keys()
 
 
+def test_commands_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["commands"]
+    got = command_digests()
+    for argv, pin in expected.items():
+        assert got[argv] == pin, argv
+    assert got.keys() == expected.keys()
+
+
 if __name__ == "__main__":
     # one line per entry point and norm, or per sequence, so a diff shows
     # which one moved
     FIXTURE.write_text("{\n" + ",\n".join(
         f"{json.dumps(name)}: {{\n" + ",\n".join(
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
-        + "\n}" for name, records in {**pins(), "sequences": sequence_digests()}.items())
+        + "\n}" for name, records in {**pins(), "sequences": sequence_digests(),
+                              "commands": command_digests()}.items())
         + "\n}\n", encoding="utf-8")

@@ -210,3 +210,23 @@ def test_full_sequence_indexing():
     assert seq[1] == e(0)
     with pytest.raises(IndexError):
         seq[0]
+
+
+def test_sequences_over_different_dens_compare_on_ints(monkeypatch):
+    thirds = CapacitySequence._from_ints(0, 3, [0, 1, 3, 3, 5])
+    sixths = CapacitySequence._from_ints(0, 6, [0, 2, 6, 6, 10])
+    by_value = CapacitySequence.__new__(CapacitySequence)._store(0, None, tuple(thirds))
+    unequal = [CapacitySequence._from_ints(0, 6, [0, 2, 6, 6, 11]),
+               CapacitySequence._from_ints(0, 6, [0, 2, 6, 6]),
+               CapacitySequence._from_ints(1, 6, [0, 2, 6, 6, 10])]
+
+    def no_values(*args):
+        raise AssertionError("comparing two int-form sequences built a value")
+
+    monkeypatch.setattr(CapacityValue, "exact", no_values)
+    assert thirds == sixths and sixths == thirds
+    for other in unequal:
+        assert thirds != other and other != thirds
+    monkeypatch.undo()
+    assert by_value == sixths and sixths == by_value
+    assert by_value != unequal[0]
