@@ -97,11 +97,14 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
                         kmax: int) -> CapacitySequence:
     """Capacities of P(a, b): entry k is min{a*m + b*n : (m+1)(n+1) >= k+1}.
 
-    A minimizer for k has m <= k and the smallest n its m allows,
-    n + 1 = ceil((k+1)/(m+1)), so its product (m+1)(n+1) is below
-    k+1 + m+1 <= 2(k+1).  One sweep over those pairs finds the cheapest
-    a*m + b*n for every product up to 2*kmax + 1; entry k is the minimum
-    over the products >= k+1.
+    Equivalently c_k = min{v : max{(m+1)(n+1) : a*m + b*n <= v} >= k+1}, so
+    one walk over the lattice values v = a*m + b*n in increasing order, with
+    the running maximum P of their products, gives every entry: when P rises
+    from P_old to P_new at v, entries P_old .. min(P_new, kmax+1) - 1 are v.
+    Any m bounds c_kmax by a*m + b*(ceil((kmax+1)/(m+1)) - 1); the best of a
+    few m near sqrt(b(kmax+1)/a) is the level.  As in _nk_values, the values
+    up to that level (about 2(kmax+1) of them) are enumerated, here as keys
+    v * radix + (m+1)(n+1), and sorted once.
     """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
@@ -109,15 +112,27 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     den, (a, b) = _over_common_denominator(a, b)
-    top = 2 * kmax + 1
-    cheapest = [b * (p - 1) for p in range(top + 1)]   # m = 0, n = p - 1
-    for u in range(2, kmax + 2):                         # u = m + 1
-        v = -(-(kmax + 1) // u)                           # largest n + 1 needed
-        base = a * (u - 1)
-        cheapest[u:u * v + 1:u] = map(min, cheapest[u:u * v + 1:u],
-                                      range(base, base + b * v, b))
-    suffix = list(accumulate(reversed(cheapest), min))[::-1]
-    return CapacitySequence._from_ints(0, den, suffix[1:kmax + 2])
+    need = kmax + 1
+    u = math.isqrt(b * need // a)
+    level = min(a * m + b * (-(-need // (m + 1)) - 1)
+                for m in range(max(0, min(u, need - 1) - 2), min(u + 3, need)))
+    radix = (level // a + 1) * (level // b + 1) + 1   # above every product
+    keys: List[int] = []
+    for m in range(level // a + 1):
+        # key of (m, n) = (a*m + b*n) * radix + (m+1)(n+1): a progression in n
+        start, step = a * m * radix + m + 1, b * radix + m + 1
+        keys.extend(range(start, start + ((level - a * m) // b + 1) * step, step))
+    keys.sort()
+    entries: List[int] = []
+    reached = 0
+    for key in keys:
+        v, product = divmod(key, radix)
+        if product > reached:
+            entries.extend([v] * (min(product, need) - reached))
+            reached = product
+            if reached >= need:
+                break
+    return CapacitySequence._from_ints(0, den, entries)
 
 
 def maxplus_convolve(first: Sequence[CapacityValue],

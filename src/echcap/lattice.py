@@ -25,7 +25,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import CapacityValue, RationalLike, _squarefree, as_fraction
+from .values import (CapacityValue, RationalLike, _over_common_denominator,
+                     _squarefree, as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -146,20 +147,28 @@ class Polygonal(Norm):
         verts = [_pair(v) for v in self.vertices]
         if len(verts) < 4:
             raise ValueError("polygonal unit ball needs at least 4 vertices")
-        verts.sort(key=lambda p: (math.atan2(p[1], p[0]), p[0] * p[0] + p[1] * p[1]))
-        for (x, y) in verts:
-            if x == 0 and y == 0:
-                raise ValueError("origin cannot be a vertex of the unit ball")
-        n = len(verts)
+        # the tests run on the vertices times their common denominator; the
+        # float angle key orders them, and the exact convexity and origin
+        # tests, which make every step turn left by less than pi, confirm
+        # that order (the float angles add up to one turn)
+        flat = _over_common_denominator(*(c for v in verts for c in v))[1]
+        points = list(zip(flat[::2], flat[1::2]))
+        order = sorted(range(len(verts)), key=lambda i: (
+            math.atan2(verts[i][1], verts[i][0]),
+            points[i][0] * points[i][0] + points[i][1] * points[i][1]))
+        verts, points = [verts[i] for i in order], [points[i] for i in order]
+        if (0, 0) in points:
+            raise ValueError("origin cannot be a vertex of the unit ball")
+        n = len(points)
         for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            cx, cy = verts[(i + 2) % n]
+            ax, ay = points[i]
+            bx, by = points[(i + 1) % n]
+            cx, cy = points[(i + 2) % n]
             if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
                 raise ValueError("unit ball vertices must be in strictly convex position")
             if ax * by - ay * bx <= 0:
                 raise ValueError("unit ball must contain the origin in its interior")
-        if set(verts) != {(-x, -y) for (x, y) in verts}:
+        if set(points) != {(-x, -y) for (x, y) in points}:
             raise ValueError("unit ball must be centrally symmetric")
         object.__setattr__(self, "vertices", tuple(verts))
 

@@ -10,6 +10,7 @@ the area of the round unit disk (pi) and through approx() inputs.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -310,10 +311,12 @@ class CapacitySequence:
         self.index_origin, self.den, self._items = index_origin, den, items
         if index_origin == 0 and self[0] != CapacityValue.exact(0):
             raise ValueError(f"distinguished sequences start at 0, got {self[0]!r}")
-        for k, (a, b) in enumerate(zip(items, items[1:]), index_origin):
-            if a > b:   # ints, or CapacityValue.compare() > 0
-                raise ValueError(f"sequence not nondecreasing at k={k}: "
-                                 f"{self[k]!r} > {self[k + 1]!r}")
+        # ints, or CapacityValue.compare() > 0; the loop only names the k
+        if any(map(operator.gt, items, islice(items, 1, None))):
+            for k, (a, b) in enumerate(zip(items, islice(items, 1, None)), index_origin):
+                if a > b:
+                    raise ValueError(f"sequence not nondecreasing at k={k}: "
+                                     f"{self[k]!r} > {self[k + 1]!r}")
         return self
 
     @property

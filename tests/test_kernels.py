@@ -1,7 +1,8 @@
 """Differential tests: the integer kernels against per-entry Fraction oracles.
 
 The oracles are the earlier Fraction implementations of the closed forms,
-the quadratic max-plus convolution and the sampled two-part union trace.
+the earlier product-table polydisk kernel, the quadratic max-plus
+convolution and the sampled two-part union trace.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
                     ellipsoid_capacities, maxplus_convolve, nk_sequence,
                     nk_via_triangle, polydisk_capacities, volume_ratio_trace)
 from echcap.cli import format_value
+from echcap.values import _over_common_denominator
 
 F = Fraction
 SMALL_DENS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
@@ -67,6 +69,23 @@ def polydisk_entry_oracle(a, b, k):
             break
         t = -(-need // (q - 1))
     return best
+
+
+def polydisk_sweep_oracle(a, b, kmax):
+    """(den, ints) of the polydisk capacities from a table of the cheapest
+    a*m + b*n for each product (m+1)(n+1) up to 2*kmax + 1 and its suffix
+    minimum: a minimizer for k has n + 1 = ceil((k+1)/(m+1)), so its
+    product is below k+1 + m+1 <= 2(k+1)."""
+    den, (a, b) = _over_common_denominator(F(a), F(b))
+    top = 2 * kmax + 1
+    cheapest = [b * (p - 1) for p in range(top + 1)]   # m = 0, n = p - 1
+    for u in range(2, kmax + 2):                         # u = m + 1
+        v = -(-(kmax + 1) // u)                           # largest n + 1 needed
+        base = a * (u - 1)
+        cheapest[u:u * v + 1:u] = map(min, cheapest[u:u * v + 1:u],
+                                      range(base, base + b * v, b))
+    suffix = list(itertools.accumulate(reversed(cheapest), min))[::-1]
+    return den, suffix[1:kmax + 2]
 
 
 def maxplus_oracle(first, second, kmax):
@@ -148,6 +167,31 @@ def test_spot_entries_at_k_1e5(make, a, b):
             # and at least k+1 lie at or below it
             assert triangle_count_oracle(a, b, value, strict=True) <= k
             assert triangle_count_oracle(a, b, value) >= k + 1
+
+
+PRIMES = [p for p in range(2, 1010) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_polydisk_matches_sweep_oracle():
+    rng = random.Random(1009)
+    cases = [(F(1, 9), F(7), 900), (F(7), F(1, 9), 900), (F(13, 7), F(13, 7), 900),
+             (F(1), F(100), 2000), (F(97, 89), F(97, 89), 0), (F(1, 1009), F(1), 1)]
+    for _ in range(150):
+        p, q = rng.choice(PRIMES), rng.choice(PRIMES)
+        a = F(rng.randint(1, 3 * p), p)
+        b = a * rng.randint(1, 100) if rng.random() < 0.3 else F(rng.randint(1, 3 * q), q)
+        if rng.random() < 0.5:
+            a, b = b, a
+        cases.append((a, b, rng.randint(0, 2000) if rng.random() < 0.5 else rng.randint(0, 60)))
+    for a, b, kmax in cases:
+        seq = polydisk_capacities(a, b, kmax)
+        assert (seq.den, list(seq._items)) == polydisk_sweep_oracle(a, b, kmax), (a, b, kmax)
+
+
+def test_polydisk_full_sequence_at_k_2e4():
+    a, b, kmax = F(101, 89), F(97, 83), 2 * 10 ** 4
+    seq = polydisk_capacities(a, b, kmax)
+    assert (seq.den, list(seq._items)) == polydisk_sweep_oracle(a, b, kmax)
 
 
 # -- max-plus ------------------------------------------------------------------

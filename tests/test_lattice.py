@@ -1,7 +1,9 @@
 import itertools
 import math
+import pathlib
 import pickle
 import random
+import runpy
 from fractions import Fraction
 
 import pytest
@@ -158,6 +160,88 @@ def test_polygonal_validation():
         Polygonal(((1, 0), (0, 1), (-1, 0)))  # not symmetric
     with pytest.raises(ValueError):
         Polygonal(((1, 0), (2, 0), (-1, 0), (-2, 0)))  # degenerate
+
+
+def polygonal_oracle(vertices):
+    """The unit-ball vertices as Polygonal stored them when it sorted the
+    Fractions by a float atan2 key and tested them in Fraction arithmetic,
+    or the ValueError message it raised."""
+    verts = [(F(x), F(y)) for x, y in vertices]
+    if len(verts) < 4:
+        return "polygonal unit ball needs at least 4 vertices"
+    verts.sort(key=lambda p: (math.atan2(p[1], p[0]), p[0] * p[0] + p[1] * p[1]))
+    for (x, y) in verts:
+        if x == 0 and y == 0:
+            return "origin cannot be a vertex of the unit ball"
+    n = len(verts)
+    for i in range(n):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        cx, cy = verts[(i + 2) % n]
+        if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
+            return "unit ball vertices must be in strictly convex position"
+        if ax * by - ay * bx <= 0:
+            return "unit ball must contain the origin in its interior"
+    if set(verts) != {(-x, -y) for (x, y) in verts}:
+        return "unit ball must be centrally symmetric"
+    return tuple(verts)
+
+
+def built(vertices):
+    try:
+        return Polygonal(vertices).vertices
+    except ValueError as exc:
+        return str(exc)
+
+
+def symmetric_hull(points):
+    """Vertices of the convex hull of points and their negatives, strictly
+    convex, counterclockwise (monotone chain)."""
+    pts = sorted(set(points) | {(-x, -y) for x, y in points})
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    return half(pts) + half(pts[::-1])
+
+
+def test_polygonal_order_and_errors_match_atan2_oracle():
+    workloads = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    rng = random.Random(23)
+    cases = [list(v) for v in runpy.run_path(str(workloads))["POLY_NORMS"]]
+    dens = (1, 2, 3, 7, 11, 89, 97, 1009)
+    for _ in range(300):
+        hull = symmetric_hull([(F(rng.randint(-40, 40), rng.choice(dens)),
+                                F(rng.randint(-40, 40), rng.choice(dens)))
+                               for _ in range(rng.randint(2, 7))])
+        cases.append(hull)
+        # the same points out of order, and broken: an inner or a doubled
+        # point, a lost mirror image, the origin, points on a line
+        damaged = list(hull)
+        cut = rng.random()
+        if cut < 0.2 and hull:
+            damaged.append(tuple(c / 2 for c in rng.choice(hull)))
+        elif cut < 0.35 and hull:
+            damaged.append(rng.choice(hull))
+        elif cut < 0.5 and hull:
+            damaged.pop(rng.randrange(len(damaged)))
+        elif cut < 0.6:
+            damaged.append((0, 0))
+        elif cut < 0.7:
+            damaged = [(c, 2 * c) for c in range(-3, 4) if c]
+        rng.shuffle(damaged)
+        cases.append(damaged)
+    for vertices in cases:
+        rng.shuffle(vertices)
+        got = built(vertices)
+        assert got == polygonal_oracle(vertices), vertices
+        if isinstance(got, tuple):
+            assert all(type(c) is F for v in got for c in v)
 
 
 def test_dual_norm_involution():

@@ -12,7 +12,10 @@ CapacityValue reference per entry instead of ints over a denominator.  Its
 "commands" key holds the exit code and the sha256 of the stdout of
 `capacities --format json` and `--full`, `embed` in both modes, `qw` and
 `asym` in csv and json, as computed when those commands still read every
-entry of a sequence as a CapacityValue instead of its ints.
+entry of a sequence as a CapacityValue instead of its ints.  Its "polydisk"
+key holds the same for `capacities`, `asym` and `qw` of polydisks and of
+unions with a polydisk part, as computed when the polydisk kernel still
+filled a table of the cheapest value per product (m+1)(n+1).
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -92,6 +95,28 @@ COMMANDS = [
     "asym toric(euclidean) --kmax 12 --format json",
 ]
 
+# full argv of CLI calls that run the polydisk kernel: prime denominators,
+# a thin pair, equal sizes, the smallest kmax, unions with a polydisk part
+POLYDISK_COMMANDS = [
+    f"capacities {spec} --kmax {kmax} --format {fmt}"
+    for spec in ("polydisk(97/89,101/103)", "polydisk(1/9,7)", "polydisk(13/7,13/7)")
+    for kmax in (0, 1, 2, 900) for fmt in ("csv", "json")
+] + [
+    "capacities union(polydisk(97/89,101/103);ellipsoid(7/3,5/11)) --kmax 900",
+    "capacities union(polydisk(97/89,101/103);ellipsoid(7/3,5/11)) --kmax 900 --format json",
+    "capacities union(ball(3/7);polydisk(1/9,7);polydisk(13/7,13/7)) --kmax 600",
+    "capacities union(ball(3/7);polydisk(1/9,7);polydisk(13/7,13/7)) --kmax 600 --format json",
+    "asym union(ellipsoid(38/43,56/71);polydisk(1/2,3/4)) --kmax 577 --stride 38",
+    "asym union(ellipsoid(38/43,56/71);polydisk(1/2,3/4)) --kmax 577 --stride 38 --format json",
+    "asym polydisk(1/9,7) --kmax 900 --stride 11",
+    "qw polydisk(97/89,101/103) --kmax 900",
+    "qw polydisk(1/9,7) --kmax 900",
+    "qw polydisk(13/7,13/7) --kmax 900",
+    "qw union(polydisk(97/89,101/103);ellipsoid(7/3,5/11)) --kmax 600",
+    "embed polydisk(1/9,7) ball(97/89) --kmax 900",
+    "embed ball(1/2) polydisk(13/7,13/7) --kmax 900 --mode strict",
+]
+
 
 def entry_points(norm, kmax):
     return {
@@ -125,9 +150,9 @@ def sequence_digests():
     return out
 
 
-def command_digests():
+def command_digests(commands=COMMANDS):
     out = {}
-    for argv in COMMANDS:
+    for argv in commands:
         stdout = io.StringIO()
         with redirect_stdout(stdout):
             code = main(argv.split())
@@ -146,7 +171,7 @@ def test_toric_entry_points_match_pins():
     for name in NORMS:
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
-    assert got.keys() == expected.keys() - {"sequences", "commands"}
+    assert got.keys() == expected.keys() - {"sequences", "commands", "polydisk"}
 
 
 def test_sequences_match_pins():
@@ -165,6 +190,14 @@ def test_commands_match_pins():
     assert got.keys() == expected.keys()
 
 
+def test_polydisk_commands_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["polydisk"]
+    got = command_digests(POLYDISK_COMMANDS)
+    for argv, pin in expected.items():
+        assert got[argv] == pin, argv
+    assert got.keys() == expected.keys()
+
+
 if __name__ == "__main__":
     # one line per entry point and norm, or per sequence, so a diff shows
     # which one moved
@@ -172,5 +205,6 @@ if __name__ == "__main__":
         f"{json.dumps(name)}: {{\n" + ",\n".join(
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
         + "\n}" for name, records in {**pins(), "sequences": sequence_digests(),
-                              "commands": command_digests()}.items())
+                              "commands": command_digests(),
+                              "polydisk": command_digests(POLYDISK_COMMANDS)}.items())
         + "\n}\n", encoding="utf-8")

@@ -203,6 +203,29 @@ def test_sequence_validation():
     assert capacities(ToricNorm(EUCLIDEAN), 4).den is None
 
 
+@pytest.mark.parametrize("origin", [0, 1])
+def test_first_decrease_is_named_in_both_forms(origin):
+    e = CapacityValue.exact
+    ints = [0, 7, 7, 21, 14, 14, 7, 28]          # over den 7: decreases after k = 3, 5
+    values = [e(Fraction(v, 7)) for v in ints]
+    k = 3 + origin
+    message = rf"^sequence not nondecreasing at k={k}: CapacityValue\(3\) > CapacityValue\(2\)$"
+    with pytest.raises(ValueError, match=message):
+        CapacitySequence._from_ints(origin, 7, ints)
+    with pytest.raises(ValueError, match=message):   # the value form
+        CapacitySequence.__new__(CapacitySequence)._store(origin, None, tuple(values))
+    with pytest.raises(ValueError, match=message):   # exact entries, stored as ints
+        CapacitySequence(origin, values)
+    if origin == 1:   # a full spectrum need not start at 0: its first pair counts
+        with pytest.raises(ValueError, match=r"^sequence not nondecreasing at k=1: "):
+            CapacitySequence._from_ints(1, 7, [14, 7])
+    # a Euclidean value keeps the value form; the decrease is found the same way
+    root2 = CapacityValue.sqrt_rational(2)
+    message = rf"^sequence not nondecreasing at k={1 + origin}: CapacityValue\(2\) > "
+    with pytest.raises(ValueError, match=message):
+        CapacitySequence(origin, [e(0), e(2), root2, e(3), e(1)])
+
+
 def test_full_sequence_indexing():
     e = CapacityValue.exact
     seq = CapacitySequence(1, [e(0), e(1)])
