@@ -490,9 +490,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = args.run(args)
     except ToricEnumerationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if exc.directions_total is not None:
-            sys.stderr.write(f"note: search stopped at direction "
-                             f"{exc.directions_done + 1} of {exc.directions_total}\n")
+        sys.stderr.write(f"note: search stopped at direction "
+                         f"{exc.directions_done + 1} of {exc.directions_total}\n")
         return EXIT_BUDGET
     except (SpecParseError, ApproxTie, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from typing import Optional
-
 
 class EchcapError(Exception):
     """Base class for errors raised by this package."""
@@ -25,13 +23,11 @@ class ToricEnumerationBudgetExceeded(EchcapError):
     Carries the node limit, the lattice-point cap and the perimeter budget
     of the search that ran out, the nodes it had visited when it stopped,
     and how far it got: directions_done of directions_total edge directions
-    were complete.  Every polygon search walks its edge directions one by
-    one and sets both; they are None only when a caller leaves them out.
+    were complete.
     """
 
     def __init__(self, node_limit: int, max_count: int, budget: float,
-                 nodes: int, directions_done: Optional[int] = None,
-                 directions_total: Optional[int] = None):
+                 nodes: int, directions_done: int, directions_total: int):
         super().__init__(node_limit, max_count, budget, nodes,
                          directions_done, directions_total)
         self.node_limit = node_limit

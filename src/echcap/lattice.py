@@ -19,19 +19,21 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
-                     _squarefree, as_fraction)
+                     _sign, _squarefree, as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
 IntPoint = Tuple[int, int]
 Length = Union[int, float]     # a search length: int over a denominator, or float
+# a chain of the search: (length, nedges, picks, weight), see _chain_cells
+Entry = Tuple[Length, int, tuple, int]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -386,24 +388,6 @@ def reeb_orbit_data(norm: Norm, m: int, n: int):
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-class _Chain:
-    """A convex chain of upper half-plane edges, as the search pairs it.
-
-    weight = (twice the area between the chain and the chords to the origin)
-    plus (number of boundary lattice steps); pairing two chains of equal
-    displacement d yields the closed polygon whose lattice point count is
-    (weight1 + weight2) / 2 + 1.
-    """
-
-    __slots__ = ("picks", "length", "weight", "nedges")
-
-    def __init__(self, picks, length, weight):
-        self.picks = picks          # tuple of (px, py, mult), increasing angle
-        self.length = length        # in the units of the search's _Lengths
-        self.weight = weight
-        self.nedges = len(picks)    # distinct edge directions contributed
-
-
 def _floor(value: CapacityValue) -> int:
     """Exact floor of a value with an exact form: its float's floor, moved
     by exact comparisons until it is the floor."""
@@ -484,12 +468,12 @@ class _Lengths:
                                           + self.unit[px, py].scaled(c))
         return total
 
-    def value(self, chain1: _Chain, chain2: _Chain) -> CapacityValue:
+    def value(self, entry1: Entry, entry2: Entry) -> CapacityValue:
         """Exact perimeter of the polygon that pairs the two chains."""
+        (length1, _, picks1, _), (length2, _, picks2, _) = entry1, entry2
         if self.den is not None:
-            return CapacityValue.exact(Fraction(chain1.length + chain2.length,
-                                                self.den))
-        return self.exact(chain1.picks) + self.exact(chain2.picks)
+            return CapacityValue.exact(Fraction(length1 + length2, self.den))
+        return self.exact(picks1) + self.exact(picks2)
 
     def key(self, picks: tuple) -> tuple:
         """A Euclidean length sum c s sqrt(r), px^2 + py^2 = s^2 r with r square-
@@ -500,24 +484,29 @@ class _Lengths:
             coef[r] = coef.get(r, 0) + c * s
         return tuple(sorted(coef.items()))
 
-    def compare(self, entry1, entry2) -> int:
-        """Order of two cell entries (length, nedges, picks) with Euclidean float
-        lengths within eps: exact length (equal if keys are), nedges, picks."""
-        if self.key(entry1[2]) != self.key(entry2[2]):
-            return self.exact(entry1[2]).compare(self.exact(entry2[2]))
-        return (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:])
+    @staticmethod
+    def order(key1: tuple, key2: tuple) -> int:
+        """Exact order of two Euclidean lengths given by their keys: equal
+        keys are equal lengths, and unequal ones are compared exactly."""
+        return 0 if key1 == key2 else _sign(key1, key2)
 
-    def fits(self, chain1: _Chain, chain2: _Chain) -> bool:
+    def compare(self, entry1: Entry, entry2: Entry) -> int:
+        """Order of two cell entries with Euclidean float lengths within eps:
+        exact length, nedges, picks."""
+        return self.order(self.key(entry1[2]), self.key(entry2[2])) or (
+            (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:]))
+
+    def fits(self, entry1: Entry, entry2: Entry) -> bool:
         """Whether the pair's perimeter is within the budget.  A Euclidean
         pair gets an exact value only when its float lies within eps of an
         exact budget."""
-        length = chain1.length + chain2.length
+        length = entry1[0] + entry2[0]
         if length > self.limit:
             return False
         if self.den is not None or self.budget is None \
                 or length < self.budget_f - self.eps:
             return True
-        return self.value(chain1, chain2).compare(self.budget) <= 0
+        return self.value(entry1, entry2).compare(self.budget) <= 0
 
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
@@ -536,16 +525,17 @@ def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     return dirs
 
 
-def _polygon_from_pair(upper: _Chain, lower: _Chain) -> LatticePolygon:
+def _polygon_from_pair(upper: Entry, lower: Entry) -> LatticePolygon:
     """Close an upper chain against the negation of another with the same
     displacement.  Both edge blocks are already in increasing angular order."""
+    (_, _, upper_picks, _), (_, _, lower_picks, _) = upper, lower
     verts = []
     x = y = 0
-    for px, py, c in upper.picks:
+    for px, py, c in upper_picks:
         verts.append((x, y))
         x += px * c
         y += py * c
-    for px, py, c in lower.picks:
+    for px, py, c in lower_picks:
         verts.append((x, y))
         x -= px * c
         y -= py * c
@@ -559,18 +549,19 @@ def _preference(poly: LatticePolygon):
 
 
 def _pairs(lengths: _Lengths, table, max_count: int
-           ) -> Iterator[Tuple[int, _Chain, _Chain]]:
-    """(count, chain1, chain2) for every two chains of one displacement of a
-    _chain_cells table, chain1 not after chain2, that close to polygons
-    (chain1 or chain2 as the upper chain) of count = (weight1 + weight2) / 2
+           ) -> Iterator[Tuple[int, Entry, Entry]]:
+    """(count, entry1, entry2) for every two entries of one displacement of a
+    _chain_cells table, entry1 not after entry2, whose chains close to
+    polygons (either as the upper chain) of count = (weight1 + weight2) / 2
     + 1 <= max_count lattice points and fit the budget."""
     for cells in table.values():
-        chains = [_Chain(picks, length, w) for length, _, picks, w in cells.values()]
-        for i, chain1 in enumerate(chains):
-            for chain2 in chains[i:]:
-                count = (chain1.weight + chain2.weight) // 2 + 1
-                if count <= max_count and lengths.fits(chain1, chain2):
-                    yield count, chain1, chain2
+        entries = list(cells.values())
+        for i, entry1 in enumerate(entries):
+            weight1 = entry1[3]
+            for entry2 in entries[i:]:
+                count = (weight1 + entry2[3]) // 2 + 1
+                if count <= max_count and lengths.fits(entry1, entry2):
+                    yield count, entry1, entry2
 
 
 def enumerate_polygons(target_count: int, norm: Norm, length_budget,
@@ -588,11 +579,11 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     lengths = _Lengths(norm, length_budget)
     found = [LatticePolygon.point()] if target_count == 1 else []
     table = _chain_cells(lengths, target_count, node_limit, every=True)
-    for count, chain1, chain2 in _pairs(lengths, table, target_count):
+    for count, entry1, entry2 in _pairs(lengths, table, target_count):
         if count == target_count:
-            found.append(_polygon_from_pair(chain1, chain2))
-            if chain2 is not chain1:
-                found.append(_polygon_from_pair(chain2, chain1))
+            found.append(_polygon_from_pair(entry1, entry2))
+            if entry2 is not entry1:
+                found.append(_polygon_from_pair(entry2, entry1))
     found.sort(key=_preference)
     return found
 
@@ -601,76 +592,65 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
 
 @dataclass
 class _Candidate:
-    """The cheapest chain pair of a bucket so far.
+    """The cheapest chain pair of a bucket, or the point (pair None).
 
     Its witness, the preferred one of the pair closed either way round, is
     built only when a tie or a caller asks for it.
     """
 
     value: CapacityValue
-    pair: Optional[Tuple[_Chain, _Chain]]   # None for the point
-    _witness: Optional[LatticePolygon] = None
+    pair: Optional[Tuple[Entry, Entry]]
 
-    @property
+    @cached_property
     def witness(self) -> LatticePolygon:
-        if self._witness is None:
-            upper, lower = self.pair
-            self._witness = min(_polygon_from_pair(upper, lower),
-                                _polygon_from_pair(lower, upper),
-                                key=_preference)
-        return self._witness
+        if self.pair is None:
+            return LatticePolygon.point()
+        upper, lower = self.pair
+        return min(_polygon_from_pair(upper, lower), _polygon_from_pair(lower, upper),
+                   key=_preference)
 
 
-def _prefer(best: Optional[_Candidate], cand: _Candidate) -> _Candidate:
-    """The smaller of best and cand; of equal values, the preferred witness."""
-    if best is None:
-        return cand
-    c = cand.value.compare(best.value)
-    if c == 0:
-        return cand if _preference(cand.witness) < _preference(best.witness) else best
-    return cand if c < 0 else best
-
-
-def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, _Chain, _Chain]]
+def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, Entry, Entry]]
             ) -> Dict[int, _Candidate]:
     """key -> cheapest candidate among the pairs with that key.
 
     A bucket keeps its least pair length and the pairs within eps of it:
     for rational norms exactly the pairs of least length, for the Euclidean
     norm a float window far wider than the float error, so a pair dropped
-    there is exactly longer than the bucket minimum.  Of exactly equal kept
-    lengths (equal Euclidean keys) the pairs of fewest edges (witness vertex
-    count) vie by witness for one exact value, else each pair gets its own."""
+    there is exactly longer than the bucket minimum, and of the rest only
+    those of the least key.  Of those the pairs of fewest edges (witness
+    vertex count) are kept, and a tie among them goes to the preferred
+    witness."""
     eps = lengths.eps
     near: Dict[int, list] = {}   # key -> [least length, pairs near a running least]
-    for key, chain1, chain2 in keyed_pairs:
-        length = chain1.length + chain2.length
+    for key, entry1, entry2 in keyed_pairs:
+        length = entry1[0] + entry2[0]
         bucket = near.get(key)
         if bucket is None or length < bucket[0] - eps:
             near[key] = bucket = [length, []]
         elif length > bucket[0] + eps:
             continue
-        bucket[1].append((length, chain1, chain2))
+        bucket[1].append((length, entry1, entry2))
         bucket[0] = min(bucket[0], length)
     minima = {}
     for key, (least, pairs) in near.items():
-        kept = [(c1, c2) for length, c1, c2 in pairs if length <= least + eps]
-        if lengths.den is None and len({lengths.key(c1.picks + c2.picks)
-                                        for c1, c2 in kept}) > 1:
-            minima[key] = reduce(_prefer, (_Candidate(lengths.value(*pair), pair)
-                                           for pair in kept))
-            continue
-        fewest = min(c1.nedges + c2.nedges for c1, c2 in kept)
-        tied = [p for p in kept if p[0].nedges + p[1].nedges == fewest]
+        kept = [(entry1, entry2) for length, entry1, entry2 in pairs
+                if length <= least + eps]
+        if lengths.den is None and len(kept) > 1:
+            keys = [lengths.key(entry1[2] + entry2[2]) for entry1, entry2 in kept]
+            low = min(set(keys), key=cmp_to_key(lengths.order))   # least exact length
+            kept = [pair for pair, k in zip(kept, keys) if k == low]
+        fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
+        tied = [pair for pair in kept if pair[0][1] + pair[1][1] == fewest]
         pair = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda p: _preference(_Candidate(None, p).witness))
+            tied, key=lambda pair: _preference(_Candidate(None, pair).witness))
         minima[key] = _Candidate(lengths.value(*pair), pair)
     return minima
 
 
 def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                  every: bool = False
-                 ) -> Dict[IntPoint, Dict[int, Tuple[Length, int, tuple, int]]]:
+                 ) -> Dict[IntPoint, Dict[int, Entry]]:
     """(sx, sy) -> cell -> (length, nedges, picks, weight) of the nonempty
     upper-half convex chains with length + |displacement| within the limit
     whose pairs can enclose at most max_count lattice points.  Any closed
@@ -756,33 +736,21 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     lengths = _Lengths(norm, budget)
     table = _chain_cells(lengths, max_count, node_limit)
     minima = _minima(lengths, _pairs(lengths, table, max_count))
-    minima[1] = _Candidate(CapacityValue.exact(0), None, LatticePolygon.point())
+    minima[1] = _Candidate(CapacityValue.exact(0), None)
     return minima
 
 
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:
-    """Perimeter of the cheapest rectangle (or segment) construction that is
-    guaranteed to dominate some polygon with exactly k+1 lattice points."""
+    """Perimeter of the cheapest m-by-n rectangle (or segment) with at least
+    k+1 lattice points, which dominates some polygon with exactly k+1."""
     if k == 0:
         return CapacityValue.exact(0)
     # the staircase of least m-by-n rectangles with (m+1)(n+1) > k, on ints
     ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
     den = math.lcm(ux.denominator, uy.denominator)
     ix, iy = int(ux * den), int(uy * den)
-    best = CapacityValue.exact(Fraction(2 * min(
+    return CapacityValue.exact(Fraction(2 * min(
         ix * m + iy * (k // (m + 1)) for m in range(k + 1)), den))
-    # segments along the unit ball's own vertex directions can beat the axes
-    # for skewed polygonal norms
-    if isinstance(norm, Polygonal):
-        for vx, vy in norm.vertices:
-            px, py = vx.numerator * vy.denominator, vy.numerator * vx.denominator
-            g = gcd(abs(px), abs(py))
-            if g == 0:
-                continue
-            perim = norm.length((px // g, py // g)).scaled(2 * k)
-            if perim.compare(best) < 0:
-                best = perim
-    return best
 
 
 @dataclass(frozen=True)
@@ -857,9 +825,9 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
         return CapacityValue.exact(0)   # the point, labeled by nothing
     table = _chain_cells(lengths, 2 * (k + 1), node_limit, every=True)
     best = _minima(lengths, (
-        (grading, chain1, chain2)
-        for count, chain1, chain2 in _pairs(lengths, table, 2 * (k + 1))
-        if 0 <= 2 * (count - 1 - k) <= chain1.nedges + chain2.nedges)).get(grading)
+        (grading, entry1, entry2)
+        for count, entry1, entry2 in _pairs(lengths, table, 2 * (k + 1))
+        if 0 <= 2 * (count - 1 - k) <= entry1[1] + entry2[1])).get(grading)
     if best is None:
         raise RuntimeError(f"no generator of grading {grading} found within "
                            f"budget {budget!r}; search is incomplete")

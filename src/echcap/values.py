@@ -309,7 +309,8 @@ class CapacitySequence:
         if not items:
             raise ValueError("capacity sequence needs at least one entry")
         self.index_origin, self.den, self._items = index_origin, den, items
-        if index_origin == 0 and self[0] != CapacityValue.exact(0):
+        if index_origin == 0 and (items[0] != 0 if den is not None
+                                  else items[0] != CapacityValue.exact(0)):
             raise ValueError(f"distinguished sequences start at 0, got {self[0]!r}")
         # ints, or CapacityValue.compare() > 0; the loop only names the k
         if any(map(operator.gt, items, islice(items, 1, None))):

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import pathlib
@@ -8,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (DisjointUnion, Ellipsoid, SpecParseError,
-                    ToricEnumerationBudgetExceeded, ToricNorm, WeightedL1,
-                    obstructions)
+from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
+                    WeightedL1, obstructions)
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
 from echcap.values import CapacityValue
@@ -245,23 +243,13 @@ def test_node_limit_exit_code(capsys):
     assert "perimeter budget" in err
 
 
-def test_node_limit_exit_notes_search_progress(capsys, monkeypatch):
+def test_node_limit_exit_notes_search_progress(capsys):
     assert main(["capacities", "toric(euclidean)", "--kmax", "20",
                  "--node-limit", "50"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: polygon search exceeded its node limit of 50 "
         "(lattice-point cap 21, perimeter budget 16)",
         "note: search stopped at direction 8 of 60"]
-
-    # a search without direction-by-direction progress writes no note
-    def depth_first(norm, kmax, node_limit):
-        raise ToricEnumerationBudgetExceeded(node_limit, kmax + 1, 16.0, node_limit + 1)
-
-    monkeypatch.setattr(importlib.import_module("echcap.capacities"), "_toric_minima",
-                        depth_first)
-    assert main(["capacities", "toric(euclidean)", "--kmax", "20",
-                 "--node-limit", "50"]) == 3
-    assert "note:" not in capsys.readouterr().err
 
 
 def test_env_node_limit(capsys, monkeypatch):

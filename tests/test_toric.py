@@ -25,6 +25,9 @@ BENCH_POLYGONS = [Polygonal(v) for v in (
     ((3, 1), (-1, 2), (-3, -1), (1, -2)),
 )]
 SKEW = Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1)))
+# a unit ball whose vertex directions (1, 1) and (-1, 1) are cheaper than
+# the axes: the segment from 0 to (1, 1) has length 2/3
+DIAGONAL = Polygonal(((3, 3), (-1, 1), (-3, -3), (1, -1)))
 
 
 # -- oracles: the depth-first chain walk, and exact lengths for every pair ------
@@ -32,7 +35,8 @@ SKEW = Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1)))
 def depth_first_chains(lengths, max_count):
     """Every nonempty upper-half convex chain with length + |displacement|
     within the limit whose pairs can enclose at most max_count lattice
-    points, as (dx, dy, chain), by a depth-first walk: each chain is extended
+    points, as (dx, dy, entry) with entry = (length, nedges, picks, weight)
+    as _chain_cells stores it, by a depth-first walk: each chain is extended
     by every later direction, one copy at a time, while the weight and
     length prunes of lattice._chain_cells hold.  Lengths are summed in the
     same order, pick by pick."""
@@ -55,7 +59,7 @@ def depth_first_chains(lengths, max_count):
                 if cw > weight_cap or clen + chord[csx, csy] > limit:
                     break
                 cpicks = picks + ((px, py, c),)
-                chains.append((csx, csy, lattice._Chain(cpicks, clen, cw)))
+                chains.append((csx, csy, (clen, len(cpicks), cpicks, cw)))
                 walk(j + 1, csx, csy, cw, clen, cpicks)
 
     walk(0, 0, 0, 0, 0, ())
@@ -70,46 +74,56 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     length filter and no eps window.  Cells are keyed by weight and edge
     count and buckets by count and edge count before each count's buckets
     are reduced, so this also checks that the search's cells and buckets by
-    weight and count alone lose no minimizer.
+    weight and count alone lose no minimizer.  Of two candidates the one of
+    smaller exact value wins, and of equal values the preferred witness.
     """
     exact = {}
 
-    def length(chain):
-        if chain not in exact:
+    def length(picks):
+        if picks not in exact:
             total = CapacityValue.exact(0)
-            for px, py, c in chain.picks:
+            for px, py, c in picks:
                 total = total + norm.length((px, py)).scaled(c)
-            exact[chain] = total
-        return exact[chain]
+            exact[picks] = total
+        return exact[picks]
+
+    def prefer(best, cand):
+        if best is None:
+            return cand
+        order = cand.value.compare(best.value)
+        if order == 0:
+            order = -1 if lattice._preference(cand.witness) < \
+                lattice._preference(best.witness) else 1
+        return cand if order < 0 else best
 
     cells = {}
-    for dx, dy, chain in depth_first_chains(lattice._Lengths(norm, budget), max_count):
+    for dx, dy, entry in depth_first_chains(lattice._Lengths(norm, budget), max_count):
+        _, nedges, picks, weight = entry
         per_disp = cells.setdefault((dx, dy), {})
-        key = (chain.weight, chain.nedges)
-        best = per_disp.get(key)
+        best = per_disp.get((weight, nedges))
         if best is None:
-            per_disp[key] = chain
+            per_disp[weight, nedges] = entry
             continue
-        cmp = length(chain).compare(length(best))
-        if cmp < 0 or cmp == 0 and chain.picks < best.picks:
-            per_disp[key] = chain
+        cmp = length(picks).compare(length(best[2]))
+        if cmp < 0 or cmp == 0 and picks < best[2]:
+            per_disp[weight, nedges] = entry
     bound = budget if isinstance(budget, CapacityValue) else CapacityValue.exact(budget)
     buckets = {}
     for per_disp in cells.values():
         kept = list(per_disp.values())
-        for i, chain1 in enumerate(kept):
-            for chain2 in kept[i:]:
-                count = (chain1.weight + chain2.weight) // 2 + 1
-                perim = length(chain1) + length(chain2)
+        for i, entry1 in enumerate(kept):
+            for entry2 in kept[i:]:
+                (_, nedges1, picks1, weight1), (_, nedges2, picks2, weight2) = entry1, entry2
+                count = (weight1 + weight2) // 2 + 1
+                perim = length(picks1) + length(picks2)
                 if count > max_count or perim.compare(bound) > 0:
                     continue
-                key = (count, chain1.nedges + chain2.nedges)
-                cand = lattice._Candidate(perim, (chain1, chain2))
-                buckets[key] = lattice._prefer(buckets.get(key), cand)
-    minima = {1: lattice._Candidate(CapacityValue.exact(0), None,
-                                    LatticePolygon.point())}
+                key = (count, nedges1 + nedges2)
+                cand = lattice._Candidate(perim, (entry1, entry2))
+                buckets[key] = prefer(buckets.get(key), cand)
+    minima = {1: lattice._Candidate(CapacityValue.exact(0), None)}
     for (count, _), cand in sorted(buckets.items()):
-        minima[count] = lattice._prefer(minima.get(count), cand)
+        minima[count] = prefer(minima.get(count), cand)
     return minima
 
 
@@ -120,22 +134,23 @@ def depth_first_cells(lengths, max_count):
     of the cells where an offer's length tied the cell's, or was compared
     exactly as a Euclidean float within eps of it."""
     cells, tied = {}, set()
-    for dx, dy, chain in depth_first_chains(lengths, max_count):
-        key = (dx, dy, chain.weight)
+    for dx, dy, entry in depth_first_chains(lengths, max_count):
+        a, nedges, picks, weight = entry
+        key = (dx, dy, weight)
         best = cells.get(key)
         if best is None:
-            cells[key] = chain
+            cells[key] = entry
             continue
-        a, b = chain.length, best.length
+        b = best[0]
         if lengths.den is None and abs(a - b) <= lengths.eps:
-            order = lengths.exact(chain.picks).compare(lengths.exact(best.picks))
+            order = lengths.exact(picks).compare(lengths.exact(best[2]))
             tied.add(key)
         else:
             order = (a > b) - (a < b)
             if order == 0:
                 tied.add(key)
-        if (order, chain.nedges, chain.picks) < (0, best.nedges, best.picks):
-            cells[key] = chain
+        if (order, nedges, picks) < (0, best[1], best[2]):
+            cells[key] = entry
     return cells, tied
 
 
@@ -349,8 +364,7 @@ def test_chain_cells_match_depth_first_cells(norm, k):
     cells, tied = depth_first_cells(lattice._Lengths(norm, budget), k + 1)
     table = flat_cells(lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None))
     # same keys, and per cell the same float or int length, nedges and picks
-    assert table == {key: (chain.length, chain.nedges, chain.picks)
-                     for key, chain in cells.items()}
+    assert table == {key: entry[:3] for key, entry in cells.items()}
     assert tied   # the order past the length is exercised
 
 
@@ -361,8 +375,7 @@ def test_chain_cells_keep_chains_that_meet_an_exact_budget(k):
     budget = toric_capacity(EUCLIDEAN, k).value
     cells, _ = depth_first_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1)
     table = lattice._chain_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1, None)
-    assert flat_cells(table) == {key: (chain.length, chain.nedges, chain.picks)
-                                 for key, chain in cells.items()}
+    assert flat_cells(table) == {key: entry[:3] for key, entry in cells.items()}
 
 
 def test_capacities_do_not_walk_every_chain(monkeypatch):
@@ -398,8 +411,8 @@ def test_every_chain_matches_depth_first_walk(norm, budget, max_count):
     got = sorted((sx, sy, w, length, nedges, picks)
                  for (sx, sy), group in table.items()
                  for length, nedges, picks, w in group.values())
-    walk = sorted((dx, dy, chain.weight, chain.length, chain.nedges, chain.picks)
-                  for dx, dy, chain in depth_first_chains(
+    walk = sorted((dx, dy, w, length, nedges, picks)
+                  for dx, dy, (length, nedges, picks, w) in depth_first_chains(
                       lattice._Lengths(norm, budget), max_count))
     # the same chains, each once, with float lengths equal bit for bit
     assert got == walk
@@ -478,14 +491,23 @@ def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
 
 
 def test_minima_decide_unequal_keys_exactly():
-    # crafted chains with equal floats: pairs of length 10 and 8 sqrt 2, whose
-    # keys differ, so the bucket compares exact values before witnesses
-    five = lattice._Chain(((1, 0, 5),), 5.0, 3)
-    four_root2 = lattice._Chain(((1, 1, 4),), 5.0, 3)
-    best = lattice._minima(lattice._Lengths(EUCLIDEAN, 20),
-                           [(7, four_root2, four_root2), (7, five, five)])[7]
-    assert best.value.compare(CapacityValue.exact(10)) == 0
-    assert best.witness.vertices == ((0, 0), (5, 0))
+    # crafted table entries (length, nedges, picks, weight) with equal floats
+    lengths = lattice._Lengths(EUCLIDEAN, 20)
+    five, four_root2 = (5.0, 1, ((1, 0, 5),), 3), (5.0, 1, ((1, 1, 4),), 3)
+    square, two = (2.0, 2, ((1, 0, 1), (0, 1, 1)), 1), (2.0, 1, ((1, 0, 2),), 1)
+    up = (2.0, 1, ((0, 1, 2),), 1)
+    for pairs, value, vertices in [
+            # lengths 8 sqrt 2 and 10: the keys differ, so the bucket compares
+            # exact values before edges or witnesses
+            ([(four_root2, four_root2), (five, five)], 10, ((0, 0), (5, 0))),
+            # the unit square and a segment, both of length 4: the pair with
+            # fewer edges wins though it comes second
+            ([(square, square), (two, two)], 4, ((0, 0), (2, 0))),
+            # two segments of length 4 and 2 edges: the preferred witness wins
+            ([(two, two), (up, up)], 4, ((0, 0), (0, 2)))]:
+        best = lattice._minima(lengths, [(7, *pair) for pair in pairs])[7]
+        assert best.value.compare(CapacityValue.exact(value)) == 0, pairs
+        assert best.witness.vertices == vertices, pairs
 
 
 def test_upper_directions_check_the_float_angle_order(monkeypatch):
@@ -582,9 +604,12 @@ def test_min_action_budget_is_compared_exactly():
 @pytest.mark.parametrize("norm", [
     EUCLIDEAN, *(WeightedL1(a, b) for a, b in
                  [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3)), (F(1, 10), 7), (1, 4)]),
-], ids=["euclidean", "l1:1,1", "l1:7/3,2", "l1:3/2,2/3", "l1:1/10,7", "l1:1,4"])
+    HEXAGON, SKEW, *BENCH_POLYGONS, DIAGONAL,
+], ids=["euclidean", "l1:1,1", "l1:7/3,2", "l1:3/2,2/3", "l1:1/10,7", "l1:1,4",
+        "hexagon", "skew", "bench-poly0", "bench-poly1", "bench-poly2", "diagonal"])
 def test_initial_budget_is_the_least_rectangle(norm):
-    # every m-by-n rectangle with at least k+1 points, perimeters as values
+    # every m-by-n rectangle with at least k+1 points, perimeters as values;
+    # polygonal norms get no cheaper segment along a vertex direction
     ux, uy = norm.length((1, 0)), norm.length((0, 1))
     for k in range(0, 31):
         perims = [ux.scaled(2 * m) + uy.scaled(2 * n)

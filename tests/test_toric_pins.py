@@ -15,7 +15,10 @@ CapacityValue reference per entry instead of ints over a denominator.  Its
 entry of a sequence as a CapacityValue instead of its ints.  Its "polydisk"
 key holds the same for `capacities`, `asym` and `qw` of polydisks and of
 unions with a polydisk part, as computed when the polydisk kernel still
-filled a table of the cheapest value per product (m+1)(n+1).
+filled a table of the cheapest value per product (m+1)(n+1).  Its
+"polygonal" key holds the entry points of three four-vertex norms at
+k = 0..14, as computed when the pairing stage still rewrapped every chain
+table entry and picked a bucket's winner by two code paths.
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -41,6 +44,16 @@ NORMS = {
     "hexagon": (Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))), 10),
 }
 BUDGETS = {"4.9": 4.9, "6": 6}
+
+# a diagonal unit ball, for which the search's budget was once lowered by
+# segments along its vertex directions, a skewed one, and the last
+# toric(poly:...) norm of bench/workloads.py
+POLYGONAL_NORMS = {
+    "diagonal": Polygonal(((3, 3), (-1, 1), (-3, -3), (1, -1))),
+    "skew": Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1))),
+    "bench-poly2": Polygonal(((3, 1), (-1, 2), (-3, -1), (1, -2))),
+}
+POLYGONAL_KMAX = 14
 
 # arguments of `echcap capacities`, csv output
 SEQUENCES = [
@@ -140,6 +153,11 @@ def polygon_lists(norm):
     return out
 
 
+def polygonal_pins():
+    return {name: entry_points(norm, POLYGONAL_KMAX)
+            for name, norm in POLYGONAL_NORMS.items()}
+
+
 def sequence_digests():
     out = {}
     for args in SEQUENCES:
@@ -171,7 +189,17 @@ def test_toric_entry_points_match_pins():
     for name in NORMS:
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
-    assert got.keys() == expected.keys() - {"sequences", "commands", "polydisk"}
+    assert got.keys() == expected.keys() - {"sequences", "commands", "polydisk",
+                                            "polygonal"}
+
+
+def test_polygonal_entry_points_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["polygonal"]
+    got = polygonal_pins()
+    for name, records in expected.items():
+        for key, value in records.items():
+            assert got[name][key] == value, (name, key)
+    assert got.keys() == expected.keys()
 
 
 def test_sequences_match_pins():
@@ -206,5 +234,6 @@ if __name__ == "__main__":
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
         + "\n}" for name, records in {**pins(), "sequences": sequence_digests(),
                               "commands": command_digests(),
-                              "polydisk": command_digests(POLYDISK_COMMANDS)}.items())
+                              "polydisk": command_digests(POLYDISK_COMMANDS),
+                              "polygonal": polygonal_pins()}.items())
         + "\n}\n", encoding="utf-8")
