@@ -33,7 +33,9 @@ def _nk_values(a: RationalLike, b: RationalLike,
 
     Each point of the triangle {x, y >= 0, a*x + b*y <= level} lies in the
     unit square of a lattice point of that triangle, so the triangle holds at
-    least level^2 / (2ab) > kmax lattice points.
+    least level^2 / (2ab) > kmax lattice points.  With c = min(a, b), level
+    (kmax-1)*c holds the kmax values 0, c, ..., (kmax-1)*c, which caps the
+    level of a thin pair: under the first, a >> b lists sqrt(2a*kmax/b) values.
     """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
@@ -41,7 +43,7 @@ def _nk_values(a: RationalLike, b: RationalLike,
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     den, (a, b) = _over_common_denominator(a, b)
-    level = math.isqrt(2 * a * b * kmax) + 1
+    level = min(math.isqrt(2 * a * b * kmax) + 1, (kmax - 1) * min(a, b))
     values: List[int] = []
     for am in range(0, level + 1, a):
         values.extend(range(am, level + 1, b))
@@ -60,6 +62,7 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
 
     The rank counts every lattice point (m', n') with a*m' + b*n' <= a*m + b*n,
     closed boundary included, so among tied values it is the largest rank.
+    The count is symmetric in the weights; the sum runs over the larger one.
     """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
@@ -68,7 +71,8 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
         raise ValueError("m and n must be nonnegative")
     den, (a, b) = _over_common_denominator(a, b)
     value = a * m + b * n
-    count = sum((value - am) // b + 1 for am in range(0, value + 1, a))
+    big, small = max(a, b), min(a, b)
+    count = sum((value - v) // small + 1 for v in range(0, value + 1, big))
     return count, CapacityValue.exact(Fraction(value, den))
 
 
@@ -205,7 +209,7 @@ def capacities(domain: Domain, kmax: int, *,
         return polydisk_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, ToricNorm):
         minima = _toric_minima(domain.norm, kmax, node_limit)
-        return CapacitySequence(0, (best.value for best in minima))
+        return CapacitySequence(0, (value for value, _ in minima))
     if isinstance(domain, DisjointUnion):
         # equal parts (frozen dataclasses) share one computation
         seqs = {p: capacities(p, kmax, node_limit=node_limit)

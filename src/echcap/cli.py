@@ -95,6 +95,15 @@ class _Parser:
             raise self.error(f"bad rational {token!r}")
         return value
 
+    def sizes(self, count: int) -> List[Fraction]:
+        """count comma-separated rationals and the closing ')'."""
+        values = [self.rational()]
+        for _ in range(count - 1):
+            self.expect(",")
+            values.append(self.rational())
+        self.expect(")")
+        return values
+
     def bracketed(self) -> str:
         """The balanced [...] block starting at the cursor, as raw text."""
         self.skip_ws()
@@ -118,21 +127,11 @@ class _Parser:
         name = self.word().lower()
         self.expect("(")
         if name == "ball":
-            a = self.rational()
-            self.expect(")")
-            return Ball(a)
+            return Ball(*self.sizes(1))
         if name == "ellipsoid":
-            a = self.rational()
-            self.expect(",")
-            b = self.rational()
-            self.expect(")")
-            return Ellipsoid(a, b)
+            return Ellipsoid(*self.sizes(2))
         if name == "polydisk":
-            a = self.rational()
-            self.expect(",")
-            b = self.rational()
-            self.expect(")")
-            return Polydisk(a, b)
+            return Polydisk(*self.sizes(2))
         if name == "toric":
             return self._toric()
         if name == "union":
@@ -153,11 +152,7 @@ class _Parser:
             return ToricNorm(EUCLIDEAN)
         if kind == "l1":
             self.expect(":")
-            a = self.rational()
-            self.expect(",")
-            b = self.rational()
-            self.expect(")")
-            return ToricNorm(WeightedL1(a, b))
+            return ToricNorm(WeightedL1(*self.sizes(2)))
         if kind == "poly":
             self.expect(":")
             raw = self.bracketed()

@@ -34,6 +34,8 @@ IntPoint = Tuple[int, int]
 Length = Union[int, float]     # a search length: int over a denominator, or float
 # a chain of the search: (length, nedges, picks, weight), see _chain_cells
 Entry = Tuple[Length, int, tuple, int]
+# the cheapest chain pair of a bucket, or the point (pair None), with its value
+Winner = Tuple[CapacityValue, Optional[Tuple[Entry, Entry]]]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -590,29 +592,19 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
 
 # -- minimum perimeters ---------------------------------------------------------
 
-@dataclass
-class _Candidate:
-    """The cheapest chain pair of a bucket, or the point (pair None).
-
-    Its witness, the preferred one of the pair closed either way round, is
-    built only when a tie or a caller asks for it.
-    """
-
-    value: CapacityValue
-    pair: Optional[Tuple[Entry, Entry]]
-
-    @cached_property
-    def witness(self) -> LatticePolygon:
-        if self.pair is None:
-            return LatticePolygon.point()
-        upper, lower = self.pair
-        return min(_polygon_from_pair(upper, lower), _polygon_from_pair(lower, upper),
-                   key=_preference)
+def _witness(pair: Optional[Tuple[Entry, Entry]]) -> LatticePolygon:
+    """The preferred polygon of a chain pair closed either way round, or the
+    point for None."""
+    if pair is None:
+        return LatticePolygon.point()
+    upper, lower = pair
+    return min(_polygon_from_pair(upper, lower), _polygon_from_pair(lower, upper),
+               key=_preference)
 
 
 def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, Entry, Entry]]
-            ) -> Dict[int, _Candidate]:
-    """key -> cheapest candidate among the pairs with that key.
+            ) -> Dict[int, Winner]:
+    """key -> (value, pair) of the cheapest pair with that key.
 
     A bucket keeps its least pair length and the pairs within eps of it:
     for rational norms exactly the pairs of least length, for the Euclidean
@@ -643,8 +635,8 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, Entry, Entry]]
         fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
         tied = [pair for pair in kept if pair[0][1] + pair[1][1] == fewest]
         pair = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda pair: _preference(_Candidate(None, pair).witness))
-        minima[key] = _Candidate(lengths.value(*pair), pair)
+            tied, key=lambda pair: _preference(_witness(pair)))
+        minima[key] = (lengths.value(*pair), pair)
     return minima
 
 
@@ -723,9 +715,9 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
 
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
-                   ) -> Dict[int, _Candidate]:
-    """count -> cheapest candidate, over every polygon with at most max_count
-    lattice points and perimeter within the budget.
+                   ) -> Dict[int, Winner]:
+    """count -> (value, pair) of the cheapest polygon, over every polygon with
+    at most max_count lattice points and perimeter within the budget.
 
     Perimeters add across the two chains of a pair, so only the cheapest
     chain of each cell of _chain_cells is paired, within its displacement
@@ -736,7 +728,7 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     lengths = _Lengths(norm, budget)
     table = _chain_cells(lengths, max_count, node_limit)
     minima = _minima(lengths, _pairs(lengths, table, max_count))
-    minima[1] = _Candidate(CapacityValue.exact(0), None)
+    minima[1] = (CapacityValue.exact(0), None)
     return minima
 
 
@@ -769,10 +761,10 @@ class ToricCapacity:
 
 
 def _toric_minima(norm: Norm, kmax: int,
-                  node_limit: Optional[int]) -> List[_Candidate]:
-    """The cheapest candidate for each k = 0..kmax, from one search at the
-    budget of kmax, which covers every smaller k because _initial_budget is
-    nondecreasing in k."""
+                  node_limit: Optional[int]) -> List[Winner]:
+    """(value, pair) of the cheapest polygon for each k = 0..kmax, from one
+    search at the budget of kmax, which covers every smaller k because
+    _initial_budget is nondecreasing in k."""
     budget = _initial_budget(norm, kmax)
     minima = _bucket_minima(norm, budget, kmax + 1, node_limit)
     try:
@@ -796,8 +788,8 @@ def toric_capacity(norm: Norm, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    best = _toric_minima(norm, k, node_limit)[k]
-    return ToricCapacity(best.value, best.witness)
+    value, pair = _toric_minima(norm, k, node_limit)[k]
+    return ToricCapacity(value, _witness(pair))
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,
@@ -831,4 +823,4 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     if best is None:
         raise RuntimeError(f"no generator of grading {grading} found within "
                            f"budget {budget!r}; search is incomplete")
-    return best.value
+    return best[0]

@@ -1,7 +1,7 @@
 """Embedding obstructions assembled from capacity sequences.
 
-Covers the ellipsoid-into-ball bound, the polydisk-into-ball bound evaluated
-on the staircase of its feasible set, ball packing inequalities, and the
+Covers the ellipsoid-into-ball bound, the polydisk-into-ball bound read from
+the polydisk capacities, ball packing inequalities, and the
 classical sufficiency conditions for packing a ball.
 """
 
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .capacities import WEAK, _nk_values, capacities, dominates
+from .capacities import (WEAK, _nk_values, capacities, dominates,
+                         polydisk_capacities)
 from .domains import Domain
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
                      as_fraction)
@@ -97,32 +98,28 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
 
 
 def g_d(a: RationalLike, d: int) -> Fraction:
-    """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, over the staircase.
-
-    Every feasible point is dominated componentwise by the staircase point
-    (m, ceil(need/(m+1)) - 1) with the same m (or by (need-1, 0) when
-    m >= need), and the objective increases in both coordinates, so the
-    minimum over the staircase m < need is exact.  With a = p/q it is taken
-    on the ints p*m + q*n.
-    """
+    """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, which is c_k(P(a, 1))/d
+    at k = (d^2+3d)/2."""
     a = as_fraction(a)
     if a < 1:
         raise ValueError("aspect ratio a must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    p, q = a.numerator, a.denominator
-    need = (d + 1) * (d + 2) // 2
-    # ceil(need/(m+1)) - 1 == (need-1) // (m+1)
-    best = min(p * m + q * ((need - 1) // (m + 1)) for m in range(need))
-    return Fraction(best, q * d)
+    k = (d * d + 3 * d) // 2
+    return polydisk_capacities(a, 1, k)[k].as_fraction() / d
 
 
 def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
-    """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax."""
+    """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax,
+    read from one polydisk sequence."""
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     a = as_fraction(a)
-    return max(g_d(a, d) for d in range(1, dmax + 1))
+    if a < 1:
+        raise ValueError("aspect ratio a must be >= 1")
+    seq = polydisk_capacities(a, 1, (dmax * dmax + 3 * dmax) // 2)
+    return max(seq[(d * d + 3 * d) // 2].as_fraction() / d
+               for d in range(1, dmax + 1))
 
 
 @dataclass(frozen=True)

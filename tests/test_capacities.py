@@ -32,6 +32,24 @@ def test_nk_sequence_against_brute_force():
         assert fracs(nk_sequence(a, b, 40)) == brute_nk(a, b, 40)
 
 
+def test_nk_sequence_thin_pairs_against_brute_force():
+    # each of the k smallest values has m, n < k, so a k-by-k grid is exact
+    rng = random.Random(4181)
+    for _ in range(60):
+        a = F(rng.randint(1, 60), rng.randint(1, 30))
+        b = a * rng.choice([F(1000), F(1, 1000), F(10**6, 7), F(3, 10**6)])
+        kmax = rng.randint(1, 40)
+        assert fracs(nk_sequence(a, b, kmax)) == brute_nk(a, b, kmax, box=kmax)
+
+
+def test_thin_ellipsoids_list_about_kmax_values():
+    # with only the sqrt(2*a*b*kmax) level these listed about 10^20 values
+    tiny = F(1, 10**40)
+    assert fracs(ellipsoid_capacities(10**40, 1, 5)) == [0, 1, 2, 3, 4, 5]
+    assert fracs(ellipsoid_capacities(tiny, 1, 3)) == [0, tiny, 2 * tiny, 3 * tiny]
+    assert fracs(ellipsoid_full_capacities(1, 10**40, 4)) == [0, 1, 2, 3]
+
+
 def test_nk_sequence_examples():
     assert fracs(nk_sequence(1, 1, 7)) == [0, 1, 1, 2, 2, 2, 3]
     assert fracs(nk_sequence(3, 5, 1)) == [0]
@@ -46,6 +64,16 @@ def test_nk_via_triangle_examples():
     assert v.as_fraction() == 2
     # rank is the largest one with this value: sorted is 0,1,2,2 so rank 4
     assert k == 4
+
+
+def test_nk_via_triangle_thin_weights():
+    # the sum runs over the larger weight: two terms here, not 10^12
+    k, v = nk_via_triangle(F(1, 10**12), 1, 0, 1)
+    assert (k, v.as_fraction()) == (10**12 + 2, 1)
+    k, v = nk_via_triangle(1, F(1, 10**12), 1, 0)
+    assert (k, v.as_fraction()) == (10**12 + 2, 1)
+    for a, b, m, n in [(F(7, 3), F(1, 5), 4, 9), (F(2), F(9, 4), 3, 0)]:
+        assert nk_via_triangle(a, b, m, n)[0] == nk_via_triangle(b, a, n, m)[0]
 
 
 def test_nk_via_triangle_matches_rank():

@@ -42,6 +42,24 @@ def test_parse_errors_carry_positions():
         assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("ball(1,2)", "expected ')'", 6),
+    ("ball()", "expected a rational number (p/q or integer)", 5),
+    ("ellipsoid(1;2)", "expected ','", 11),
+    ("ellipsoid(1,2", "expected ')'", 13),
+    ("polydisk(1,)", "expected a rational number (p/q or integer)", 11),
+    ("polydisk(1/0,2)", "bad rational '1/0'", 9),
+    ("toric(l1:1)", "expected ','", 10),
+    ("toric(l1:1,2/0)", "bad rational '2/0'", 11),
+])
+def test_size_list_errors_keep_message_and_position(text, message, position):
+    # captured when each domain read its sizes with its own rational/expect calls
+    with pytest.raises(SpecParseError) as err:
+        parse_domain_spec(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_deeply_nested_spec_is_a_parse_error(capsys):
     deep = "union(" * 200 + "ball(1)" + ")" * 200
     dom = parse_domain_spec(deep)
@@ -151,6 +169,11 @@ def test_fbound(capsys):
     assert capsys.readouterr().out.strip() == "5/2"
     assert main(["fbound", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # a thin ellipsoid lists about kmax values, not sqrt(2a*kmax) of them
+    assert main(["fbound", "1e400", "--dmax", "2"]) == 0
+    assert capsys.readouterr().out == "5/2\n"
+    assert main(["capacities", "ellipsoid(1000000000000,1)", "--kmax", "5"]) == 0
+    assert capsys.readouterr().out == "0,1,2,3,4,5\n"
 
 
 def test_gbound(capsys):

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid,
                     INTERIOR_STRICT, Polydisk, ToricNorm, WEAK, WeightedL1,
-                    ball_capacities, disjoint_union_capacities)
+                    ball_capacities, disjoint_union_capacities,
+                    polydisk_capacities)
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d,
                                  g_lower_bound, lambda_d_path,
@@ -125,6 +127,52 @@ def test_g_matches_hull_oracle():
         g_d(2, 0)
     with pytest.raises(ValueError):
         g_d(F(1, 2), 3)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71, 73, 79, 83, 89, 97]
+
+
+def test_g_d_matches_hull_oracle_over_prime_denominators():
+    # g_d reads c_k(P(a, 1)) from the polydisk kernel; the oracle minimizes
+    # over the hull of the staircase, sharing no code with it
+    rng = random.Random(1729)
+    paths = {d: lambda_d_path(d) for d in range(1, 41)}
+    for _ in range(200):
+        q = rng.choice(PRIMES)
+        a = F(rng.randint(q, 12 * q), q)
+        d = rng.randint(1, 40)
+        assert g_d(a, d) == g_d_hull_oracle(a, d, paths[d]), (a, d)
+    for a in (F(7, 2), F(97, 89), F(4181, 610)):
+        assert g_lower_bound(a, 40) == max(g_d_hull_oracle(a, d, paths[d])
+                                           for d in range(1, 41))
+
+
+def test_g_lower_bound_builds_one_polydisk_sequence(monkeypatch):
+    kmaxes = []
+
+    def counted(a, b, kmax):
+        kmaxes.append(kmax)
+        return polydisk_capacities(a, b, kmax)
+
+    monkeypatch.setattr("echcap.obstructions.polydisk_capacities", counted)
+    assert g_lower_bound(F(7, 2), 24) == F(8, 3)
+    assert kmaxes == [(24 * 24 + 3 * 24) // 2]
+
+
+def test_g_lower_bound_at_dmax_200_within_budget():
+    # budget 0.15 s: a staircase loop per d, cubic in dmax, took 0.2-0.3 s
+    # on a 2-vCPU host (Python 3.11); one sequence at k = 20300 takes 12-14 ms
+    start = time.perf_counter()
+    assert g_lower_bound(F(7, 2), 200) == F(8, 3)
+    assert time.perf_counter() - start < 0.15
+
+
+def test_g_lower_bound_checks_dmax_before_a():
+    with pytest.raises(ValueError, match="dmax must be >= 1"):
+        g_lower_bound(F(1, 2), 0)
+    with pytest.raises(ValueError, match="aspect ratio a must be >= 1"):
+        g_lower_bound(F(1, 2), 3)
 
 
 def test_g_known_pieces():

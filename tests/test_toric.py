@@ -88,12 +88,13 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
         return exact[picks]
 
     def prefer(best, cand):
+        # best and cand are (value, pair)
         if best is None:
             return cand
-        order = cand.value.compare(best.value)
+        order = cand[0].compare(best[0])
         if order == 0:
-            order = -1 if lattice._preference(cand.witness) < \
-                lattice._preference(best.witness) else 1
+            order = -1 if lattice._preference(lattice._witness(cand[1])) < \
+                lattice._preference(lattice._witness(best[1])) else 1
         return cand if order < 0 else best
 
     cells = {}
@@ -119,9 +120,9 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
                 if count > max_count or perim.compare(bound) > 0:
                     continue
                 key = (count, nedges1 + nedges2)
-                cand = lattice._Candidate(perim, (entry1, entry2))
+                cand = (perim, (entry1, entry2))
                 buckets[key] = prefer(buckets.get(key), cand)
-    minima = {1: lattice._Candidate(CapacityValue.exact(0), None)}
+    minima = {1: (CapacityValue.exact(0), None)}
     for (count, _), cand in sorted(buckets.items()):
         minima[count] = prefer(minima.get(count), cand)
     return minima
@@ -505,9 +506,9 @@ def test_minima_decide_unequal_keys_exactly():
             ([(square, square), (two, two)], 4, ((0, 0), (2, 0))),
             # two segments of length 4 and 2 edges: the preferred witness wins
             ([(two, two), (up, up)], 4, ((0, 0), (0, 2)))]:
-        best = lattice._minima(lengths, [(7, *pair) for pair in pairs])[7]
-        assert best.value.compare(CapacityValue.exact(value)) == 0, pairs
-        assert best.witness.vertices == vertices, pairs
+        best, pair = lattice._minima(lengths, [(7, *pair) for pair in pairs])[7]
+        assert best.compare(CapacityValue.exact(value)) == 0, pairs
+        assert lattice._witness(pair).vertices == vertices, pairs
 
 
 def test_upper_directions_check_the_float_angle_order(monkeypatch):

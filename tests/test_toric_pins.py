@@ -18,7 +18,10 @@ unions with a polydisk part, as computed when the polydisk kernel still
 filled a table of the cheapest value per product (m+1)(n+1).  Its
 "polygonal" key holds the entry points of three four-vertex norms at
 k = 0..14, as computed when the pairing stage still rewrapped every chain
-table entry and picked a bucket's winner by two code paths.
+table entry and picked a bucket's winner by two code paths.  Its "bounds"
+key holds the exit code and stdout sha256 of `fbound` and `gbound` in text
+and json, as computed when g_d still minimized over its own staircase
+instead of reading the polydisk kernel.
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -130,6 +133,14 @@ POLYDISK_COMMANDS = [
     "embed ball(1/2) polydisk(13/7,13/7) --kmax 900 --mode strict",
 ]
 
+# full argv of the obstruction-bound commands: the polydisk and ellipsoid
+# kernels read at (d^2+3d)/2 and (d^2+3d+2)/2 for every d <= dmax
+BOUND_COMMANDS = [
+    f"{command} {a} --dmax {dmax} --format {fmt}"
+    for command in ("fbound", "gbound") for a in ("7/2", "37/11", "97/89", "4181/610")
+    for dmax in (1, 2, 6, 24, 60) for fmt in ("text", "json")
+]
+
 
 def entry_points(norm, kmax):
     return {
@@ -190,7 +201,7 @@ def test_toric_entry_points_match_pins():
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
     assert got.keys() == expected.keys() - {"sequences", "commands", "polydisk",
-                                            "polygonal"}
+                                            "polygonal", "bounds"}
 
 
 def test_polygonal_entry_points_match_pins():
@@ -226,6 +237,14 @@ def test_polydisk_commands_match_pins():
     assert got.keys() == expected.keys()
 
 
+def test_bound_commands_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["bounds"]
+    got = command_digests(BOUND_COMMANDS)
+    for argv, pin in expected.items():
+        assert got[argv] == pin, argv
+    assert got.keys() == expected.keys()
+
+
 if __name__ == "__main__":
     # one line per entry point and norm, or per sequence, so a diff shows
     # which one moved
@@ -235,5 +254,6 @@ if __name__ == "__main__":
         + "\n}" for name, records in {**pins(), "sequences": sequence_digests(),
                               "commands": command_digests(),
                               "polydisk": command_digests(POLYDISK_COMMANDS),
-                              "polygonal": polygonal_pins()}.items())
+                              "polygonal": polygonal_pins(),
+                              "bounds": command_digests(BOUND_COMMANDS)}.items())
         + "\n}\n", encoding="utf-8")
