@@ -10,7 +10,8 @@ two chains of equal displacement.  One dynamic program over the edge
 directions builds the chains: capacities keep the least chain of each
 (displacement, weight) cell, enumerate_polygons and min_action_at_grading
 keep every chain, and enumerate_polygons visits each canonical polygon
-within the perimeter budget exactly once.
+within the perimeter budget exactly once.  One walk pairs each displacement's
+chains by length up to the least perimeter of the largest count.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
@@ -34,8 +34,9 @@ IntPoint = Tuple[int, int]
 Length = Union[int, float]     # a search length: int over a denominator, or float
 # a chain of the search: (length, nedges, picks, weight), see _chain_cells
 Entry = Tuple[Length, int, tuple, int]
-# the cheapest chain pair of a bucket, or the point (pair None), with its value
-Winner = Tuple[CapacityValue, Optional[Tuple[Entry, Entry]]]
+# a bucket's value and its tied cheapest chain pairs, or [None] for the point
+Tied = List[Optional[Tuple[Entry, Entry]]]
+Winner = Tuple[CapacityValue, Tied]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -56,8 +57,11 @@ def resolve_node_limit(node_limit: Optional[int]) -> int:
 # norms
 # ---------------------------------------------------------------------------
 
-def _pair(v) -> Tuple[Fraction, Fraction]:
+def _pair(v) -> Tuple[RationalLike, RationalLike]:
+    """A vector's coordinates: two ints as they are, else as Fractions."""
     x, y = v
+    if type(x) is int and type(y) is int:
+        return x, y
     return (as_fraction(x), as_fraction(y))
 
 
@@ -148,14 +152,14 @@ class Polygonal(Norm):
     vertices: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        verts = [_pair(v) for v in self.vertices]
+        verts = [(as_fraction(x), as_fraction(y)) for x, y in self.vertices]
         if len(verts) < 4:
             raise ValueError("polygonal unit ball needs at least 4 vertices")
         # the tests run on the vertices times their common denominator; the
         # float angle key orders them, and the exact convexity and origin
         # tests, which make every step turn left by less than pi, confirm
         # that order (the float angles add up to one turn)
-        flat = _over_common_denominator(*(c for v in verts for c in v))[1]
+        den, flat = _over_common_denominator(*(c for v in verts for c in v))
         points = list(zip(flat[::2], flat[1::2]))
         order = sorted(range(len(verts)), key=lambda i: (
             math.atan2(verts[i][1], verts[i][0]),
@@ -175,6 +179,7 @@ class Polygonal(Norm):
         if set(points) != {(-x, -y) for (x, y) in points}:
             raise ValueError("unit ball must be centrally symmetric")
         object.__setattr__(self, "vertices", tuple(verts))
+        object.__setattr__(self, "_int_vertices", (den, tuple(points)))   # for dual_eval
 
     @cached_property
     def polar(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -190,7 +195,8 @@ class Polygonal(Norm):
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
-        return CapacityValue.exact(max(p * vx + q * vy for vx, vy in self.vertices))
+        den, points = self._int_vertices
+        return CapacityValue.exact(Fraction(max(p * x + q * y for x, y in points), den))
 
     def dual_ball_area(self) -> CapacityValue:
         return CapacityValue.exact(Fraction(_shoelace2(self.polar), 2))
@@ -422,10 +428,10 @@ class _Lengths:
     so every window of the search is an exact comparison.  Euclidean lengths
     are floats: the limit is the budget plus a slack of 10^-9 of it, windows
     are eps = slack wide (far above the float error), and exact values are
-    per-chain sums of CapacityValues, which fits() compares with an exact
-    budget when a pair's float lies within eps of it.  Only a float budget
-    (or an approx() CapacityValue) has no exact form: it keeps the slack,
-    also before a rational norm floors it.  chord memoizes f per displacement.
+    per-chain sums of CapacityValues, which the pairing walk compares with an
+    exact budget for floats from exact_from = budget - eps up.  Only a float
+    budget (or an approx() CapacityValue) has no exact form: it keeps the
+    slack, also before a rational norm floors it.  chord memoizes f.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -450,6 +456,8 @@ class _Lengths:
         self.den, self.f = norm._lengths()
         self.chord = _Memo(self.f)
         slack = 1e-9 * max(1.0, self.budget_f)
+        self.exact_from = math.inf if self.den is not None or self.budget is None \
+            else self.budget_f - slack
         if self.den is None:
             self.eps, self.limit = slack, self.budget_f + slack
             self.unit = _Memo(lambda x, y: norm.length((x, y)))
@@ -498,18 +506,6 @@ class _Lengths:
         return self.order(self.key(entry1[2]), self.key(entry2[2])) or (
             (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:]))
 
-    def fits(self, entry1: Entry, entry2: Entry) -> bool:
-        """Whether the pair's perimeter is within the budget.  A Euclidean
-        pair gets an exact value only when its float lies within eps of an
-        exact budget."""
-        length = entry1[0] + entry2[0]
-        if length > self.limit:
-            return False
-        if self.den is not None or self.budget is None \
-                or length < self.budget_f - self.eps:
-            return True
-        return self.value(entry1, entry2).compare(self.budget) <= 0
-
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     """Primitive vectors in the upper half-plane (y > 0, or y == 0 and x > 0)
@@ -550,20 +546,48 @@ def _preference(poly: LatticePolygon):
     return (len(poly.vertices), poly.vertices)
 
 
-def _pairs(lengths: _Lengths, table, max_count: int
-           ) -> Iterator[Tuple[int, Entry, Entry]]:
-    """(count, entry1, entry2) for every two entries of one displacement of a
-    _chain_cells table, entry1 not after entry2, whose chains close to
-    polygons (either as the upper chain) of count = (weight1 + weight2) / 2
-    + 1 <= max_count lattice points and fit the budget."""
+def _pair_buckets(lengths: _Lengths, table, max_count: int,
+                  key: Optional[Callable[[int, Entry, Entry], object]] = None
+                  ) -> Dict[object, list]:
+    """key -> [least length, [(length, entry1, entry2), ...]] of the pairs of
+    two entries of one displacement of a _chain_cells table that close to
+    polygons (either chain upper) of count = (weight1 + weight2) / 2 + 1 <=
+    max_count lattice points within the budget.  key(count, entry1, entry2)
+    names a pair's bucket, or None to skip it; by default the count.
+
+    A bucket keeps the pairs within eps of its running least length (for the
+    Euclidean norm a window far wider than the float error) and drops the
+    rest before the exact budget test.  Entries are walked by length up to a
+    cut: the limit, then the least of the bucket keyed max_count plus eps.
+    For counts that is sound: a convex lattice polygon less a vertex has a
+    hull of its other points with one point fewer and no longer perimeter."""
+    eps, cut, exact_from = lengths.eps, lengths.limit, lengths.exact_from
+    near: Dict[object, list] = {}
     for cells in table.values():
-        entries = list(cells.values())
+        entries = sorted(cells.values())
         for i, entry1 in enumerate(entries):
-            weight1 = entry1[3]
+            length1, _, _, weight1 = entry1
+            if length1 + length1 > cut:
+                break
             for entry2 in entries[i:]:
-                count = (weight1 + entry2[3]) // 2 + 1
-                if count <= max_count and lengths.fits(entry1, entry2):
-                    yield count, entry1, entry2
+                length = length1 + entry2[0]
+                if length > cut:
+                    break
+                name = (weight1 + entry2[3]) // 2 + 1
+                if name > max_count or key and (name := key(name, entry1, entry2)) is None:
+                    continue
+                bucket = near.get(name)
+                if bucket is not None and length > bucket[0] + eps or length >= exact_from \
+                        and lengths.value(entry1, entry2).compare(lengths.budget) > 0:
+                    continue
+                if bucket is None or length < bucket[0] - eps:
+                    near[name] = bucket = [length, []]
+                elif length < bucket[0]:
+                    bucket[0] = length
+                bucket[1].append((length, entry1, entry2))
+                if name == max_count and bucket[0] + eps < cut:
+                    cut = bucket[0] + eps
+    return near
 
 
 def enumerate_polygons(target_count: int, norm: Norm, length_budget,
@@ -572,7 +596,8 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     lattice points with perimeter <= length_budget, sorted canonically.
 
     Points and segments are included.  The enumeration is complete and
-    duplicate-free: it pairs every chain of _chain_cells.  It raises
+    duplicate-free: it pairs every chain of _chain_cells, each pair its own
+    bucket, keyed by its picks, so the cut stays at the limit.  It raises
     ToricEnumerationBudgetExceeded, with the directions done, if building
     the chains needs more nodes than the configured limit.
     """
@@ -581,50 +606,34 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     lengths = _Lengths(norm, length_budget)
     found = [LatticePolygon.point()] if target_count == 1 else []
     table = _chain_cells(lengths, target_count, node_limit, every=True)
-    for count, entry1, entry2 in _pairs(lengths, table, target_count):
-        if count == target_count:
-            found.append(_polygon_from_pair(entry1, entry2))
-            if entry2 is not entry1:
-                found.append(_polygon_from_pair(entry2, entry1))
+    for _, [(_, entry1, entry2)] in _pair_buckets(
+            lengths, table, target_count, lambda count, entry1, entry2: (
+                (entry1[2], entry2[2]) if count == target_count else None)).values():
+        found.append(_polygon_from_pair(entry1, entry2))
+        if entry2 is not entry1:
+            found.append(_polygon_from_pair(entry2, entry1))
     found.sort(key=_preference)
     return found
 
 
 # -- minimum perimeters ---------------------------------------------------------
 
-def _witness(pair: Optional[Tuple[Entry, Entry]]) -> LatticePolygon:
-    """The preferred polygon of a chain pair closed either way round, or the
-    point for None."""
-    if pair is None:
+def _witness(tied: Tied) -> LatticePolygon:
+    """The preferred polygon of tied chain pairs, each closed either way
+    round, or the point for [None]."""
+    if tied == [None]:
         return LatticePolygon.point()
-    upper, lower = pair
-    return min(_polygon_from_pair(upper, lower), _polygon_from_pair(lower, upper),
-               key=_preference)
+    return min((_polygon_from_pair(*ends) for upper, lower in tied
+                for ends in ((upper, lower), (lower, upper))), key=_preference)
 
 
-def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, Entry, Entry]]
-            ) -> Dict[int, Winner]:
-    """key -> (value, pair) of the cheapest pair with that key.
-
-    A bucket keeps its least pair length and the pairs within eps of it:
-    for rational norms exactly the pairs of least length, for the Euclidean
-    norm a float window far wider than the float error, so a pair dropped
-    there is exactly longer than the bucket minimum, and of the rest only
-    those of the least key.  Of those the pairs of fewest edges (witness
-    vertex count) are kept, and a tie among them goes to the preferred
-    witness."""
-    eps = lengths.eps
-    near: Dict[int, list] = {}   # key -> [least length, pairs near a running least]
-    for key, entry1, entry2 in keyed_pairs:
-        length = entry1[0] + entry2[0]
-        bucket = near.get(key)
-        if bucket is None or length < bucket[0] - eps:
-            near[key] = bucket = [length, []]
-        elif length > bucket[0] + eps:
-            continue
-        bucket[1].append((length, entry1, entry2))
-        bucket[0] = min(bucket[0], length)
-    minima = {}
+def _minima(lengths: _Lengths, near: Dict[object, list]) -> Dict[object, Winner]:
+    """key -> (value, tied) of each bucket of _pair_buckets: its pairs of
+    least exact length, then fewest edges (witness vertex count).  A rational
+    value is the least over den for any of them; a Euclidean one is summed
+    from a pair's chains, so its float and error bound depend on the pair,
+    and tied is cut down to the pair of the preferred witness."""
+    eps, minima = lengths.eps, {}
     for key, (least, pairs) in near.items():
         kept = [(entry1, entry2) for length, entry1, entry2 in pairs
                 if length <= least + eps]
@@ -634,9 +643,9 @@ def _minima(lengths: _Lengths, keyed_pairs: Iterable[Tuple[int, Entry, Entry]]
             kept = [pair for pair, k in zip(kept, keys) if k == low]
         fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
         tied = [pair for pair in kept if pair[0][1] + pair[1][1] == fewest]
-        pair = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda pair: _preference(_witness(pair)))
-        minima[key] = (lengths.value(*pair), pair)
+        if lengths.den is None and len(tied) > 1:
+            tied = [min(tied, key=lambda pair: _preference(_witness([pair])))]
+        minima[key] = (lengths.value(*tied[0]), tied)
     return minima
 
 
@@ -716,8 +725,8 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
                    ) -> Dict[int, Winner]:
-    """count -> (value, pair) of the cheapest polygon, over every polygon with
-    at most max_count lattice points and perimeter within the budget.
+    """count -> (value, tied) of the cheapest polygons, over every polygon
+    with at most max_count lattice points and perimeter within the budget.
 
     Perimeters add across the two chains of a pair, so only the cheapest
     chain of each cell of _chain_cells is paired, within its displacement
@@ -727,8 +736,8 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     exists) with the fewest edges (else one with fewer vertices does)."""
     lengths = _Lengths(norm, budget)
     table = _chain_cells(lengths, max_count, node_limit)
-    minima = _minima(lengths, _pairs(lengths, table, max_count))
-    minima[1] = (CapacityValue.exact(0), None)
+    minima = _minima(lengths, _pair_buckets(lengths, table, max_count))
+    minima[1] = (CapacityValue.exact(0), [None])
     return minima
 
 
@@ -762,7 +771,7 @@ class ToricCapacity:
 
 def _toric_minima(norm: Norm, kmax: int,
                   node_limit: Optional[int]) -> List[Winner]:
-    """(value, pair) of the cheapest polygon for each k = 0..kmax, from one
+    """(value, tied) of the cheapest polygons for each k = 0..kmax, from one
     search at the budget of kmax, which covers every smaller k because
     _initial_budget is nondecreasing in k."""
     budget = _initial_budget(norm, kmax)
@@ -782,14 +791,15 @@ def toric_capacity(norm: Norm, k: int,
 
     The search runs at the perimeter of the cheapest rectangle with at least
     k+1 points, builds one cheapest chain per (displacement, weight) cell by
-    dynamic programming, pairs them and buckets the pairs by lattice-point
-    count.  Every call runs its own search under node_limit, which counts
-    the transitions of that dynamic program.
+    dynamic programming, pairs them up to the least perimeter of k+1 points,
+    buckets the pairs by lattice-point count, and builds the witness from
+    the tied pairs.  Every call runs its own search under node_limit, which
+    counts the transitions of that dynamic program.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    value, pair = _toric_minima(norm, k, node_limit)[k]
-    return ToricCapacity(value, _witness(pair))
+    value, tied = _toric_minima(norm, k, node_limit)[k]
+    return ToricCapacity(value, _witness(tied))
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,
@@ -799,10 +809,10 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     A polygon with c enclosed points and E edges supports grading 2k exactly
     when 0 <= 2(c - 1 - k) <= E, by labeling that many edges 'h'; E <= c, so
     c <= 2(k + 1).  The minimum is read from the pairs of every chain of
-    _chain_cells with that cap.  A pair has nedges1 + nedges2 edges: its
-    chains share an end direction only when it is a segment, stored as the
-    edges v and -v.  An exact budget is compared exactly.  The budget
-    defaults to the rectangle construction for k, which the all-'e'
+    _chain_cells with that cap, in one bucket.  A pair has nedges1 + nedges2
+    edges: its chains share an end direction only when it is a segment,
+    stored as the edges v and -v.  An exact budget is compared exactly.  The
+    budget defaults to the rectangle construction for k, which the all-'e'
     minimizer always fits; RuntimeError if no generator fits it, and
     ToricEnumerationBudgetExceeded, with the directions done, past the node
     limit.
@@ -815,11 +825,11 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     lengths = _Lengths(norm, budget)
     if k == 0:
         return CapacityValue.exact(0)   # the point, labeled by nothing
-    table = _chain_cells(lengths, 2 * (k + 1), node_limit, every=True)
-    best = _minima(lengths, (
-        (grading, entry1, entry2)
-        for count, entry1, entry2 in _pairs(lengths, table, 2 * (k + 1))
-        if 0 <= 2 * (count - 1 - k) <= entry1[1] + entry2[1])).get(grading)
+    top = 2 * (k + 1)
+    table = _chain_cells(lengths, top, node_limit, every=True)
+    best = _minima(lengths, _pair_buckets(
+        lengths, table, top, lambda count, entry1, entry2: (
+            top if 0 <= 2 * (count - 1 - k) <= entry1[1] + entry2[1] else None))).get(top)
     if best is None:
         raise RuntimeError(f"no generator of grading {grading} found within "
                            f"budget {budget!r}; search is incomplete")

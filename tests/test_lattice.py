@@ -131,6 +131,25 @@ def test_dual_norm_eval():
     assert dual_norm_eval(square, (1, 1)).as_fraction() == 1
 
 
+@pytest.mark.parametrize("norm", [
+    EUCLIDEAN, WeightedL1(F(7, 3), 2),
+    Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))),
+    Polygonal(((F(2, 3), F(1, 5)), (F(-1, 2), 1), (F(-2, 3), F(-1, 5)), (F(1, 2), -1))),
+], ids=["euclidean", "l1:7/3,2", "hexagon", "rational-skew"])
+def test_dual_eval_agrees_on_int_and_fraction_covectors(norm):
+    for p, q in itertools.product(range(-3, 4), repeat=2):
+        got = norm.dual_eval((p, q))
+        assert repr(got) == repr(norm.dual_eval((F(p), F(q)))) == \
+            repr(norm.dual_eval((str(p), str(q)))), (p, q)
+        if isinstance(norm, Polygonal):
+            # the definition: the largest pairing with a unit ball vertex
+            assert got.as_fraction() == max(p * x + q * y for x, y in norm.vertices)
+    covector = (F(-5, 7), F(3, 11))
+    if isinstance(norm, Polygonal):
+        assert norm.dual_eval(covector).as_fraction() == \
+            max(covector[0] * x + covector[1] * y for x, y in norm.vertices)
+
+
 def test_weighted_l1_primal_lengths():
     wl = WeightedL1(F(3), F(5))
     assert wl.length((1, 0)).as_fraction() == F(3, 2)

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -75,7 +76,8 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     count and buckets by count and edge count before each count's buckets
     are reduced, so this also checks that the search's cells and buckets by
     weight and count alone lose no minimizer.  Of two candidates the one of
-    smaller exact value wins, and of equal values the preferred witness.
+    smaller exact value wins, and of equal values the preferred witness,
+    which is returned as the one tied pair.
     """
     exact = {}
 
@@ -93,8 +95,8 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
             return cand
         order = cand[0].compare(best[0])
         if order == 0:
-            order = -1 if lattice._preference(lattice._witness(cand[1])) < \
-                lattice._preference(lattice._witness(best[1])) else 1
+            order = -1 if lattice._preference(lattice._witness([cand[1]])) < \
+                lattice._preference(lattice._witness([best[1]])) else 1
         return cand if order < 0 else best
 
     cells = {}
@@ -125,7 +127,86 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     minima = {1: (CapacityValue.exact(0), None)}
     for (count, _), cand in sorted(buckets.items()):
         minima[count] = prefer(minima.get(count), cand)
+    return {count: (value, [pair]) for count, (value, pair) in minima.items()}
+
+
+# -- oracle: every pair within the budget, no cut, eager witnesses -------------
+
+def all_pairs(lengths, table, max_count):
+    """(count, entry1, entry2) for every two entries of one displacement of a
+    _chain_cells table, entry1 not after entry2, of count <= max_count that
+    fit the budget, walked in table order with no cut.  A Euclidean float
+    within eps of an exact budget is compared exactly."""
+    for cells in table.values():
+        entries = list(cells.values())
+        for i, entry1 in enumerate(entries):
+            for entry2 in entries[i:]:
+                count = (entry1[3] + entry2[3]) // 2 + 1
+                length = entry1[0] + entry2[0]
+                if count > max_count or length > lengths.limit:
+                    continue
+                if lengths.den is None and lengths.budget is not None \
+                        and length >= lengths.budget_f - lengths.eps \
+                        and lengths.value(entry1, entry2).compare(lengths.budget) > 0:
+                    continue
+                yield count, entry1, entry2
+
+
+def all_pairs_minima(lengths, keyed_pairs):
+    """key -> (value, pair) of the cheapest pair with that key: of the pairs
+    within eps of the least float, the least exact length, then the fewest
+    edges, then the preferred witness, built for every pair left."""
+    buckets = {}
+    for key, entry1, entry2 in keyed_pairs:
+        buckets.setdefault(key, []).append((entry1[0] + entry2[0], entry1, entry2))
+    minima = {}
+    for key, pairs in buckets.items():
+        least = min(length for length, _, _ in pairs)
+        kept = [(entry1, entry2) for length, entry1, entry2 in pairs
+                if length <= least + lengths.eps]
+        if lengths.den is None:
+            keys = [lengths.key(entry1[2] + entry2[2]) for entry1, entry2 in kept]
+            low = min(set(keys), key=cmp_to_key(lengths.order))
+            kept = [pair for pair, k in zip(kept, keys) if k == low]
+        fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
+        pair = min((pair for pair in kept if pair[0][1] + pair[1][1] == fewest),
+                   key=lambda pair: lattice._preference(lattice._witness([pair])))
+        minima[key] = (lengths.value(*pair), pair)
     return minima
+
+
+def all_pairs_toric(norm, kmax):
+    """(value, witness) for k = 0..kmax from one search at the budget of kmax."""
+    lengths = lattice._Lengths(norm, lattice._initial_budget(norm, kmax))
+    table = lattice._chain_cells(lengths, kmax + 1, None)
+    minima = all_pairs_minima(lengths, all_pairs(lengths, table, kmax + 1))
+    return [(CapacityValue.exact(0), LatticePolygon.point())] + [
+        (minima[count][0], lattice._witness([minima[count][1]]))
+        for count in range(2, kmax + 2)]
+
+
+def all_pairs_min_action(norm, grading):
+    k = grading // 2
+    if k == 0:
+        return CapacityValue.exact(0)
+    lengths = lattice._Lengths(norm, lattice._initial_budget(norm, k))
+    table = lattice._chain_cells(lengths, 2 * (k + 1), None, every=True)
+    return all_pairs_minima(lengths, (
+        (grading, entry1, entry2)
+        for count, entry1, entry2 in all_pairs(lengths, table, 2 * (k + 1))
+        if 0 <= 2 * (count - 1 - k) <= entry1[1] + entry2[1]))[grading][0]
+
+
+def all_pairs_polygons(target, norm, budget):
+    lengths = lattice._Lengths(norm, budget)
+    table = lattice._chain_cells(lengths, target, None, every=True)
+    found = [LatticePolygon.point()] if target == 1 else []
+    for count, entry1, entry2 in all_pairs(lengths, table, target):
+        if count == target:
+            found.append(lattice._polygon_from_pair(entry1, entry2))
+            if entry2 is not entry1:
+                found.append(lattice._polygon_from_pair(entry2, entry1))
+    return sorted(found, key=lattice._preference)
 
 
 def depth_first_cells(lengths, max_count):
@@ -491,6 +572,17 @@ def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
     assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 1, ((1, 0, 5),))) == 1
 
 
+def crafted_minimum(lengths, pairs):
+    """(value, witness) of the one bucket of _pair_buckets over a table that
+    holds the entries of the given pairs, each pair keyed to that bucket."""
+    table = {(0, 0): {i: entry for i, entry in enumerate(
+        dict.fromkeys(entry for pair in pairs for entry in pair))}}
+    near = lattice._pair_buckets(lengths, table, 7, lambda count, entry1, entry2: (
+        7 if (entry1, entry2) in pairs or (entry2, entry1) in pairs else None))
+    value, tied = lattice._minima(lengths, near)[7]
+    return value, lattice._witness(tied)
+
+
 def test_minima_decide_unequal_keys_exactly():
     # crafted table entries (length, nedges, picks, weight) with equal floats
     lengths = lattice._Lengths(EUCLIDEAN, 20)
@@ -506,9 +598,113 @@ def test_minima_decide_unequal_keys_exactly():
             ([(square, square), (two, two)], 4, ((0, 0), (2, 0))),
             # two segments of length 4 and 2 edges: the preferred witness wins
             ([(two, two), (up, up)], 4, ((0, 0), (0, 2)))]:
-        best, pair = lattice._minima(lengths, [(7, *pair) for pair in pairs])[7]
+        best, witness = crafted_minimum(lengths, pairs)
         assert best.compare(CapacityValue.exact(value)) == 0, pairs
-        assert lattice._witness(pair).vertices == vertices, pairs
+        assert witness.vertices == vertices, pairs
+    # a rational bucket keeps both segments of length 4, and the witness
+    # built on demand is the preferred one
+    lengths = lattice._Lengths(WeightedL1(2, 2), 20)
+    two, up = (2, 1, ((1, 0, 2),), 1), (2, 1, ((0, 1, 2),), 1)
+    assert len(lattice._minima(lengths, lattice._pair_buckets(
+        lengths, {(0, 0): {0: two, 1: up}}, 2, lambda count, entry1, entry2: (
+            2 if entry1 is entry2 else None)))[2][1]) == 2
+    best, witness = crafted_minimum(lengths, [(two, two), (up, up)])
+    assert (best.as_fraction(), witness.vertices) == (4, ((0, 0), (0, 2)))
+
+
+def lattice_points(poly):
+    """Every lattice point of a polygon, segment or point."""
+    verts = poly.vertices
+    if len(verts) <= 2:
+        (ax, ay), (bx, by) = verts[0], verts[-1]
+        g = max(1, math.gcd(bx - ax, by - ay))
+        return [(ax + t * (bx - ax) // g, ay + t * (by - ay) // g)
+                for t in range(g + 1 if verts[0] != verts[-1] else 1)]
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    return [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
+            if all((bx - ax) * (y - ay) >= (by - ay) * (x - ax)
+                   for (ax, ay), (bx, by) in edges)]
+
+
+def hull(points):
+    """Vertices of the convex hull, counterclockwise (monotone chain)."""
+    points = sorted(set(points))
+    if len(points) <= 2:
+        return points
+
+    def half(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (y - out[-2][1]) <= \
+                    (out[-1][1] - out[-2][1]) * (x - out[-2][0]):
+                out.pop()
+            out.append((x, y))
+        return out
+    return half(points)[:-1] + half(reversed(points))[:-1]
+
+
+@pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW],
+                         ids=["euclidean", "l1:7/3,2", "hexagon", "skew"])
+def test_dropping_a_vertex_loses_one_point_and_no_length(norm):
+    # the lemma behind the pairing walk's cut at the least perimeter of
+    # kmax + 1 points: every smaller count has a polygon no longer
+    budget = lattice._initial_budget(norm, 6)
+    dropped = 0
+    for target in range(2, 8):
+        for poly in enumerate_polygons(target, norm, budget):
+            points = lattice_points(poly)
+            assert len(points) == target == poly.lattice_point_count
+            for v in poly.vertices:
+                smaller = LatticePolygon.from_vertices(hull(p for p in points if p != v))
+                assert smaller.lattice_point_count == target - 1, (poly, v)
+                assert perimeter(smaller, norm).compare(perimeter(poly, norm)) <= 0
+                dropped += 1
+    assert dropped > 100
+
+
+@pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW],
+                         ids=["euclidean", "l1:7/3,2", "hexagon", "skew"])
+def test_capacities_are_nondecreasing_to_30(norm):
+    seq = list(capacities(ToricNorm(norm), 30))
+    assert all(x.compare(y) <= 0 for x, y in zip(seq, seq[1:]))
+
+
+def test_rational_capacities_build_no_polygon(monkeypatch):
+    expected = [capacities(ToricNorm(norm), 15) for norm in (WeightedL1(F(7, 3), 2), HEXAGON)]
+
+    def refuse(upper, lower):
+        raise AssertionError("a polygon was built")
+
+    monkeypatch.setattr(lattice, "_polygon_from_pair", refuse)
+    assert [capacities(ToricNorm(norm), 15)
+            for norm in (WeightedL1(F(7, 3), 2), HEXAGON)] == expected
+    with pytest.raises(AssertionError, match="a polygon was built"):
+        toric_capacity(HEXAGON, 15)
+
+
+@pytest.mark.parametrize("norm, kmax", [
+    pytest.param(EUCLIDEAN, 20, id="euclidean"),
+    *(pytest.param(WeightedL1(a, b), 20, id=f"l1:{a},{b}")
+      for a, b in [(1, 1), (2, 1), (F(3, 2), F(2, 3)), (F(7, 3), 2), (1, 4)]),
+    *(pytest.param(norm, 14, id=name) for name, norm in [
+        ("hexagon", HEXAGON), ("skew", SKEW), ("diagonal", DIAGONAL),
+        *((f"bench-poly{i}", poly) for i, poly in enumerate(BENCH_POLYGONS))]),
+])
+def test_pairing_walk_matches_all_pairs_oracle(norm, kmax):
+    assert [repr(v) for v in capacities(ToricNorm(norm), kmax)] == \
+        [repr(value) for value, _ in all_pairs_toric(norm, kmax)]
+    for k in range(kmax + 1):
+        # each k at its own budget, with its own cut
+        value, witness = all_pairs_toric(norm, k)[k]
+        result = toric_capacity(norm, k)
+        assert (repr(result.value), result.witness) == (repr(value), witness), k
+        assert repr(min_action_at_grading(norm, 2 * k)) == \
+            repr(all_pairs_min_action(norm, 2 * k)), k
+    for budget in (4.9, 6, lattice._initial_budget(norm, 5), toric_capacity(norm, 6).value):
+        for target in range(1, 8):
+            assert enumerate_polygons(target, norm, budget) == \
+                all_pairs_polygons(target, norm, budget), (budget, target)
 
 
 def test_upper_directions_check_the_float_angle_order(monkeypatch):

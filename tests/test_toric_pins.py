@@ -21,7 +21,10 @@ k = 0..14, as computed when the pairing stage still rewrapped every chain
 table entry and picked a bucket's winner by two code paths.  Its "bounds"
 key holds the exit code and stdout sha256 of `fbound` and `gbound` in text
 and json, as computed when g_d still minimized over its own staircase
-instead of reading the polydisk kernel.
+instead of reading the polydisk kernel.  Its "reach" key holds capacities()
+at kmax 30 to 40, and toric_capacity at k = 20, 30 and kmax, for six norms,
+as computed when the pairing stage still paired every chain pair within the
+rectangle budget, without the cut at the least perimeter of kmax + 1 points.
 
 Regenerate (only when an output is meant to change, and say why) with
 
@@ -57,6 +60,21 @@ POLYGONAL_NORMS = {
     "bench-poly2": Polygonal(((3, 1), (-1, 2), (-3, -1), (1, -2))),
 }
 POLYGONAL_KMAX = 14
+
+# norms and kmax where the cut at the least perimeter of kmax + 1 points
+# prunes the most pairs: the bench's toric(poly:...) norms among them
+BENCH_POLY_NORMS = (
+    ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+    ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)),
+    ((3, 1), (-1, 2), (-3, -1), (1, -2)),
+)
+REACH_NORMS = {
+    "euclidean": (EUCLIDEAN, 40),
+    "l1:7/3,2": (WeightedL1(Fraction(7, 3), 2), 40),
+    "hexagon": (NORMS["hexagon"][0], 30),
+    "skew": (POLYGONAL_NORMS["skew"], 30),
+    **{f"bench-poly{i}": (Polygonal(v), 30) for i, v in enumerate(BENCH_POLY_NORMS)},
+}
 
 # arguments of `echcap capacities`, csv output
 SEQUENCES = [
@@ -169,6 +187,19 @@ def polygonal_pins():
             for name, norm in POLYGONAL_NORMS.items()}
 
 
+def reach_pins():
+    out = {}
+    for name, (norm, kmax) in REACH_NORMS.items():
+        witnesses = {}
+        for k in sorted({20, 30, kmax}):
+            result = toric_capacity(norm, k)
+            witnesses[str(k)] = [repr(result.value),
+                                 [list(v) for v in result.witness.vertices]]
+        out[name] = {"capacities": [repr(v) for v in capacities(ToricNorm(norm), kmax)],
+                     "toric_capacity": witnesses}
+    return out
+
+
 def sequence_digests():
     out = {}
     for args in SEQUENCES:
@@ -201,12 +232,21 @@ def test_toric_entry_points_match_pins():
         for key, value in expected[name].items():
             assert got[name][key] == value, (name, key)
     assert got.keys() == expected.keys() - {"sequences", "commands", "polydisk",
-                                            "polygonal", "bounds"}
+                                            "polygonal", "bounds", "reach"}
 
 
 def test_polygonal_entry_points_match_pins():
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["polygonal"]
     got = polygonal_pins()
+    for name, records in expected.items():
+        for key, value in records.items():
+            assert got[name][key] == value, (name, key)
+    assert got.keys() == expected.keys()
+
+
+def test_reach_entry_points_match_pins():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))["reach"]
+    got = reach_pins()
     for name, records in expected.items():
         for key, value in records.items():
             assert got[name][key] == value, (name, key)
@@ -255,5 +295,6 @@ if __name__ == "__main__":
                               "commands": command_digests(),
                               "polydisk": command_digests(POLYDISK_COMMANDS),
                               "polygonal": polygonal_pins(),
-                              "bounds": command_digests(BOUND_COMMANDS)}.items())
+                              "bounds": command_digests(BOUND_COMMANDS),
+                              "reach": reach_pins()}.items())
         + "\n}\n", encoding="utf-8")
