@@ -53,7 +53,26 @@ def _nk_values(a: RationalLike, b: RationalLike,
 
 def nk_sequence(a: RationalLike, b: RationalLike, kmax: int) -> List[CapacityValue]:
     """[(a,b)_1, ..., (a,b)_kmax] as exact values (list index k-1 holds (a,b)_k)."""
-    return list(CapacitySequence._from_ints(1, *_nk_values(a, b, kmax)))
+    return list(ellipsoid_full_capacities(a, b, kmax))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum((a*i + b) // m for i in range(n)) for n, m >= 1 and a, b >= 0, by
+    the Euclid-like recursion: reduce a and b mod m, then count the same
+    lattice points under the line by columns instead of rows."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 def nk_via_triangle(a: RationalLike, b: RationalLike,
@@ -62,7 +81,9 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
 
     The rank counts every lattice point (m', n') with a*m' + b*n' <= a*m + b*n,
     closed boundary included, so among tied values it is the largest rank.
-    The count is symmetric in the weights; the sum runs over the larger one.
+    The multiples of the larger weight up to the value, taken from the last
+    one down, are columns t = 0, 1, ... of (big*t + value mod big) // small
+    + 1 points each, a floor sum.
     """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
@@ -72,7 +93,8 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
     den, (a, b) = _over_common_denominator(a, b)
     value = a * m + b * n
     big, small = max(a, b), min(a, b)
-    count = sum((value - v) // small + 1 for v in range(0, value + 1, big))
+    columns = value // big + 1
+    count = columns + _floor_sum(columns, small, big, value % big)
     return count, CapacityValue.exact(Fraction(value, den))
 
 

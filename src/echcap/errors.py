@@ -56,4 +56,3 @@ class SpecParseError(EchcapError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-        self.bare_message = message

@@ -6,8 +6,9 @@ edges, a segment is traversed as the edge pair {v, -v}.
 
 The search engine represents a convex polygon as an angle-sorted multiset of
 edge vectors (primitive direction x multiplicity) summing to zero, split into
-two chains of equal displacement.  One dynamic program over the edge
-directions builds the chains: capacities keep the least chain of each
+two chains of equal displacement; the point pairs two empty chains.  One
+dynamic program over the edge directions builds the chains, the empty chain
+at (0, 0) included: capacities keep the least chain of each
 (displacement, weight) cell, enumerate_polygons and min_action_at_grading
 keep every chain, and enumerate_polygons visits each canonical polygon
 within the perimeter budget exactly once.  One walk pairs each displacement's
@@ -34,8 +35,8 @@ IntPoint = Tuple[int, int]
 Length = Union[int, float]     # a search length: int over a denominator, or float
 # a chain of the search: (length, nedges, picks, weight), see _chain_cells
 Entry = Tuple[Length, int, tuple, int]
-# a bucket's value and its tied cheapest chain pairs, or [None] for the point
-Tied = List[Optional[Tuple[Entry, Entry]]]
+# a bucket's value and its tied cheapest chain pairs
+Tied = List[Tuple[Entry, Entry]]
 Winner = Tuple[CapacityValue, Tied]
 
 
@@ -258,16 +259,12 @@ class LatticePolygon:
     @classmethod
     def from_vertices(cls, points: Sequence[Sequence[int]]) -> "LatticePolygon":
         verts = [(int(x), int(y)) for x, y in points]
-        if not verts:
-            raise ValueError("a polygon needs at least one vertex")
-        if len(verts) == 1:
-            return cls(_canonical(verts))
-        if len(verts) == 2:
-            if verts[0] == verts[1]:
-                raise ValueError("segment endpoints must be distinct")
-            return cls(_canonical(verts))
         n = len(verts)
-        for i in range(n):
+        if not n:
+            raise ValueError("a polygon needs at least one vertex")
+        if n == 2 and verts[0] == verts[1]:
+            raise ValueError("segment endpoints must be distinct")
+        for i in range(n if n > 2 else 0):   # a point or a segment has no turn
             ax, ay = verts[i]
             bx, by = verts[(i + 1) % n]
             cx, cy = verts[(i + 2) % n]
@@ -286,19 +283,12 @@ class LatticePolygon:
 
     @cached_property
     def edges(self) -> Tuple[IntPoint, ...]:
+        """Edge vectors in order: a segment's are v and -v, a point has none."""
         verts = self.vertices
         if len(verts) == 1:
             return ()
-        if len(verts) == 2:
-            (ax, ay), (bx, by) = verts
-            return ((bx - ax, by - ay), (ax - bx, ay - by))
-        out = []
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            out.append((bx - ax, by - ay))
-        return tuple(out)
+        return tuple((bx - ax, by - ay)
+                     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]))
 
     @cached_property
     def area2(self) -> int:
@@ -306,21 +296,11 @@ class LatticePolygon:
         return _shoelace2(self.vertices)
 
     @cached_property
-    def boundary_count(self) -> int:
-        """Number of lattice points on the boundary."""
-        if self.kind == "point":
-            return 1
-        if self.kind == "segment":
-            (ax, ay), (bx, by) = self.vertices
-            return gcd(abs(bx - ax), abs(by - ay)) + 1
-        return sum(gcd(abs(dx), abs(dy)) for dx, dy in self.edges)
-
-    @cached_property
     def lattice_point_count(self) -> int:
-        """Lattice points in the closed region, by Pick's theorem."""
-        if self.kind in ("point", "segment"):
-            return self.boundary_count
-        b = self.boundary_count
+        """Lattice points in the closed region, by Pick's theorem, which a
+        point (no edges) and a segment (area 0, each point counted once from
+        v and once from -v) satisfy too."""
+        b = sum(gcd(dx, dy) for dx, dy in self.edges)
         assert (self.area2 + b) % 2 == 0
         return (self.area2 + b) // 2 + 1
 
@@ -525,7 +505,8 @@ def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
 
 def _polygon_from_pair(upper: Entry, lower: Entry) -> LatticePolygon:
     """Close an upper chain against the negation of another with the same
-    displacement.  Both edge blocks are already in increasing angular order."""
+    displacement.  Both edge blocks are already in increasing angular order;
+    two empty chains close to the point."""
     (_, _, upper_picks, _), (_, _, lower_picks, _) = upper, lower
     verts = []
     x = y = 0
@@ -538,7 +519,7 @@ def _polygon_from_pair(upper: Entry, lower: Entry) -> LatticePolygon:
         x -= px * c
         y -= py * c
     assert (x, y) == (0, 0)
-    return LatticePolygon(_canonical(verts))
+    return LatticePolygon(_canonical(verts or [(0, 0)]))
 
 
 def _preference(poly: LatticePolygon):
@@ -595,16 +576,17 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     """All canonical convex lattice polygons enclosing exactly target_count
     lattice points with perimeter <= length_budget, sorted canonically.
 
-    Points and segments are included.  The enumeration is complete and
-    duplicate-free: it pairs every chain of _chain_cells, each pair its own
-    bucket, keyed by its picks, so the cut stays at the limit.  It raises
-    ToricEnumerationBudgetExceeded, with the directions done, if building
-    the chains needs more nodes than the configured limit.
+    Points and segments are included: the point pairs two empty chains.  The
+    enumeration is complete and duplicate-free: it pairs every chain of
+    _chain_cells, each pair its own bucket, keyed by its picks, so the cut
+    stays at the limit.  It raises ToricEnumerationBudgetExceeded, with the
+    directions done, if building the chains needs more nodes than the
+    configured limit.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     lengths = _Lengths(norm, length_budget)
-    found = [LatticePolygon.point()] if target_count == 1 else []
+    found = []
     table = _chain_cells(lengths, target_count, node_limit, every=True)
     for _, [(_, entry1, entry2)] in _pair_buckets(
             lengths, table, target_count, lambda count, entry1, entry2: (
@@ -620,9 +602,7 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
 
 def _witness(tied: Tied) -> LatticePolygon:
     """The preferred polygon of tied chain pairs, each closed either way
-    round, or the point for [None]."""
-    if tied == [None]:
-        return LatticePolygon.point()
+    round."""
     return min((_polygon_from_pair(*ends) for upper, lower in tied
                 for ends in ((upper, lower), (lower, upper))), key=_preference)
 
@@ -652,11 +632,12 @@ def _minima(lengths: _Lengths, near: Dict[object, list]) -> Dict[object, Winner]
 def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                  every: bool = False
                  ) -> Dict[IntPoint, Dict[int, Entry]]:
-    """(sx, sy) -> cell -> (length, nedges, picks, weight) of the nonempty
-    upper-half convex chains with length + |displacement| within the limit
-    whose pairs can enclose at most max_count lattice points.  Any closed
-    polygon of perimeter <= budget splits uniquely into such a chain and the
-    negation of another one with the same displacement.
+    """(sx, sy) -> cell -> (length, nedges, picks, weight) of the upper-half
+    convex chains, the empty chain at (0, 0) included, with length +
+    |displacement| within the limit whose pairs can enclose at most
+    max_count lattice points.  Any closed polygon of perimeter <= budget
+    splits uniquely into such a chain and the negation of another one with
+    the same displacement (the point into two empty chains).
 
     Dynamic programming: each direction p, in angular order, adds c >= 1
     copies of itself to the table's entries, the empty chain included, so a
@@ -719,7 +700,6 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                     nodes += 1   # the next copy
                     if nodes > node_cap:
                         raise exceeded(nodes, done)
-    del table[0, 0]
     return table
 
 
@@ -736,9 +716,7 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
     exists) with the fewest edges (else one with fewer vertices does)."""
     lengths = _Lengths(norm, budget)
     table = _chain_cells(lengths, max_count, node_limit)
-    minima = _minima(lengths, _pair_buckets(lengths, table, max_count))
-    minima[1] = (CapacityValue.exact(0), [None])
-    return minima
+    return _minima(lengths, _pair_buckets(lengths, table, max_count))
 
 
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:

@@ -157,8 +157,9 @@ def packing_obstructions(a_list: Sequence[RationalLike],
                          dmax: int) -> PackingReport:
     """Evaluate every packing inequality with bound d <= dmax.
 
-    Tuples range over nonnegative multipliers with sum(d_i^2 + d_i) <= d^2+3d,
-    not all zero.  all_hold means no obstruction was found.
+    Tuples range over nonnegative multipliers with sum(d_i^2 + d_i) <= d^2+3d.
+    The all-zero tuple is listed too, trivially satisfied, at every d.
+    all_hold means no obstruction was found.
     """
     sizes = [as_fraction(a) for a in a_list]
     if not sizes or any(a <= 0 for a in sizes):

@@ -76,6 +76,27 @@ def test_nk_via_triangle_thin_weights():
         assert nk_via_triangle(a, b, m, n)[0] == nk_via_triangle(b, a, n, m)[0]
 
 
+def column_count_oracle(a, b, m, n):
+    """The rank of a*m + b*n by a loop: one column of points per multiple of
+    the larger weight up to the value."""
+    value, big, small = a * m + b * n, max(a, b), min(a, b)
+    return sum((value - big * t) // small + 1 for t in range(value // big + 1))
+
+
+def test_nk_via_triangle_matches_column_loop():
+    rng = random.Random(20)
+    for _ in range(3000):
+        a, b = (F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(2))
+        m, n = rng.randint(0, 60), rng.randint(0, 60)
+        assert nk_via_triangle(a, b, m, n)[0] == column_count_oracle(a, b, m, n)
+
+
+def test_nk_via_triangle_counts_without_a_loop():
+    # 10^12 + 1 columns: a loop over them would not finish
+    k, v = nk_via_triangle(1, 1, 10**12, 0)
+    assert (k, v.as_fraction()) == ((10**12 + 1) * (10**12 + 2) // 2, 10**12)
+
+
 def test_nk_via_triangle_matches_rank():
     grid = [(F(1), F(1)), (F(2), F(1)), (F(3, 2), F(1)), (F(5), F(2))]
     for a, b in grid:

@@ -131,3 +131,33 @@ def test_no_dead_private_methods():
             for cls, name, line in private_methods(tree)
             if name not in read]
     assert not dead
+
+
+def self_attribute_stores(tree):
+    """(attribute, line) per attribute a method assigns on self, by
+    self.x = ... (also inside a tuple target) or
+    object.__setattr__(self, "x", ...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "__setattr__" and len(node.args) >= 2 \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "self" \
+                and isinstance(node.args[1], ast.Constant):
+            yield node.args[1].value, node.lineno
+
+
+def test_no_write_only_self_attributes():
+    """Every attribute the package assigns on self is read, as an attribute
+    load, somewhere in the package or its tests."""
+    trees = package_trees()
+    tests = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(__file__).resolve().parent.glob("*.py")]
+    read = {n.attr for tree in [*trees.values(), *tests] for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{module}:{line} {name}"
+              for module, tree in trees.items()
+              for name, line in self_attribute_stores(tree)
+              if name not in read]
+    assert not unread

@@ -34,18 +34,18 @@ DIAGONAL = Polygonal(((3, 3), (-1, 1), (-3, -3), (1, -1)))
 # -- oracles: the depth-first chain walk, and exact lengths for every pair ------
 
 def depth_first_chains(lengths, max_count):
-    """Every nonempty upper-half convex chain with length + |displacement|
-    within the limit whose pairs can enclose at most max_count lattice
-    points, as (dx, dy, entry) with entry = (length, nedges, picks, weight)
-    as _chain_cells stores it, by a depth-first walk: each chain is extended
-    by every later direction, one copy at a time, while the weight and
-    length prunes of lattice._chain_cells hold.  Lengths are summed in the
-    same order, pick by pick."""
+    """Every upper-half convex chain, the empty one at (0, 0) included, with
+    length + |displacement| within the limit whose pairs can enclose at most
+    max_count lattice points, as (dx, dy, entry) with entry = (length,
+    nedges, picks, weight) as _chain_cells stores it, by a depth-first
+    walk: each chain is extended by every later direction, one copy at a
+    time, while the weight and length prunes of lattice._chain_cells hold.
+    Lengths are summed in the same order, pick by pick."""
     dirs = lattice._upper_directions(lengths)
     chord, limit = lengths.chord, lengths.limit
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
-    chains = []
+    chains = [(0, 0, (0, 0, (), 0))]
 
     def walk(start, sx, sy, w, length, picks):
         for j in range(start, len(dirs)):
@@ -124,7 +124,7 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
                 key = (count, nedges1 + nedges2)
                 cand = (perim, (entry1, entry2))
                 buckets[key] = prefer(buckets.get(key), cand)
-    minima = {1: (CapacityValue.exact(0), None)}
+    minima = {}
     for (count, _), cand in sorted(buckets.items()):
         minima[count] = prefer(minima.get(count), cand)
     return {count: (value, [pair]) for count, (value, pair) in minima.items()}
@@ -180,9 +180,8 @@ def all_pairs_toric(norm, kmax):
     lengths = lattice._Lengths(norm, lattice._initial_budget(norm, kmax))
     table = lattice._chain_cells(lengths, kmax + 1, None)
     minima = all_pairs_minima(lengths, all_pairs(lengths, table, kmax + 1))
-    return [(CapacityValue.exact(0), LatticePolygon.point())] + [
-        (minima[count][0], lattice._witness([minima[count][1]]))
-        for count in range(2, kmax + 2)]
+    return [(minima[count][0], lattice._witness([minima[count][1]]))
+            for count in range(1, kmax + 2)]
 
 
 def all_pairs_min_action(norm, grading):
@@ -200,7 +199,7 @@ def all_pairs_min_action(norm, grading):
 def all_pairs_polygons(target, norm, budget):
     lengths = lattice._Lengths(norm, budget)
     table = lattice._chain_cells(lengths, target, None, every=True)
-    found = [LatticePolygon.point()] if target == 1 else []
+    found = []
     for count, entry1, entry2 in all_pairs(lengths, table, target):
         if count == target:
             found.append(lattice._polygon_from_pair(entry1, entry2))
