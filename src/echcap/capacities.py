@@ -20,7 +20,7 @@ from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
 from .lattice import _toric_minima
 from .values import (CapacitySequence, CapacityValue, RationalLike,
-                     _over_common_denominator, as_fraction)
+                     _over_common_denominator, _polydisk_entry, as_fraction)
 
 WEAK = "weak"
 INTERIOR_STRICT = "interior_strict"
@@ -127,10 +127,9 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
     one walk over the lattice values v = a*m + b*n in increasing order, with
     the running maximum P of their products, gives every entry: when P rises
     from P_old to P_new at v, entries P_old .. min(P_new, kmax+1) - 1 are v.
-    Any m bounds c_kmax by a*m + b*(ceil((kmax+1)/(m+1)) - 1); the best of a
-    few m near sqrt(b(kmax+1)/a) is the level.  As in _nk_values, the values
-    up to that level (about 2(kmax+1) of them) are enumerated, here as keys
-    v * radix + (m+1)(n+1), and sorted once.
+    The level is c_kmax itself, from the corners of the staircase.  As in
+    _nk_values, the values up to that level (about 2(kmax+1) of them) are
+    enumerated, here as keys v * radix + (m+1)(n+1), and sorted once.
     """
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
@@ -139,9 +138,7 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
         raise ValueError("kmax must be >= 0")
     den, (a, b) = _over_common_denominator(a, b)
     need = kmax + 1
-    u = math.isqrt(b * need // a)
-    level = min(a * m + b * (-(-need // (m + 1)) - 1)
-                for m in range(max(0, min(u, need - 1) - 2), min(u + 3, need)))
+    level = _polydisk_entry(a, b, need)
     radix = (level // a + 1) * (level // b + 1) + 1   # above every product
     keys: List[int] = []
     for m in range(level // a + 1):

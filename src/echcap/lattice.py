@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
-                     _sign, _squarefree, as_fraction)
+                     _polydisk_entry, _sign, _squarefree, as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -721,15 +721,11 @@ def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
 
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:
     """Perimeter of the cheapest m-by-n rectangle (or segment) with at least
-    k+1 lattice points, which dominates some polygon with exactly k+1."""
-    if k == 0:
-        return CapacityValue.exact(0)
-    # the staircase of least m-by-n rectangles with (m+1)(n+1) > k, on ints
-    ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
-    den = math.lcm(ux.denominator, uy.denominator)
-    ix, iy = int(ux * den), int(uy * den)
-    return CapacityValue.exact(Fraction(2 * min(
-        ix * m + iy * (k // (m + 1)) for m in range(k + 1)), den))
+    k+1 lattice points, which dominates some polygon with exactly k+1: the
+    polydisk capacity c_k(P(2|e1|, 2|e2|)), as toric(l1:a,b) is P(a, b)."""
+    den, (ix, iy) = _over_common_denominator(norm.length((1, 0)).as_fraction(),
+                                             norm.length((0, 1)).as_fraction())
+    return CapacityValue.exact(Fraction(2 * _polydisk_entry(ix, iy, k + 1), den))
 
 
 @dataclass(frozen=True)

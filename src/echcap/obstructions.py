@@ -1,7 +1,7 @@
 """Embedding obstructions assembled from capacity sequences.
 
 Covers the ellipsoid-into-ball bound, the polydisk-into-ball bound read from
-the polydisk capacities, ball packing inequalities, and the
+the polydisk staircase, ball packing inequalities, and the
 classical sufficiency conditions for packing a ball.
 """
 
@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .capacities import (WEAK, _nk_values, capacities, dominates,
-                         polydisk_capacities)
+from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
 from .values import (CapacityValue, RationalLike, _over_common_denominator,
-                     as_fraction)
+                     _polydisk_entry, _staircase, as_fraction)
 
 __all__ = [
     "BiranVerdict", "ObstructionVerdict", "PackingInequality", "PackingReport",
@@ -74,18 +73,15 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
     """Lattice points of the staircase of {(m, n) : (m+1)(n+1) >= (d+1)(d+2)/2}
     that lie on its lower-left convex hull, ordered by increasing m.
 
+    The hull is built over the staircase's corners: any other point of the
+    set has a point of the set just left of it, so it is on no hull edge.
     Collinear points on a hull edge are kept: they are listed as vertices of
     the path, and keeping them cannot change a linear minimization.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    need = (d + 1) * (d + 2) // 2
-    staircase = []
-    for m in range(need):
-        n = -(-need // (m + 1)) - 1
-        staircase.append((m, n))
     hull: List[Tuple[int, int]] = []
-    for p in staircase:
+    for p in _staircase((d + 1) * (d + 2) // 2):
         # pop strictly concave middle points; collinear ones stay
         while len(hull) >= 2:
             (ax, ay), (bx, by) = hull[-2], hull[-1]
@@ -99,27 +95,23 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
 
 def g_d(a: RationalLike, d: int) -> Fraction:
     """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, which is c_k(P(a, 1))/d
-    at k = (d^2+3d)/2."""
+    at k = (d^2+3d)/2: for a = p/q, the polydisk entry of P(p, q) over q*d."""
     a = as_fraction(a)
     if a < 1:
         raise ValueError("aspect ratio a must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    k = (d * d + 3 * d) // 2
-    return polydisk_capacities(a, 1, k)[k].as_fraction() / d
+    p, q = a.numerator, a.denominator
+    return Fraction(_polydisk_entry(p, q, (d + 1) * (d + 2) // 2), q * d)
 
 
 def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax,
-    read from one polydisk sequence."""
+    each read off O(d) staircase corners."""
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     a = as_fraction(a)
-    if a < 1:
-        raise ValueError("aspect ratio a must be >= 1")
-    seq = polydisk_capacities(a, 1, (dmax * dmax + 3 * dmax) // 2)
-    return max(seq[(d * d + 3 * d) // 2].as_fraction() / d
-               for d in range(1, dmax + 1))
+    return max(g_d(a, d) for d in range(1, dmax + 1))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ApproxTie
 
@@ -46,6 +46,29 @@ def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
     """(d, [q * d for q in sizes]) with d the least common denominator."""
     den = math.lcm(*(q.denominator for q in sizes))
     return den, [q.numerator * (den // q.denominator) for q in sizes]
+
+
+def _staircase(need: int) -> Iterator[Tuple[int, int]]:
+    """Corners (m, n) of {(m, n) >= 0 : (m+1)(n+1) >= need}, need >= 1, by
+    increasing m: every point of the set is entrywise >= one of them.
+
+    n + 1 = q = ceil(need/(m+1)) is constant on runs of m, a corner starts
+    each run, and the next run starts at m + 1 = ceil(need/(q-1)): q takes
+    at most 2 sqrt(need) + 1 values.
+    """
+    t = 1   # m + 1
+    while True:
+        q = -(-need // t)
+        yield t - 1, q - 1
+        if q == 1:
+            return
+        t = -(-need // (q - 1))
+
+
+def _polydisk_entry(a: int, b: int, need: int) -> int:
+    """min{a*m + b*n : (m+1)(n+1) >= need} over ints a, b >= 0: c_k of the
+    polydisk P(a, b) at need = k+1, from the corners of the staircase."""
+    return min(a * m + b * n for m, n in _staircase(need))
 
 
 def _ulp(x: float) -> float:

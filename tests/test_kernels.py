@@ -18,7 +18,7 @@ from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
                     ellipsoid_capacities, maxplus_convolve, nk_sequence,
                     nk_via_triangle, polydisk_capacities, volume_ratio_trace)
 from echcap.cli import format_value
-from echcap.values import _over_common_denominator
+from echcap.values import _over_common_denominator, _polydisk_entry, _staircase
 
 F = Fraction
 SMALL_DENS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
@@ -186,6 +186,31 @@ def test_polydisk_matches_sweep_oracle():
     for a, b, kmax in cases:
         seq = polydisk_capacities(a, b, kmax)
         assert (seq.den, list(seq._items)) == polydisk_sweep_oracle(a, b, kmax), (a, b, kmax)
+
+
+def test_polydisk_entry_matches_sweep_oracle():
+    # the single-entry reader over ints, at every k <= 10^3
+    rng = random.Random(1000)
+    for _ in range(12):
+        a, b = random_size(rng), random_size(rng)
+        _, want = polydisk_sweep_oracle(a, b, 1000)
+        _, (ia, ib) = _over_common_denominator(a, b)
+        assert [_polydisk_entry(ia, ib, k + 1) for k in range(1001)] == want, (a, b)
+
+
+def test_staircase_corners():
+    assert list(_staircase(1)) == [(0, 0)]
+    for need in list(range(1, 200)) + [10 ** 4, 12345, 10 ** 6 + 1]:
+        corners = list(_staircase(need))
+        assert len(corners) <= 2 * math.isqrt(need) + 1
+        assert corners[0] == (0, need - 1) and corners[-1] == (need - 1, 0)
+        assert all(m0 < m1 and n0 > n1
+                   for (m0, n0), (m1, n1) in zip(corners, corners[1:]))
+        # each corner is in the set and its left neighbour is not
+        assert all((m + 1) * (n + 1) >= need > m * (n + 1) for m, n in corners)
+        if need < 200:   # and every such point is a corner
+            least = [(m, -(-need // (m + 1)) - 1) for m in range(need)]
+            assert corners == [(m, n) for m, n in least if m * (n + 1) < need]
 
 
 def test_polydisk_full_sequence_at_k_2e4():

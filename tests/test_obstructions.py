@@ -6,12 +6,12 @@ import pytest
 
 from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid,
                     INTERIOR_STRICT, Polydisk, ToricNorm, WEAK, WeightedL1,
-                    ball_capacities, disjoint_union_capacities,
-                    polydisk_capacities)
+                    ball_capacities, disjoint_union_capacities)
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d,
                                  g_lower_bound, lambda_d_path,
                                  packing_obstructions)
+from echcap.values import _polydisk_entry
 
 F = Fraction
 
@@ -81,7 +81,38 @@ def test_f_lower_bound_matches_all_k_form():
             assert f_lower_bound(a, dmax) == f_lower_bound_all_k(a, kmax)
 
 
+def test_f_lower_bound_at_the_fibonacci_staircase_corners():
+    # McDuff-Schlenk (arXiv:0912.0532): with g = 1, 2, 5, 13, 34, 89 the odd
+    # Fibonacci numbers, f(g[n+2]/g[n]) = g[n+2]/g[n+1] and
+    # f((g[n+1]/g[n])^2) = g[n+1]/g[n], the corners of the ellipsoid-into-ball
+    # staircase; budget 0.25 s, about 5 ms on a 2-vCPU host (Python 3.11)
+    g = [1, 2, 5, 13, 34, 89]
+    start = time.perf_counter()
+    for n, dmax in enumerate((20, 40, 80, 160)):
+        assert f_lower_bound(F(g[n + 2], g[n]), dmax) == F(g[n + 2], g[n + 1])
+        assert f_lower_bound(F(g[n + 1], g[n]) ** 2, dmax) == F(g[n + 1], g[n])
+    assert time.perf_counter() - start < 0.25
+
+
 # -- polydisk-into-ball bound --------------------------------------------------
+
+def lambda_d_path_oracle(d):
+    """Oracle: the lower-left hull of every staircase point (m, n), m < need,
+    with n the least such that (m+1)(n+1) >= need = (d+1)(d+2)/2; collinear
+    points stay."""
+    need = (d + 1) * (d + 2) // 2
+    hull = []
+    for m in range(need):
+        p = (m, -(-need // (m + 1)) - 1)
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) < 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
 
 def test_lambda_d_path_known_vertices():
     assert lambda_d_path(1) == [(0, 2), (1, 1), (2, 0)]
@@ -107,15 +138,20 @@ def test_g_d_against_feasible_set_scan():
             assert g_d(a, d) == brute(a, d)
 
 
+def test_lambda_d_path_matches_listing_oracle():
+    for d in range(1, 301):
+        assert lambda_d_path(d) == lambda_d_path_oracle(d), d
+
+
 def g_d_hull_oracle(a, d, path=None):
-    """Oracle: the Fraction minimum over the points of lambda_d_path(d), the
-    lower-left hull of the staircase."""
-    return min((a * m + n) / d for m, n in path or lambda_d_path(d))
+    """Oracle: the Fraction minimum over the points of lambda_d_path_oracle(d),
+    the lower-left hull of the staircase."""
+    return min((a * m + n) / d for m, n in path or lambda_d_path_oracle(d))
 
 
 def test_g_matches_hull_oracle():
     rng = random.Random(20100513)
-    paths = {d: lambda_d_path(d) for d in range(1, 31)}
+    paths = {d: lambda_d_path_oracle(d) for d in range(1, 31)}
     for _ in range(300):
         q = rng.randint(1, 97)
         a = F(rng.randint(q, 8 * q), q)
@@ -134,10 +170,10 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 
 
 def test_g_d_matches_hull_oracle_over_prime_denominators():
-    # g_d reads c_k(P(a, 1)) from the polydisk kernel; the oracle minimizes
-    # over the hull of the staircase, sharing no code with it
+    # g_d reads the corners of the staircase; the oracle minimizes over the
+    # hull of every staircase point, sharing no code with it
     rng = random.Random(1729)
-    paths = {d: lambda_d_path(d) for d in range(1, 41)}
+    paths = {d: lambda_d_path_oracle(d) for d in range(1, 41)}
     for _ in range(200):
         q = rng.choice(PRIMES)
         a = F(rng.randint(q, 12 * q), q)
@@ -148,16 +184,16 @@ def test_g_d_matches_hull_oracle_over_prime_denominators():
                                            for d in range(1, 41))
 
 
-def test_g_lower_bound_builds_one_polydisk_sequence(monkeypatch):
-    kmaxes = []
+def test_g_lower_bound_reads_one_polydisk_entry_per_d(monkeypatch):
+    needs = []
 
-    def counted(a, b, kmax):
-        kmaxes.append(kmax)
-        return polydisk_capacities(a, b, kmax)
+    def counted(a, b, need):
+        needs.append(need)
+        return _polydisk_entry(a, b, need)
 
-    monkeypatch.setattr("echcap.obstructions.polydisk_capacities", counted)
+    monkeypatch.setattr("echcap.obstructions._polydisk_entry", counted)
     assert g_lower_bound(F(7, 2), 24) == F(8, 3)
-    assert kmaxes == [(24 * 24 + 3 * 24) // 2]
+    assert needs == [(d + 1) * (d + 2) // 2 for d in range(1, 25)]
 
 
 def test_g_lower_bound_at_dmax_200_within_budget():
@@ -257,6 +293,25 @@ def test_volume_constraint_emerges_from_packing():
             checked += 1
             assert a1 * a1 + a2 * a2 <= F(102, 100)
     assert checked >= 5
+
+
+def test_packing_numbers_of_equal_balls_into_a_ball():
+    # the largest a with n balls B(a) in B(1), n = 1..9 (McDuff-Polterovich);
+    # the ECH obstruction is sharp: none at a, and at a + 10^-6 the first
+    # witness is k = sum m_i(m_i+1)/2 of the binding class (d; m_1..m_n),
+    # e.g. k = 27 for (6; 3, 2^7); budget 0.25 s, about 5 ms on a 2-vCPU
+    # host (Python 3.11)
+    sizes = [F(1), F(1, 2), F(1, 2), F(1, 2), F(2, 5), F(2, 5), F(3, 8),
+             F(6, 17), F(1, 3)]
+    witnesses = [1, 2, 2, 2, 5, 5, 9, 27, 9]
+    start = time.perf_counter()
+    for n, (a, k) in enumerate(zip(sizes, witnesses), 1):
+        assert not embedding_obstruction(
+            DisjointUnion([Ball(a)] * n), Ball(1), 60).obstructed, n
+        above = embedding_obstruction(
+            DisjointUnion([Ball(a + F(1, 10 ** 6))] * n), Ball(1), 60)
+        assert above.obstructed and above.witness_k == k, n
+    assert time.perf_counter() - start < 0.25
 
 
 # -- sufficiency conditions ----------------------------------------------------

@@ -814,6 +814,17 @@ def test_initial_budget_is_the_least_rectangle(norm):
         assert repr(lattice._initial_budget(norm, k)) == repr(least), k
 
 
+@pytest.mark.parametrize("norm", [EUCLIDEAN, SKEW, HEXAGON, WeightedL1(F(7, 3), 2),
+                                  WeightedL1(1, 4)],
+                         ids=["euclidean", "skew", "hexagon", "l1:7/3,2", "l1:1,4"])
+def test_initial_budget_is_a_polydisk_capacity(norm):
+    # toric(l1:a,b) is P(a, b): the least rectangle is c_k(P(2|e1|, 2|e2|))
+    ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
+    seq = polydisk_capacities(2 * ux, 2 * uy, 300)
+    for k in range(301):
+        assert lattice._initial_budget(norm, k) == seq[k], k
+
+
 def test_floor_moves_up_from_a_float_below_the_integer():
     # sqrt 65 carried with a coarse float 7.9 +/- 0.2
     assert lattice._floor(CapacityValue(None, 7.9, 0.2, ((65, 1),))) == 8
