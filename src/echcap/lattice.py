@@ -447,6 +447,10 @@ class _Lengths:
             self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
         else:
             self.eps, self.limit = 0, _floor(self.budget.scaled(self.den))
+        # box: |x| <= bx and |y| <= by where 2|v| <= limit, by the dual norms of
+        # the axes (max |x| and max |y| on the unit ball)
+        duals = (norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
+        self.box = tuple(int(self.limit * q / (2 * (self.den or 1))) for q in duals)
 
     def exact(self, picks: tuple) -> CapacityValue:
         """A Euclidean chain's length, one exact length per edge direction,
@@ -490,11 +494,8 @@ class _Lengths:
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     """Primitive vectors in the upper half-plane (y > 0, or y == 0 and x > 0)
     with twice their length (kept in the chord memo) within the limit, sorted
-    by angle from (1, 0).  The dual norms of the axes, max |x| and max |y|
-    over the unit ball, bound the box searched."""
-    chord, limit, scale = lengths.chord, lengths.limit, 2 * (lengths.den or 1)
-    duals = (lengths.norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
-    bx, by = (int(limit * q.numerator // (scale * q.denominator)) for q in duals)
+    by angle from (1, 0), searched over lengths.box."""
+    chord, limit, (bx, by) = lengths.chord, lengths.limit, lengths.box
     dirs = [(x, y) for y in range(by + 1) for x in range(-bx, bx + 1)
             if (y or x > 0) and gcd(x, y) == 1 and 2 * chord[x, y] <= limit]
     dirs.sort(key=lambda v: math.atan2(v[1], v[0]))
@@ -652,43 +653,57 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     are not extended again, as they are p's own copies (or, of winners,
     what they replaced is dominated by their longer run).  The node limit
     counts each entry looked at in a displacement not skipped, and each
-    further copy tried on it."""
+    further copy tried on it.  A displacement is an int id on a grid, the box
+    of lengths.box doubled plus one for float rounding, which holds each s + p
+    read (s and p have chords <= limit / 2); lists by id hold cells, lazy
+    chords and coordinates, and the ids in creation order are the snapshot."""
     node_cap = resolve_node_limit(node_limit)
     chord, limit, eps = lengths.chord, lengths.limit, lengths.eps
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
-    table = {(0, 0): {0: (0, 0, (), 0)}}
-    nodes = 0
     # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
-    dirs = _upper_directions(lengths)
+    dirs, (bx, by) = _upper_directions(lengths), lengths.box
+    off, width, rows = 2 * bx + 1, 4 * bx + 3, 2 * by + 2
+    xs = list(range(-off, off + 1)) * rows
+    ys = [y for y in range(rows) for _ in range(width)]
+    chords, groups, order = [None] * len(xs), [None] * len(xs), [off]
+    chords[off], groups[off], nodes = chord[0, 0], {0: (0, 0, (), 0)}, 0
 
     def exceeded(nodes, done):
         return ToricEnumerationBudgetExceeded(
             node_cap, max_count, lengths.budget_f, nodes, done, len(dirs))
 
     for done, (px, py) in enumerate(dirs):
-        dl = chord[px, py]
-        for s, cells in list(table.items()):
-            top = limit - dl - chord[s[0] + px, s[1] + py] + eps
-            if chord[s] > top:   # no chain to s is shorter than its chord
+        dl, step, end = chord[px, py], px + width * py, (px, py)
+        for i in order[:]:
+            j = i + step
+            if (cj := chords[j]) is None:
+                cj = chords[j] = chord[xs[j], ys[j]]
+            top = limit - dl - cj + eps
+            if chords[i] > top:   # no chain to s is shorter than its chord
                 continue
-            wtop = weight_cap - 1 - (s[0] * py - s[1] * px)
-            for length, nedges, picks, w in cells.values():
+            dw = xs[i] * py - ys[i] * px + 1   # the weight each copy adds
+            wtop = weight_cap - dw
+            for length, nedges, picks, w in groups[i].values():
                 nodes += 1   # the entry, or its first copy
                 if nodes > node_cap:
                     raise exceeded(nodes, done)
-                if w > wtop or length > top or picks and picks[-1][:2] == (px, py):
+                if w > wtop or length > top or picks and picks[-1][:2] == end:
                     continue
-                (sx, sy), nedges, c = s, nedges + 1, 0
+                j, nedges, c = i, nedges + 1, 0
                 while True:
-                    w += sx * py - sy * px + 1
-                    sx += px
-                    sy += py
+                    w += dw
+                    j += step
                     length += dl
                     c += 1
-                    if w > weight_cap or length + chord[sx, sy] > limit:
+                    if (cj := chords[j]) is None:
+                        cj = chords[j] = chord[xs[j], ys[j]]
+                    if w > weight_cap or length + cj > limit:
                         break
-                    group = table.setdefault((sx, sy), {})
+                    group = groups[j]
+                    if group is None:
+                        group = groups[j] = {}
+                        order.append(j)
                     cell = len(group) if every else w
                     best = group.get(cell)
                     if best is None or length < best[0] - eps:
@@ -700,7 +715,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                     nodes += 1   # the next copy
                     if nodes > node_cap:
                         raise exceeded(nodes, done)
-    return table
+    return {(xs[i], ys[i]): groups[i] for i in order}
 
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]

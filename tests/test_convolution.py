@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
+from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion, Ellipsoid,
                     EUCLIDEAN, MismatchedIndexOrigin, ToricNorm,
                     ball_capacities, capacities,
                     disjoint_union_capacities, ellipsoid_full_capacities,
@@ -136,3 +136,31 @@ def test_union_computes_each_distinct_part_once(monkeypatch):
         "0,2,4,~5.414213562373,~6.828427124746,~7.414213562373," \
         "~8.828427124746,~9.414213562373,~10.828427124746,~11.414213562373," \
         "~12.242640687119"
+
+
+def weight_expansion(a, b):
+    """The weights of the ellipsoid E(a, b), a >= b, as in Euclid's algorithm:
+    b repeated floor(a/b) times, then the weights of (b, a - floor(a/b) b)."""
+    weights = []
+    while b:
+        q = a // b
+        weights += [b] * q
+        a, b = b, a - q * b
+    return weights
+
+
+def test_ellipsoid_equals_union_of_its_weight_balls():
+    # McDuff (arXiv:1008.1885): c_k(E(a, b)) = c_k of the disjoint union of
+    # the balls B(w_i) of its weight expansion: max-plus over up to 204 parts
+    # here, against the ellipsoid's own lattice-point kernel
+    rng = random.Random(1008)
+    most = 0
+    for _ in range(100):
+        a, b = (F(rng.randint(1, 60), rng.randint(1, 20)) for _ in range(2))
+        weights = weight_expansion(max(a, b), min(a, b))
+        assert sum(w * w for w in weights) == a * b   # the volumes agree
+        kmax = rng.randint(0, 120)
+        union = DisjointUnion([Ball(w) for w in weights])
+        assert capacities(Ellipsoid(a, b), kmax) == capacities(union, kmax), (a, b, kmax)
+        most = max(most, len(weights))
+    assert most > 100

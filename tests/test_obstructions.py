@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid,
                     INTERIOR_STRICT, Polydisk, ToricNorm, WEAK, WeightedL1,
-                    ball_capacities, disjoint_union_capacities)
+                    ball_capacities, disjoint_union_capacities, dominates)
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d,
                                  g_lower_bound, lambda_d_path,
@@ -314,6 +315,27 @@ def test_packing_numbers_of_equal_balls_into_a_ball():
     assert time.perf_counter() - start < 0.25
 
 
+def ball_union_capacities(sizes, kmax):
+    return disjoint_union_capacities([ball_capacities(a, kmax) for a in sizes], kmax)
+
+
+def test_packing_inequalities_are_strict_dominance_of_the_ball_union():
+    # the tuples (d_1..d_n) with sum(d_i^2 + d_i) <= d^2 + 3d unpack the
+    # max-plus union: a maximizing split can lower each k_i to (d_i^2 + d_i)/2,
+    # so all_hold is strict dominance under B(1) up to K = (dmax^2 + 3 dmax)/2
+    dmax = 12
+    top = (dmax * dmax + 3 * dmax) // 2
+    rng = random.Random(1994)
+    held = 0
+    for _ in range(45):
+        sizes = [F(rng.randint(1, 39), 40) for _ in range(rng.randint(1, 3))]
+        strict = dominates(ball_union_capacities(sizes, top), ball_capacities(1, top),
+                           INTERIOR_STRICT).dominated
+        assert packing_obstructions(sizes, dmax).all_hold == strict, sizes
+        held += strict
+    assert 10 < held < 35   # both verdicts are drawn
+
+
 # -- sufficiency conditions ----------------------------------------------------
 
 def test_biran_volume_failure():
@@ -341,3 +363,24 @@ def test_biran_rejects_bad_input():
         biran_sufficiency([], 3)
     with pytest.raises(ValueError):
         biran_sufficiency([F(0)], 3)
+
+
+def test_biran_sufficiency_is_weak_dominance_plus_volume():
+    # for n <= 8 balls the exceptional classes have d <= 6, so dmax 12 is
+    # complete and Biran's test is weak dominance under B(1) and volume <= 1
+    dmax = 12
+    top = (dmax * dmax + 3 * dmax) // 2
+    rng = random.Random(1997)
+    verdicts = []
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        # sizes up to 1.8 / sqrt(n), so that about half fit by volume
+        sizes = [F(rng.randint(1, math.isqrt(72 * 72 // n)), 40) for _ in range(n)]
+        volume = sum(a * a for a in sizes) <= 1
+        weak = dominates(ball_union_capacities(sizes, top), ball_capacities(1, top),
+                         WEAK).dominated
+        assert biran_sufficiency(sizes, dmax).sufficient == (weak and volume), sizes
+        verdicts.append((volume, weak))
+    # volume passes and fails, and some that fit by volume are obstructed
+    assert 30 < sum(volume for volume, _ in verdicts) < 70
+    assert (True, False) in verdicts and (True, True) in verdicts

@@ -325,6 +325,28 @@ def test_node_limit_reports_directions_done():
         assert 0 <= copy.directions_done < copy.directions_total
 
 
+@pytest.mark.parametrize("norm, k, total, progress", [
+    pytest.param(EUCLIDEAN, 20, 60, [(1, 0), (2, 0), (11, 1), (101, 11), (1001, 30)],
+                 id="euclidean-20"),
+    pytest.param(SKEW, 14, 40, [(1, 0), (2, 0), (11, 2), (101, 11), (1001, 26)],
+                 id="skew-14"),
+])
+def test_node_limit_exit_progress_is_pinned(norm, k, total, progress):
+    # (nodes, directions done) where the search stops, recorded from the
+    # dict-keyed chain table the displacement grid replaced: the grid counts
+    # a node wherever that walk did
+    for limit, (nodes, done) in zip((0, 1, 10, 100, 1000), progress):
+        with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+            toric_capacity(norm, k, node_limit=limit)
+        exc = info.value
+        assert (exc.nodes, exc.directions_done, exc.directions_total) == \
+            (nodes, done, total), limit
+    with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+        enumerate_polygons(5, EUCLIDEAN, 10, node_limit=10)
+    exc = info.value
+    assert (exc.nodes, exc.directions_done, exc.directions_total) == (11, 2, 24)
+
+
 def test_toric_capacity_is_minimal_over_complete_enumeration():
     hexagon = Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
     cases = [(EUCLIDEAN, 4), (WeightedL1(1, 1), 6),
@@ -499,6 +521,63 @@ def test_every_chain_matches_depth_first_walk(norm, budget, max_count):
     assert got == walk
     assert [float(x[3]).hex() for x in got] == [float(x[3]).hex() for x in walk]
     assert len({x[5] for x in got}) == len(got) > 0
+
+
+def creation_order(lengths, max_count):
+    """The chains of depth_first_chains in the order the chain-cell DP
+    creates them, as displacement -> picks: per direction, over a snapshot
+    of the displacements in creation order, each chain of one (in its
+    creation order) takes 1, 2, ... copies while the walk has them."""
+    found = {picks: (dx, dy) for dx, dy, (_, _, picks, _)
+             in depth_first_chains(lengths, max_count)}
+    groups = {(0, 0): [()]}
+    for px, py in lattice._upper_directions(lengths):
+        for s in list(groups):
+            for picks in list(groups[s]):
+                c = 1
+                while (chain := picks + ((px, py, c),)) in found:
+                    groups.setdefault(found[chain], []).append(chain)
+                    c += 1
+    return groups
+
+
+# thin unit balls, whose displacements reach the edge of lengths.box (the
+# displacement grid spans its double), and the usual five
+GRID_NORMS = [("l1:1,9", WeightedL1(1, 9)), ("l1:9,1", WeightedL1(9, 1)),
+              ("diagonal", DIAGONAL), *EVERY_CHAIN_NORMS]
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["winners", "every"])
+@pytest.mark.parametrize("name, norm", GRID_NORMS, ids=[n for n, _ in GRID_NORMS])
+def test_chain_cells_on_the_grid_match_depth_first_walk(name, norm, every):
+    # the same displacements in creation order, the same cells and entries
+    # (with every set, each displacement's chains in creation order), and
+    # the same float bits, at k <= 1 and at the grid's edge too
+    at_edge = 0
+    for k in (0, 1, 2, 8):
+        for budget in (lattice._initial_budget(norm, k), 3, 7.25):
+            lengths = lattice._Lengths(norm, budget)
+            (bx, by), max_count = lengths.box, k + 1
+            table = lattice._chain_cells(lengths, max_count, None, every=every)
+            order = creation_order(lengths, max_count)
+            assert list(table) == list(order), (k, budget)
+            at_edge += any(abs(sx) == bx > 0 or sy == by > 0 for sx, sy in table)
+            if every:
+                walk = {entry[2]: (dx, dy, entry)
+                        for dx, dy, entry in depth_first_chains(lengths, max_count)}
+                for s, group in table.items():
+                    assert list(group) == list(range(len(group)))
+                    got = [(*s, entry) for entry in group.values()]
+                    assert got == [walk[picks] for picks in order[s]]
+                    assert [float(x[2][0]).hex() for x in got] == \
+                        [float(walk[picks][2][0]).hex() for picks in order[s]]
+            else:
+                cells, _ = depth_first_cells(lengths, max_count)
+                flat = flat_cells(table)
+                assert flat == {key: entry[:3] for key, entry in cells.items()}
+                assert [float(flat[key][0]).hex() for key in flat] == \
+                    [float(cells[key][0]).hex() for key in flat]
+    assert at_edge   # some table reaches the edge of lengths.box
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(7, 3), 2)], ids=["1,1", "7/3,2"])
