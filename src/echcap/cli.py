@@ -13,7 +13,8 @@ Usage:
 
 Domain specs:  ball(a) | ellipsoid(a,b) | polydisk(a,b) | toric(euclidean)
 | toric(l1:a,b) | toric(poly:[[x,y],...]) | union(spec;spec;...)
-with sizes written as integers or p/q.
+with sizes and vertex coordinates written as integers or p/q (a coordinate
+may take a leading '-').
 
 Exit codes: 0 success / no obstruction, 1 obstruction or violation found,
 2 usage or parse error, 3 enumeration budget exceeded.  All payloads are
@@ -29,7 +30,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import asymptotics, obstructions
 from .capacities import (INTERIOR_STRICT, WEAK, capacities,
@@ -104,24 +105,30 @@ class _Parser:
         self.expect(")")
         return values
 
-    def bracketed(self) -> str:
-        """The balanced [...] block starting at the cursor, as raw text."""
+    def signed(self) -> Fraction:
+        """A rational with an optional leading '-'."""
         self.skip_ws()
-        if self.peek() != "[":
-            raise self.error("expected '['")
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return self.text[start:self.pos]
+        if self.peek() != "-":
+            return self.rational()
+        self.pos += 1
+        return -self.rational()
+
+    def vertices(self) -> List[Tuple[Fraction, Fraction]]:
+        """[[x,y],[x,y],...] with signed rational coordinates."""
+        self.expect("[")
+        verts = []
+        while True:
+            self.expect("[")
+            x = self.signed()
+            self.expect(",")
+            verts.append((x, self.signed()))
+            self.expect("]")
+            self.skip_ws()
+            if self.peek() != ",":
+                break
             self.pos += 1
-        raise self.error("unbalanced '['")
+        self.expect("]")
+        return verts
 
     def domain(self) -> Domain:
         name = self.word().lower()
@@ -155,14 +162,7 @@ class _Parser:
             return ToricNorm(WeightedL1(*self.sizes(2)))
         if kind == "poly":
             self.expect(":")
-            raw = self.bracketed()
-            try:   # JSON floats and booleans are not integers
-                verts = [(x, y) for x, y in json.loads(raw)]
-                if any(type(c) is not int for v in verts for c in v):
-                    raise TypeError
-            except (ValueError, TypeError):
-                raise self.error("polygon literal must be a JSON array of "
-                                 "[x,y] integer pairs")
+            verts = self.vertices()
             try:
                 norm = Polygonal(tuple(verts))
             except ValueError as exc:

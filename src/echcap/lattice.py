@@ -432,7 +432,6 @@ class _Lengths:
                 raise ValueError("length budget must be >= 0")
             budget = self.budget = CapacityValue.exact(frac)
         self.budget_f = float(budget)
-        self.norm = norm
         self.den, self.f = norm._lengths()
         self.chord = _Memo(self.f)
         slack = 1e-9 * max(1.0, self.budget_f)
@@ -649,14 +648,16 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     of a walk over every chain.  With every set each chain is its own cell,
     under a fresh key, and the table holds every chain.  Only entries under
     the first copy's length cap (raised by eps) and weight cap run the copy
-    loop, none where the chord of s is over the former; entries ending in p
-    are not extended again, as they are p's own copies (or, of winners,
-    what they replaced is dominated by their longer run).  The node limit
+    loop, none where the chord of s is over the former.  The node limit
     counts each entry looked at in a displacement not skipped, and each
     further copy tried on it.  A displacement is an int id on a grid, the box
     of lengths.box doubled plus one for float rounding, which holds each s + p
     read (s and p have chords <= limit / 2); lists by id hold cells, lazy
-    chords and coordinates, and the ids in creation order are the snapshot."""
+    chords and coordinates.  The id of s + p is that of s plus
+    step = px + width * py > 0, so a direction walks its displacements by
+    decreasing id: each group it reaches holds only chains made before p,
+    and every copy lands on a group already walked.  The table is handed on
+    in increasing id, which is (sy, sx) order."""
     node_cap = resolve_node_limit(node_limit)
     chord, limit, eps = lengths.chord, lengths.limit, lengths.eps
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
@@ -674,8 +675,8 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
             node_cap, max_count, lengths.budget_f, nodes, done, len(dirs))
 
     for done, (px, py) in enumerate(dirs):
-        dl, step, end = chord[px, py], px + width * py, (px, py)
-        for i in order[:]:
+        dl, step = chord[px, py], px + width * py
+        for i in sorted(order, reverse=True):
             j = i + step
             if (cj := chords[j]) is None:
                 cj = chords[j] = chord[xs[j], ys[j]]
@@ -688,7 +689,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                 nodes += 1   # the entry, or its first copy
                 if nodes > node_cap:
                     raise exceeded(nodes, done)
-                if w > wtop or length > top or picks and picks[-1][:2] == end:
+                if w > wtop or length > top:
                     continue
                 j, nedges, c = i, nedges + 1, 0
                 while True:
@@ -715,7 +716,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                     nodes += 1   # the next copy
                     if nodes > node_cap:
                         raise exceeded(nodes, done)
-    return {(xs[i], ys[i]): groups[i] for i in order}
+    return {(xs[i], ys[i]): groups[i] for i in sorted(order)}
 
 
 def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
@@ -812,8 +813,6 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     if budget is None:
         budget = _initial_budget(norm, k)
     lengths = _Lengths(norm, budget)
-    if k == 0:
-        return CapacityValue.exact(0)   # the point, labeled by nothing
     top = 2 * (k + 1)
     table = _chain_cells(lengths, top, node_limit, every=True)
     best = _minima(lengths, _pair_buckets(

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion,
-                    Ellipsoid, INTERIOR_STRICT, MismatchedIndexOrigin,
-                    Polydisk, WEAK, ball_capacities, capacities, describe,
+from echcap import (EUCLIDEAN, Ball, CapacitySequence, CapacityValue,
+                    DisjointUnion, Ellipsoid, INTERIOR_STRICT,
+                    MismatchedIndexOrigin, Polydisk, Polygonal, ToricNorm, WEAK,
+                    WeightedL1, ball_capacities, capacities, describe,
                     dominates, ellipsoid_capacities, ellipsoid_full_capacities,
                     nk_sequence, nk_via_triangle, polydisk_capacities, scale)
-from echcap.cli import format_value, main
+from echcap.cli import format_value, main, parse_domain_spec
 
 F = Fraction
 
@@ -191,6 +192,30 @@ def test_scaling_homogeneity():
             base = fracs(capacities(dom, 30))
             scaled = fracs(capacities(scale(dom, lam), 30))
             assert scaled == [lam * v for v in base]
+
+
+SKEW = ToricNorm(Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1))))
+# a closed form of each kind, rational toric norms and a three-part union
+SCALABLE = [Ball(F(3, 2)), Ellipsoid(F(7, 3), F(5, 4)), Polydisk(F(2), F(1)),
+            ToricNorm(WeightedL1(F(7, 3), 2)), SKEW,
+            ToricNorm(Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))),
+            DisjointUnion((Ball(1), Ellipsoid(2, 1), SKEW))]
+
+
+def test_capacities_are_conformal_under_scale():
+    lam = F(5, 3)
+    for dom in SCALABLE:
+        base, scaled = capacities(dom, 12), capacities(scale(dom, lam), 12)
+        assert all(scaled[k] == base[k].scaled(lam) for k in range(13)), describe(dom)
+    with pytest.raises(ValueError, match="no size parameter"):
+        scale(ToricNorm(EUCLIDEAN), lam)
+
+
+def test_describe_parses_back_to_the_domain():
+    for dom in SCALABLE:
+        for form in (dom, scale(dom, F(5, 3))):
+            assert parse_domain_spec(describe(form)) == form, describe(form)
+    assert parse_domain_spec(describe(ToricNorm(EUCLIDEAN))) == ToricNorm(EUCLIDEAN)
 
 
 def test_inclusion_monotonicity():

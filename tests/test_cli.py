@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
-                    WeightedL1, obstructions)
+                    WeightedL1, capacities, obstructions, polydisk_capacities)
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
 from echcap.values import CapacityValue
@@ -31,6 +31,13 @@ def test_parse_nested_union_and_poly():
     dom = parse_domain_spec(
         "union(toric(poly:[[1,0],[0,1],[-1,0],[0,-1]]);ball(2))")
     assert isinstance(dom, DisjointUnion)
+
+
+def test_polygon_literal_takes_rational_vertices():
+    # the unit ball |x| + |y| <= 1/2 is the gauge 2|x| + 2|y| of l1:4,4
+    dom = parse_domain_spec("toric(poly:[[1/2,0],[0,1/2],[-1/2,0],[0,-1/2]])")
+    assert capacities(dom, 12) == capacities(ToricNorm(WeightedL1(4, 4)), 12) \
+        == polydisk_capacities(4, 4, 12)
 
 
 def test_parse_errors_carry_positions():
@@ -196,6 +203,11 @@ def test_biran(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "fails_volume"
     assert main(["biran", "1/2,1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "sufficient"
+    # within the volume, but a + b <= 1 (d = 1, multipliers 1, 1) fails
+    assert main(["biran", "3/4,1/2"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["multipliers"], payload["bound"]) == \
+        ("fails_inequality", [1, 1], 1)
 
 
 def test_asym_csv(capsys):
@@ -243,10 +255,15 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_polygon_literal_rejects_non_integer_coordinates(capsys):
-    for x in ("1.5", "1.0", "true", '"1"'):
+    # coordinates are integers or p/q: a decimal stops after its integer
+    # part, and a JSON boolean or string is no rational
+    for x, message in (("1.5", "expected ',' (at position 14)"),
+                       ("1.0", "expected ',' (at position 14)"),
+                       ("true", "expected a rational number (p/q or integer) (at position 13)"),
+                       ('"1"', "expected a rational number (p/q or integer) (at position 13)")):
         spec = f"toric(poly:[[{x},0],[0,1],[-1,0],[0,-1]])"
         assert main(["capacities", spec, "--kmax", "4"]) == 2
-        assert "integer pairs" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["capacities", "toric(poly:[[1,0],[0,1],[-1,0],[0,-1]])",
                  "--kmax", "4"]) == 0
     assert capsys.readouterr().out == "0,2,4,4,6\n"

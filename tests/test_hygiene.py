@@ -133,11 +133,11 @@ def test_no_dead_private_methods():
     assert not dead
 
 
-def self_attribute_stores(tree):
-    """(attribute, line) per attribute a method assigns on self, by
-    self.x = ... (also inside a tuple target) or
+def self_attribute_stores(cls):
+    """(attribute, line) per attribute a method of the class assigns on
+    self, by self.x = ... (also inside a tuple target) or
     object.__setattr__(self, "x", ...)."""
-    for node in ast.walk(tree):
+    for node in ast.walk(cls):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
                 and isinstance(node.value, ast.Name) and node.value.id == "self":
             yield node.attr, node.lineno
@@ -148,16 +148,39 @@ def self_attribute_stores(tree):
             yield node.args[1].value, node.lineno
 
 
+def named(tree):
+    """Identifiers a module names: loaded or stored names, attributes and
+    imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
 def test_no_write_only_self_attributes():
-    """Every attribute the package assigns on self is read, as an attribute
-    load, somewhere in the package or its tests."""
+    """Every attribute a class assigns on self is read, as an attribute
+    load, in the class's own module or in a module or test that names the
+    class; a read of the same name on an unrelated object does not count."""
     trees = package_trees()
     tests = [ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(__file__).resolve().parent.glob("*.py")]
-    read = {n.attr for tree in [*trees.values(), *tests] for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f"{module}:{line} {name}"
-              for module, tree in trees.items()
-              for name, line in self_attribute_stores(tree)
-              if name not in read]
+    files = [(tree, named(tree), {n.attr for n in ast.walk(tree)
+                                  if isinstance(n, ast.Attribute)
+                                  and isinstance(n.ctx, ast.Load)})
+             for tree in [*trees.values(), *tests]]
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            read = set().union(*(loads for other, names, loads in files
+                                 if other is tree or cls.name in names))
+            unread += [f"{module}:{line} {cls.name}.{name}"
+                       for name, line in self_attribute_stores(cls)
+                       if name not in read]
     assert not unread

@@ -186,8 +186,6 @@ def all_pairs_toric(norm, kmax):
 
 def all_pairs_min_action(norm, grading):
     k = grading // 2
-    if k == 0:
-        return CapacityValue.exact(0)
     lengths = lattice._Lengths(norm, lattice._initial_budget(norm, k))
     table = lattice._chain_cells(lengths, 2 * (k + 1), None, every=True)
     return all_pairs_minima(lengths, (
@@ -256,6 +254,8 @@ def test_euclidean_spectrum_start():
 
 def test_euclidean_witnesses_minimize():
     result = toric_capacity(EUCLIDEAN, 2)
+    value, witness = result
+    assert value is result.value and witness is result.witness
     length = perimeter(result.witness, EUCLIDEAN)
     assert abs(length.value - result.value.value) <= length.err + result.value.err
     # several congruent triangles achieve 2 + sqrt(2)
@@ -333,8 +333,8 @@ def test_node_limit_reports_directions_done():
 ])
 def test_node_limit_exit_progress_is_pinned(norm, k, total, progress):
     # (nodes, directions done) where the search stops, recorded from the
-    # dict-keyed chain table the displacement grid replaced: the grid counts
-    # a node wherever that walk did
+    # dict-keyed chain table the displacement grid replaced; the grid's
+    # sweep by decreasing id stops at the same points at these limits
     for limit, (nodes, done) in zip((0, 1, 10, 100, 1000), progress):
         with pytest.raises(ToricEnumerationBudgetExceeded) as info:
             toric_capacity(norm, k, node_limit=limit)
@@ -405,7 +405,12 @@ def test_reeb_orbit_data():
 
 
 def test_min_action_at_grading_examples():
-    assert min_action_at_grading(EUCLIDEAN, 0).as_fraction() == 0
+    # grading 0 is the point, the pair of two empty chains: no direction
+    # fits these budgets, so the search visits no node
+    for _, norm in EVERY_CHAIN_NORMS:
+        for budget in (None, F(1, 3), 0.0):
+            value = min_action_at_grading(norm, 0, budget, node_limit=0)
+            assert value.is_exact and value.as_fraction() == 0, (norm, budget)
     assert min_action_at_grading(EUCLIDEAN, 2).as_fraction() == 2
     assert abs(min_action_at_grading(EUCLIDEAN, 4).value
                - (2 + math.sqrt(2))) < 1e-9
@@ -523,17 +528,17 @@ def test_every_chain_matches_depth_first_walk(norm, budget, max_count):
     assert len({x[5] for x in got}) == len(got) > 0
 
 
-def creation_order(lengths, max_count):
+def sweep_order(lengths, max_count):
     """The chains of depth_first_chains in the order the chain-cell DP
-    creates them, as displacement -> picks: per direction, over a snapshot
-    of the displacements in creation order, each chain of one (in its
-    creation order) takes 1, 2, ... copies while the walk has them."""
+    creates them, as displacement -> picks: per direction, over the
+    displacements by decreasing (y, x), each chain of one (in its creation
+    order) takes 1, 2, ... copies while the walk has them."""
     found = {picks: (dx, dy) for dx, dy, (_, _, picks, _)
              in depth_first_chains(lengths, max_count)}
     groups = {(0, 0): [()]}
     for px, py in lattice._upper_directions(lengths):
-        for s in list(groups):
-            for picks in list(groups[s]):
+        for s in sorted(groups, key=lambda s: (s[1], s[0]), reverse=True):
+            for picks in groups[s]:
                 c = 1
                 while (chain := picks + ((px, py, c),)) in found:
                     groups.setdefault(found[chain], []).append(chain)
@@ -550,8 +555,8 @@ GRID_NORMS = [("l1:1,9", WeightedL1(1, 9)), ("l1:9,1", WeightedL1(9, 1)),
 @pytest.mark.parametrize("every", [False, True], ids=["winners", "every"])
 @pytest.mark.parametrize("name, norm", GRID_NORMS, ids=[n for n, _ in GRID_NORMS])
 def test_chain_cells_on_the_grid_match_depth_first_walk(name, norm, every):
-    # the same displacements in creation order, the same cells and entries
-    # (with every set, each displacement's chains in creation order), and
+    # the same displacements in (y, x) order, the same cells and entries
+    # (with every set, each displacement's chains in the sweep's order), and
     # the same float bits, at k <= 1 and at the grid's edge too
     at_edge = 0
     for k in (0, 1, 2, 8):
@@ -559,8 +564,8 @@ def test_chain_cells_on_the_grid_match_depth_first_walk(name, norm, every):
             lengths = lattice._Lengths(norm, budget)
             (bx, by), max_count = lengths.box, k + 1
             table = lattice._chain_cells(lengths, max_count, None, every=every)
-            order = creation_order(lengths, max_count)
-            assert list(table) == list(order), (k, budget)
+            order = sweep_order(lengths, max_count)
+            assert list(table) == sorted(order, key=lambda s: (s[1], s[0])), (k, budget)
             at_edge += any(abs(sx) == bx > 0 or sy == by > 0 for sx, sy in table)
             if every:
                 walk = {entry[2]: (dx, dy, entry)
@@ -578,6 +583,20 @@ def test_chain_cells_on_the_grid_match_depth_first_walk(name, norm, every):
                 assert [float(flat[key][0]).hex() for key in flat] == \
                     [float(cells[key][0]).hex() for key in flat]
     assert at_edge   # some table reaches the edge of lengths.box
+
+
+@pytest.mark.parametrize("name, norm", EVERY_CHAIN_NORMS, ids=[n for n, _ in EVERY_CHAIN_NORMS])
+def test_every_chain_turns_left_at_each_pick(name, norm):
+    # a direction's sweep never reaches the copies it made, so no chain
+    # takes one direction twice: picks are in strictly increasing angle
+    for k in range(9):
+        for budget in (lattice._initial_budget(norm, k), 7.25):
+            table = lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None,
+                                         every=True)
+            for group in table.values():
+                for _, _, picks, _ in group.values():
+                    assert all(ax * by - ay * bx > 0 for (ax, ay, _), (bx, by, _)
+                               in zip(picks, picks[1:])), (k, budget, picks)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(7, 3), 2)], ids=["1,1", "7/3,2"])
@@ -602,12 +621,12 @@ def test_euclidean_50_needs_few_transitions():
     # the chain-cell table skips the (displacement, direction) pairs whose
     # first copy cannot fit before trying them
     assert len(capacities(ToricNorm(EUCLIDEAN), 50, node_limit=250_000)) == 51
-    # and does not extend a chain by the direction it was just given: about
-    # 34.4 k nodes at k = 30, 37.1 k without that rule
+    # and each direction walks only the chains made before it: about 34.4 k
+    # nodes at k = 30
     assert len(capacities(ToricNorm(EUCLIDEAN), 30, node_limit=35_500)) == 31
-    # the 26 k copies tried there alone fit 30 k nodes, but the 8.3 k table
-    # entries that fail the weight, length or same-direction test are looked
-    # at and counted too, so the limit bounds that work as well
+    # the 28.3 k copies tried there alone fit 30 k nodes, but the 6.2 k table
+    # entries that fail the weight or length test are looked at and counted
+    # too, so the limit bounds that work as well
     with pytest.raises(ToricEnumerationBudgetExceeded):
         capacities(ToricNorm(EUCLIDEAN), 30, node_limit=30_000)
 
