@@ -35,9 +35,8 @@ IntPoint = Tuple[int, int]
 Length = Union[int, float]     # a search length: int over a denominator, or float
 # a chain of the search: (length, nedges, picks, weight), see _chain_cells
 Entry = Tuple[Length, int, tuple, int]
-# a bucket's value and its tied cheapest chain pairs
-Tied = List[Tuple[Entry, Entry]]
-Winner = Tuple[CapacityValue, Tied]
+# a bucket's value and its cheapest chain pair
+Winner = Tuple[CapacityValue, Tuple[Entry, Entry]]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -258,7 +257,7 @@ class LatticePolygon:
 
     @classmethod
     def from_vertices(cls, points: Sequence[Sequence[int]]) -> "LatticePolygon":
-        verts = [(int(x), int(y)) for x, y in points]
+        verts = [(_integer(x), _integer(y)) for x, y in points]
         n = len(verts)
         if not n:
             raise ValueError("a polygon needs at least one vertex")
@@ -303,6 +302,13 @@ class LatticePolygon:
         b = sum(gcd(dx, dy) for dx, dy in self.edges)
         assert (self.area2 + b) % 2 == 0
         return (self.area2 + b) // 2 + 1
+
+
+def _integer(x) -> int:
+    """An integral coordinate as an int; ValueError for any other."""
+    if int(x) != x:
+        raise ValueError(f"lattice coordinates must be integers, got {x!r}")
+    return int(x)
 
 
 def _canonical(verts: Sequence[IntPoint]) -> Tuple[IntPoint, ...]:
@@ -365,7 +371,7 @@ def generator_action(gen: LabeledGenerator, norm: Norm) -> CapacityValue:
 
 def reeb_orbit_data(norm: Norm, m: int, n: int):
     """Direction (cos t, sin t) and action of the primitive orbit class (m, n)."""
-    m, n = int(m), int(n)
+    m, n = _integer(m), _integer(n)
     if gcd(abs(m), abs(n)) != 1:
         raise NotPrimitive(f"({m}, {n}) is not primitive")
     r = math.hypot(m, n)
@@ -523,7 +529,8 @@ def _polygon_from_pair(upper: Entry, lower: Entry) -> LatticePolygon:
 
 
 def _preference(poly: LatticePolygon):
-    """Order among tied minima: fewest vertices, then lexicographic vertices."""
+    """Order of enumerate_polygons and of a pair's two closings: fewest
+    vertices, then lexicographic vertices."""
     return (len(poly.vertices), poly.vertices)
 
 
@@ -600,19 +607,17 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
 
 # -- minimum perimeters ---------------------------------------------------------
 
-def _witness(tied: Tied) -> LatticePolygon:
-    """The preferred polygon of tied chain pairs, each closed either way
-    round."""
-    return min((_polygon_from_pair(*ends) for upper, lower in tied
-                for ends in ((upper, lower), (lower, upper))), key=_preference)
+def _witness(entry1: Entry, entry2: Entry) -> LatticePolygon:
+    """The _preference-lesser of a chain pair's two closings, which are
+    point reflections of each other."""
+    return min(_polygon_from_pair(entry1, entry2), _polygon_from_pair(entry2, entry1),
+               key=_preference)
 
 
 def _minima(lengths: _Lengths, near: Dict[object, list]) -> Dict[object, Winner]:
-    """key -> (value, tied) of each bucket of _pair_buckets: its pairs of
-    least exact length, then fewest edges (witness vertex count).  A rational
-    value is the least over den for any of them; a Euclidean one is summed
-    from a pair's chains, so its float and error bound depend on the pair,
-    and tied is cut down to the pair of the preferred witness."""
+    """key -> (value, pair) of each bucket of _pair_buckets: of its pairs of
+    least exact length, the fewest edges, then the least sorted edge lists
+    (min and max of the two picks); value is the pair's exact perimeter."""
     eps, minima = lengths.eps, {}
     for key, (least, pairs) in near.items():
         kept = [(entry1, entry2) for length, entry1, entry2 in pairs
@@ -621,11 +626,9 @@ def _minima(lengths: _Lengths, near: Dict[object, list]) -> Dict[object, Winner]
             keys = [lengths.key(entry1[2] + entry2[2]) for entry1, entry2 in kept]
             low = min(set(keys), key=cmp_to_key(lengths.order))   # least exact length
             kept = [pair for pair, k in zip(kept, keys) if k == low]
-        fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
-        tied = [pair for pair in kept if pair[0][1] + pair[1][1] == fewest]
-        if lengths.den is None and len(tied) > 1:
-            tied = [min(tied, key=lambda pair: _preference(_witness([pair])))]
-        minima[key] = (lengths.value(*tied[0]), tied)
+        pair = min(kept, key=lambda pair: (pair[0][1] + pair[1][1], *sorted(
+            (pair[0][2], pair[1][2]))))
+        minima[key] = (lengths.value(*pair), pair)
     return minima
 
 
@@ -719,22 +722,6 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     return {(xs[i], ys[i]): groups[i] for i in sorted(order)}
 
 
-def _bucket_minima(norm: Norm, budget, max_count: int, node_limit: Optional[int]
-                   ) -> Dict[int, Winner]:
-    """count -> (value, tied) of the cheapest polygons, over every polygon
-    with at most max_count lattice points and perimeter within the budget.
-
-    Perimeters add across the two chains of a pair, so only the cheapest
-    chain of each cell of _chain_cells is paired, within its displacement
-    group: of equal lengths the one with fewer edges, then the first by
-    picks.  That keeps the preferred minimizer, whose chains each are
-    cheapest in their cell (else a shorter polygon with the same count
-    exists) with the fewest edges (else one with fewer vertices does)."""
-    lengths = _Lengths(norm, budget)
-    table = _chain_cells(lengths, max_count, node_limit)
-    return _minima(lengths, _pair_buckets(lengths, table, max_count))
-
-
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:
     """Perimeter of the cheapest m-by-n rectangle (or segment) with at least
     k+1 lattice points, which dominates some polygon with exactly k+1: the
@@ -748,8 +735,8 @@ def _initial_budget(norm: Norm, k: int) -> CapacityValue:
 class ToricCapacity:
     """Minimum perimeter at fixed enclosed lattice point count, with witness.
 
-    Of several minimizers the witness is the preferred one: fewest vertices,
-    then lexicographically first.
+    Of several minimizers the witness closes the pair of chains with the
+    fewest edges, then the least sorted edge lists (see _toric_minima).
     """
 
     value: CapacityValue
@@ -761,11 +748,23 @@ class ToricCapacity:
 
 def _toric_minima(norm: Norm, kmax: int,
                   node_limit: Optional[int]) -> List[Winner]:
-    """(value, tied) of the cheapest polygons for each k = 0..kmax, from one
+    """(value, pair) of the cheapest polygons for each k = 0..kmax, from one
     search at the budget of kmax, which covers every smaller k because
-    _initial_budget is nondecreasing in k."""
+    _initial_budget is nondecreasing in k.
+
+    Only the winner of each cell of _chain_cells is paired, and a count's
+    bucket keeps the least pair by the rule: least exact length, fewest
+    edges, then least sorted edge lists.  That is the rule's least (A, B)
+    over every pair of chains: if A is not its cell's winner W, then (W, B)
+    has the same count, and W is shorter, or as long with fewer edges, or
+    as long with as many and a smaller edge list; the sorted-pair order is
+    monotone in each chain, so (W, B) comes first, a contradiction (so too
+    for B).  And _pair_buckets keeps it, within eps of its bucket's least
+    and under the cut."""
     budget = _initial_budget(norm, kmax)
-    minima = _bucket_minima(norm, budget, kmax + 1, node_limit)
+    lengths = _Lengths(norm, budget)
+    table = _chain_cells(lengths, kmax + 1, node_limit)
+    minima = _minima(lengths, _pair_buckets(lengths, table, kmax + 1))
     try:
         return [minima[count] for count in range(1, kmax + 2)]
     except KeyError as missing:
@@ -782,14 +781,14 @@ def toric_capacity(norm: Norm, k: int,
     The search runs at the perimeter of the cheapest rectangle with at least
     k+1 points, builds one cheapest chain per (displacement, weight) cell by
     dynamic programming, pairs them up to the least perimeter of k+1 points,
-    buckets the pairs by lattice-point count, and builds the witness from
-    the tied pairs.  Every call runs its own search under node_limit, which
-    counts the transitions of that dynamic program.
+    keeps one pair per lattice-point count (see _toric_minima), and closes
+    the witness from that of k+1.  Every call runs its own search under
+    node_limit, which counts the transitions of that dynamic program.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    value, tied = _toric_minima(norm, k, node_limit)[k]
-    return ToricCapacity(value, _witness(tied))
+    value, pair = _toric_minima(norm, k, node_limit)[k]
+    return ToricCapacity(value, _witness(*pair))
 
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,

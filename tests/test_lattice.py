@@ -36,6 +36,15 @@ def test_rejects_clockwise_and_collinear():
         LatticePolygon.from_vertices([(0, 0), (1, 0), (2, 0), (1, 1)])
 
 
+def test_from_vertices_rejects_non_integral_coordinates():
+    with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        LatticePolygon.from_vertices([(0, 0), (1.5, 0), (0, 1)])
+    with pytest.raises(ValueError, match="must be integers"):
+        LatticePolygon.from_vertices([(0, 0), (1, 0), (0, F(1, 2))])
+    # integral Fractions and floats are the ints they equal
+    assert LatticePolygon.from_vertices([(F(0), 0.0), (F(4, 4), 0), (0, 1.0)]) == TRIANGLE
+
+
 def test_degeneracy_kinds():
     assert POINT.kind == "point"
     assert SEGMENT.kind == "segment"

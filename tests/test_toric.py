@@ -67,8 +67,15 @@ def depth_first_chains(lengths, max_count):
     return chains
 
 
-def bucket_minima_oracle(norm, budget, max_count, node_limit):
-    """All-exact reference for lattice._bucket_minima (node_limit unused).
+def pair_order(pair):
+    """A bucket's order past the exact length: fewest edges, then the least
+    sorted edge lists."""
+    (_, nedges1, picks1, _), (_, nedges2, picks2, _) = pair
+    return nedges1 + nedges2, min(picks1, picks2), max(picks1, picks2)
+
+
+def bucket_minima_oracle(norm, budget, max_count):
+    """All-exact reference for the buckets of lattice._toric_minima.
 
     Chain lengths are sums of one exact CapacityValue per edge direction;
     the cell table and the pairing compare them for every chain, with no
@@ -76,8 +83,8 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     count and buckets by count and edge count before each count's buckets
     are reduced, so this also checks that the search's cells and buckets by
     weight and count alone lose no minimizer.  Of two candidates the one of
-    smaller exact value wins, and of equal values the preferred witness,
-    which is returned as the one tied pair.
+    smaller exact value wins, and of equal values the one first by
+    pair_order.
     """
     exact = {}
 
@@ -95,8 +102,7 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
             return cand
         order = cand[0].compare(best[0])
         if order == 0:
-            order = -1 if lattice._preference(lattice._witness([cand[1]])) < \
-                lattice._preference(lattice._witness([best[1]])) else 1
+            order = -1 if pair_order(cand[1]) < pair_order(best[1]) else 1
         return cand if order < 0 else best
 
     cells = {}
@@ -127,10 +133,16 @@ def bucket_minima_oracle(norm, budget, max_count, node_limit):
     minima = {}
     for (count, _), cand in sorted(buckets.items()):
         minima[count] = prefer(minima.get(count), cand)
-    return {count: (value, [pair]) for count, (value, pair) in minima.items()}
+    return minima
 
 
-# -- oracle: every pair within the budget, no cut, eager witnesses -------------
+def toric_minima_oracle(norm, kmax, node_limit):
+    """lattice._toric_minima from bucket_minima_oracle (node_limit unused)."""
+    minima = bucket_minima_oracle(norm, lattice._initial_budget(norm, kmax), kmax + 1)
+    return [minima[count] for count in range(1, kmax + 2)]
+
+
+# -- oracle: every pair within the budget, no cut ------------------------------
 
 def all_pairs(lengths, table, max_count):
     """(count, entry1, entry2) for every two entries of one displacement of a
@@ -154,8 +166,8 @@ def all_pairs(lengths, table, max_count):
 
 def all_pairs_minima(lengths, keyed_pairs):
     """key -> (value, pair) of the cheapest pair with that key: of the pairs
-    within eps of the least float, the least exact length, then the fewest
-    edges, then the preferred witness, built for every pair left."""
+    within eps of the least float, the least exact length, then the first by
+    pair_order."""
     buckets = {}
     for key, entry1, entry2 in keyed_pairs:
         buckets.setdefault(key, []).append((entry1[0] + entry2[0], entry1, entry2))
@@ -168,9 +180,7 @@ def all_pairs_minima(lengths, keyed_pairs):
             keys = [lengths.key(entry1[2] + entry2[2]) for entry1, entry2 in kept]
             low = min(set(keys), key=cmp_to_key(lengths.order))
             kept = [pair for pair, k in zip(kept, keys) if k == low]
-        fewest = min(entry1[1] + entry2[1] for entry1, entry2 in kept)
-        pair = min((pair for pair in kept if pair[0][1] + pair[1][1] == fewest),
-                   key=lambda pair: lattice._preference(lattice._witness([pair])))
+        pair = min(kept, key=pair_order)
         minima[key] = (lengths.value(*pair), pair)
     return minima
 
@@ -180,7 +190,7 @@ def all_pairs_toric(norm, kmax):
     lengths = lattice._Lengths(norm, lattice._initial_budget(norm, kmax))
     table = lattice._chain_cells(lengths, kmax + 1, None)
     minima = all_pairs_minima(lengths, all_pairs(lengths, table, kmax + 1))
-    return [(minima[count][0], lattice._witness([minima[count][1]]))
+    return [(minima[count][0], lattice._witness(*minima[count][1]))
             for count in range(1, kmax + 2)]
 
 
@@ -404,6 +414,14 @@ def test_reeb_orbit_data():
         reeb_orbit_data(EUCLIDEAN, 2, 2)
 
 
+def test_reeb_orbit_data_rejects_non_integral_classes():
+    for m, n in [(1.9, 0), (1, F(1, 2))]:
+        with pytest.raises(ValueError, match="must be integers"):
+            reeb_orbit_data(EUCLIDEAN, m, n)
+    # an integral Fraction is the int it equals
+    assert reeb_orbit_data(EUCLIDEAN, F(3), 1) == reeb_orbit_data(EUCLIDEAN, 3, 1)
+
+
 def test_min_action_at_grading_examples():
     # grading 0 is the point, the pair of two empty chains: no direction
     # fits these budgets, so the search visits no node
@@ -455,7 +473,9 @@ def toric_records(norm, kmax):
 ])
 def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch):
     got = toric_records(norm, kmax)
-    monkeypatch.setattr(lattice, "_bucket_minima", bucket_minima_oracle)
+    monkeypatch.setattr(lattice, "_toric_minima", toric_minima_oracle)
+    monkeypatch.setattr(importlib.import_module("echcap.capacities"), "_toric_minima",
+                        toric_minima_oracle)
     assert got == toric_records(norm, kmax)
 
 
@@ -676,8 +696,8 @@ def crafted_minimum(lengths, pairs):
         dict.fromkeys(entry for pair in pairs for entry in pair))}}
     near = lattice._pair_buckets(lengths, table, 7, lambda count, entry1, entry2: (
         7 if (entry1, entry2) in pairs or (entry2, entry1) in pairs else None))
-    value, tied = lattice._minima(lengths, near)[7]
-    return value, lattice._witness(tied)
+    value, pair = lattice._minima(lengths, near)[7]
+    return value, lattice._witness(*pair)
 
 
 def test_minima_decide_unequal_keys_exactly():
@@ -693,18 +713,19 @@ def test_minima_decide_unequal_keys_exactly():
             # the unit square and a segment, both of length 4: the pair with
             # fewer edges wins though it comes second
             ([(square, square), (two, two)], 4, ((0, 0), (2, 0))),
-            # two segments of length 4 and 2 edges: the preferred witness wins
+            # two segments of length 4 and 2 edges: the least edge lists win,
+            # ((0, 1, 2),) before ((1, 0, 2),)
             ([(two, two), (up, up)], 4, ((0, 0), (0, 2)))]:
         best, witness = crafted_minimum(lengths, pairs)
         assert best.compare(CapacityValue.exact(value)) == 0, pairs
         assert witness.vertices == vertices, pairs
-    # a rational bucket keeps both segments of length 4, and the witness
-    # built on demand is the preferred one
+    # a rational bucket keeps one of the two segments of length 4, the one
+    # with the least edge lists, and its witness
     lengths = lattice._Lengths(WeightedL1(2, 2), 20)
     two, up = (2, 1, ((1, 0, 2),), 1), (2, 1, ((0, 1, 2),), 1)
-    assert len(lattice._minima(lengths, lattice._pair_buckets(
+    assert lattice._minima(lengths, lattice._pair_buckets(
         lengths, {(0, 0): {0: two, 1: up}}, 2, lambda count, entry1, entry2: (
-            2 if entry1 is entry2 else None)))[2][1]) == 2
+            2 if entry1 is entry2 else None)))[2][1] == (up, up)
     best, witness = crafted_minimum(lengths, [(two, two), (up, up)])
     assert (best.as_fraction(), witness.vertices) == (4, ((0, 0), (0, 2)))
 
@@ -767,17 +788,51 @@ def test_capacities_are_nondecreasing_to_30(norm):
     assert all(x.compare(y) <= 0 for x, y in zip(seq, seq[1:]))
 
 
-def test_rational_capacities_build_no_polygon(monkeypatch):
-    expected = [capacities(ToricNorm(norm), 15) for norm in (WeightedL1(F(7, 3), 2), HEXAGON)]
+def test_capacities_build_no_polygon(monkeypatch):
+    norms = (EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON)
+    expected = [capacities(ToricNorm(norm), 15) for norm in norms]
 
     def refuse(upper, lower):
         raise AssertionError("a polygon was built")
 
     monkeypatch.setattr(lattice, "_polygon_from_pair", refuse)
-    assert [capacities(ToricNorm(norm), 15)
-            for norm in (WeightedL1(F(7, 3), 2), HEXAGON)] == expected
-    with pytest.raises(AssertionError, match="a polygon was built"):
-        toric_capacity(HEXAGON, 15)
+    assert [capacities(ToricNorm(norm), 15) for norm in norms] == expected
+    for norm in norms:
+        with pytest.raises(AssertionError, match="a polygon was built"):
+            toric_capacity(norm, 15)
+
+
+def chains(poly):
+    """A polygon's two chains as picks (px, py, g), g the gcd, in angular
+    order: its edges with y > 0, or y = 0 and x > 0, and the negations of
+    the others."""
+    upper, lower = [], []
+    for x, y in poly.edges:
+        g = math.gcd(x, y)
+        if y > 0 or y == 0 and x > 0:
+            upper.append((x // g, y // g, g))
+        else:
+            lower.append((-x // g, -y // g, g))
+    return tuple(tuple(sorted(chain, key=lambda p: math.atan2(p[1], p[0])))
+                 for chain in (upper, lower))
+
+
+@pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW,
+                                  DIAGONAL, BENCH_POLYGONS[2]],
+                         ids=["euclidean", "l1:7/3,2", "hexagon", "skew", "diagonal",
+                              "bench-poly2"])
+def test_witness_is_the_rule_least_over_complete_enumeration(norm):
+    # the witness is the least minimizer by (edges, min chain, max chain),
+    # then _preference between its two closings, over every minimizer
+    def rule(poly):
+        upper, lower = chains(poly)
+        return len(poly.edges), min(upper, lower), max(upper, lower), \
+            lattice._preference(poly)
+
+    for k in range(16):
+        result = toric_capacity(norm, k)
+        pool = enumerate_polygons(k + 1, norm, result.value)
+        assert result.witness == min(pool, key=rule), k
 
 
 @pytest.mark.parametrize("norm, kmax", [

@@ -25,10 +25,18 @@ instead of reading the polydisk kernel.  Its "reach" key holds capacities()
 at kmax 30 to 40, and toric_capacity at k = 20, 30 and kmax, for six norms,
 as computed when the pairing stage still paired every chain pair within the
 rectangle budget, without the cut at the least perimeter of kmax + 1 points.
+Its toric_capacity witnesses, and the reprs of Euclidean values whose float
+and error bound follow a bucket's pair, were regenerated when a bucket came
+to keep one pair by the edge-list rule (fewest edges, then least sorted edge
+lists) instead of the fewest vertices, then lexicographically first
+vertices; every value is exactly the same.
 
 Regenerate (only when an output is meant to change, and say why) with
 
     PYTHONPATH=src python tests/test_toric_pins.py
+
+which prints, before it writes the fixture, one line per pinned entry that
+changes: its key, its entry point, and its index or k.
 """
 
 import hashlib
@@ -50,6 +58,8 @@ NORMS = {
     "hexagon": (Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))), 10),
 }
 BUDGETS = {"4.9": 4.9, "6": 6}
+# entry points pinned as one list over k = 0..kmax
+ENTRY_POINTS = {"capacities", "toric_capacity", "min_action_at_grading"}
 
 # a diagonal unit ball, for which the search's budget was once lowered by
 # segments along its vertex directions, a skewed one, and the last
@@ -285,16 +295,33 @@ def test_bound_commands_match_pins():
     assert got.keys() == expected.keys()
 
 
+def changed(old, new, path=()):
+    """The path of each entry that differs between two fixtures: its keys,
+    and for a list of ENTRY_POINTS the index in it."""
+    for key in [*new, *(key for key in old if key not in new)]:
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        if isinstance(before, dict) and isinstance(after, dict):
+            yield from changed(before, after, (*path, key))
+        elif key in ENTRY_POINTS and isinstance(before, list) and isinstance(after, list):
+            yield from ((*path, key, i) for i in range(max(len(before), len(after)))
+                        if before[i:i + 1] != after[i:i + 1])
+        else:
+            yield (*path, key)
+
+
 if __name__ == "__main__":
+    fixture = {**pins(), "sequences": sequence_digests(), "commands": command_digests(),
+               "polydisk": command_digests(POLYDISK_COMMANDS), "polygonal": polygonal_pins(),
+               "bounds": command_digests(BOUND_COMMANDS), "reach": reach_pins()}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    for path in changed(old, fixture):
+        print(" / ".join(map(str, path)))
     # one line per entry point and norm, or per sequence, so a diff shows
     # which one moved
     FIXTURE.write_text("{\n" + ",\n".join(
         f"{json.dumps(name)}: {{\n" + ",\n".join(
             f" {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items())
-        + "\n}" for name, records in {**pins(), "sequences": sequence_digests(),
-                              "commands": command_digests(),
-                              "polydisk": command_digests(POLYDISK_COMMANDS),
-                              "polygonal": polygonal_pins(),
-                              "bounds": command_digests(BOUND_COMMANDS),
-                              "reach": reach_pins()}.items())
+        + "\n}" for name, records in fixture.items())
         + "\n}\n", encoding="utf-8")
