@@ -238,7 +238,7 @@ def _cmd_capacities(args) -> int:
         elif isinstance(domain, Ellipsoid):
             seq = ellipsoid_full_capacities(domain.a, domain.b, args.kmax)
         else:
-            raise SpecParseError("--full is defined for balls and ellipsoids only", 0)
+            raise ValueError("--full is defined for balls and ellipsoids only")
     else:
         seq = capacities(domain, args.kmax, node_limit=args.node_limit)
     # each run of equal entries is formatted once

@@ -8,9 +8,9 @@ The search engine represents a convex polygon as an angle-sorted multiset of
 edge vectors (primitive direction x multiplicity) summing to zero, split into
 two chains of equal displacement; the point pairs two empty chains.  One
 dynamic program over the edge directions builds the chains, the empty chain
-at (0, 0) included: capacities keep the least chain of each
-(displacement, weight) cell, enumerate_polygons and min_action_at_grading
-keep every chain, and enumerate_polygons visits each canonical polygon
+at (0, 0) included: capacities, toric_capacity and min_action_at_grading
+keep the least chain of each (displacement, weight) cell, and
+enumerate_polygons keeps every chain and visits each canonical polygon
 within the perimeter budget exactly once.  One walk pairs each displacement's
 chains by length up to the least perimeter of the largest count.
 """
@@ -305,9 +305,9 @@ class LatticePolygon:
 
 
 def _integer(x) -> int:
-    """An integral coordinate as an int; ValueError for any other."""
+    """An integral coordinate or count as an int; ValueError for any other."""
     if int(x) != x:
-        raise ValueError(f"lattice coordinates must be integers, got {x!r}")
+        raise ValueError(f"lattice coordinates and counts must be integers, got {x!r}")
     return int(x)
 
 
@@ -590,6 +590,7 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     directions done, if building the chains needs more nodes than the
     configured limit.
     """
+    target_count = _integer(target_count)
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     lengths = _Lengths(norm, length_budget)
@@ -746,11 +747,13 @@ class ToricCapacity:
         return iter((self.value, self.witness))
 
 
-def _toric_minima(norm: Norm, kmax: int,
-                  node_limit: Optional[int]) -> List[Winner]:
+def _toric_minima(norm: Norm, kmax: int, node_limit: Optional[int],
+                  budget=None) -> List[Winner]:
     """(value, pair) of the cheapest polygons for each k = 0..kmax, from one
-    search at the budget of kmax, which covers every smaller k because
-    _initial_budget is nondecreasing in k.
+    search at the budget (by default _initial_budget of kmax).  Any budget B
+    >= c_kmax covers every smaller k, as c is nondecreasing, and keeps the
+    same pairs: every chain of the rule's least pair, and every chain before
+    it in its cell, fits under B.
 
     Only the winner of each cell of _chain_cells is paired, and a count's
     bucket keeps the least pair by the rule: least exact length, fewest
@@ -761,7 +764,8 @@ def _toric_minima(norm: Norm, kmax: int,
     monotone in each chain, so (W, B) comes first, a contradiction (so too
     for B).  And _pair_buckets keeps it, within eps of its bucket's least
     and under the cut."""
-    budget = _initial_budget(norm, kmax)
+    if budget is None:
+        budget = _initial_budget(norm, kmax)
     lengths = _Lengths(norm, budget)
     table = _chain_cells(lengths, kmax + 1, node_limit)
     minima = _minima(lengths, _pair_buckets(lengths, table, kmax + 1))
@@ -793,31 +797,23 @@ def toric_capacity(norm: Norm, k: int,
 
 def min_action_at_grading(norm: Norm, grading: int, budget=None,
                           node_limit: Optional[int] = None) -> CapacityValue:
-    """Minimum generator action over labeled generators of the given grading.
+    """Minimum generator action over labeled generators of the given grading
+    2k, which is c_k: the value toric_capacity(norm, k) finds.
 
-    A polygon with c enclosed points and E edges supports grading 2k exactly
-    when 0 <= 2(c - 1 - k) <= E, by labeling that many edges 'h'; E <= c, so
-    c <= 2(k + 1).  The minimum is read from the pairs of every chain of
-    _chain_cells with that cap, in one bucket.  A pair has nedges1 + nedges2
-    edges: its chains share an end direction only when it is a segment,
-    stored as the edges v and -v.  An exact budget is compared exactly.  The
-    budget defaults to the rectangle construction for k, which the all-'e'
-    minimizer always fits; RuntimeError if no generator fits it, and
+    A generator of grading 2k labels 2(c - 1 - k) of its E edges 'h', so its
+    polygon has c >= k + 1 points.  Dropping a vertex leaves the hull of the
+    other points, with one point fewer and no longer perimeter (the cut of
+    _pair_buckets), so that polygon is at least c_(c-1) >= c_k long; and the
+    all-'e' minimizer of c_k has grading 2k.  So this is _toric_minima of k
+    at the budget, which defaults to _initial_budget of k.  An exact budget
+    is compared exactly.  RuntimeError if no generator fits the budget, and
     ToricEnumerationBudgetExceeded, with the directions done, past the node
     limit.
     """
     if grading < 0 or grading % 2 != 0:
         raise ValueError("grading must be a nonnegative even integer")
-    k = grading // 2
-    if budget is None:
-        budget = _initial_budget(norm, k)
-    lengths = _Lengths(norm, budget)
-    top = 2 * (k + 1)
-    table = _chain_cells(lengths, top, node_limit, every=True)
-    best = _minima(lengths, _pair_buckets(
-        lengths, table, top, lambda count, entry1, entry2: (
-            top if 0 <= 2 * (count - 1 - k) <= entry1[1] + entry2[1] else None))).get(top)
-    if best is None:
+    try:
+        return _toric_minima(norm, grading // 2, node_limit, budget)[-1][0]
+    except RuntimeError as exc:
         raise RuntimeError(f"no generator of grading {grading} found within "
-                           f"budget {budget!r}; search is incomplete")
-    return best[0]
+                           f"budget {budget!r}; search is incomplete") from exc

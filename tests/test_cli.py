@@ -135,7 +135,11 @@ def test_capacities_json_roundtrip(capsys):
 def test_capacities_full_flag(capsys):
     assert main(["capacities", "ellipsoid(1,1)", "--kmax", "3", "--full"]) == 0
     assert capsys.readouterr().out.strip() == "0,1,1"
-    assert main(["capacities", "polydisk(1,1)", "--kmax", "3", "--full"]) == 2
+    # a spec that parsed but has no full sequence is no parse error
+    for spec in ("polydisk(1,1)", "toric(euclidean)", "union(ball(1);ball(2))"):
+        assert main(["capacities", spec, "--kmax", "3", "--full"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --full is defined for balls and ellipsoids only\n"
 
 
 def test_embed_no_obstruction(capsys):

@@ -136,9 +136,11 @@ def bucket_minima_oracle(norm, budget, max_count):
     return minima
 
 
-def toric_minima_oracle(norm, kmax, node_limit):
+def toric_minima_oracle(norm, kmax, node_limit, budget=None):
     """lattice._toric_minima from bucket_minima_oracle (node_limit unused)."""
-    minima = bucket_minima_oracle(norm, lattice._initial_budget(norm, kmax), kmax + 1)
+    if budget is None:
+        budget = lattice._initial_budget(norm, kmax)
+    minima = bucket_minima_oracle(norm, budget, kmax + 1)
     return [minima[count] for count in range(1, kmax + 2)]
 
 
@@ -325,7 +327,8 @@ def test_node_limit_reports_directions_done():
             (limit + 1, exc.directions_done, total)
         done.append(exc.directions_done)
     assert 0 < done[0] < done[1] < total   # a larger limit gets further
-    # the searches over every chain walk the same directions
+    # enumerate_polygons, over every chain, and min_action_at_grading, over
+    # the cell winners, walk the same directions
     for search in (lambda: enumerate_polygons(5, EUCLIDEAN, 10, node_limit=10),
                    lambda: min_action_at_grading(EUCLIDEAN, 10, node_limit=10)):
         with pytest.raises(ToricEnumerationBudgetExceeded) as info:
@@ -434,6 +437,16 @@ def test_min_action_at_grading_examples():
                - (2 + math.sqrt(2))) < 1e-9
     with pytest.raises(ValueError):
         min_action_at_grading(EUCLIDEAN, 3)
+
+
+def test_enumerate_polygons_takes_only_integral_counts():
+    norm = WeightedL1(1, 1)
+    for count in (2.5, F(5, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            enumerate_polygons(count, norm, 4)
+    three = enumerate_polygons(3, norm, 4)
+    assert three and enumerate_polygons(3.0, norm, 4) == three == \
+        enumerate_polygons(F(3), norm, 4)
 
 
 def test_negative_budgets_are_rejected():
@@ -948,6 +961,41 @@ def test_min_action_budget_is_compared_exactly():
     with pytest.raises(RuntimeError, match="no generator of grading 4"):
         min_action_at_grading(EUCLIDEAN, 4, budget=below)
     assert min_action_at_grading(EUCLIDEAN, 4, budget=exact).compare(exact) == 0
+
+
+@pytest.mark.parametrize("norm, kmax", [
+    pytest.param(EUCLIDEAN, 20, id="euclidean"),
+    *(pytest.param(norm, 14, id=name) for name, norm in [
+        ("euclidean-14", EUCLIDEAN), ("l1:7/3,2", WeightedL1(F(7, 3), 2)),
+        ("hexagon", HEXAGON), ("skew", SKEW), ("diagonal", DIAGONAL),
+        *((f"bench-poly{i}", poly) for i, poly in enumerate(BENCH_POLYGONS))]),
+])
+def test_toric_minima_at_the_budget_c_kmax_keeps_the_same_pairs(norm, kmax):
+    # every chain of the rule's least pairs fits under c_kmax, so a search
+    # there keeps the pairs of the rectangle search; just below, it leaves
+    # the kmax + 1 bucket empty (and any count of the same least perimeter)
+    rectangle = lattice._toric_minima(norm, kmax, None)
+    least = rectangle[-1][0]
+    at_least = lattice._toric_minima(norm, kmax, None, least)
+    assert [pair for _, pair in at_least] == [pair for _, pair in rectangle]
+    assert [repr(value) for value, _ in at_least] == \
+        [repr(value) for value, _ in rectangle]
+    with pytest.raises(RuntimeError, match="no polygon with"):
+        lattice._toric_minima(norm, kmax, None, least.scaled(F(10 ** 9 - 1, 10 ** 9)))
+
+
+@pytest.mark.parametrize("norm", [WeightedL1(F(7, 3), 2), SKEW], ids=["l1:7/3,2", "skew"])
+def test_min_action_at_grading_reads_the_capacity_search_at_its_budget(norm):
+    for k in range(15):
+        least = toric_capacity(norm, k).value
+        assert repr(min_action_at_grading(norm, 2 * k, least)) == repr(least), k
+        if k:   # c_0 = 0, and grading 0 visits no node
+            below = CapacityValue.exact(least.as_fraction() - F(1, 10 ** 9))
+            with pytest.raises(RuntimeError, match=f"no generator of grading {2 * k} "):
+                min_action_at_grading(norm, 2 * k, below)
+            with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+                min_action_at_grading(norm, 2 * k, node_limit=1)
+            assert info.value.max_count == k + 1
 
 
 @pytest.mark.parametrize("norm", [
