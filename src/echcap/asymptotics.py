@@ -14,8 +14,8 @@ from itertools import islice
 from typing import List, Optional, Tuple
 
 from .capacities import capacities
-from .domains import (Ball, DisjointUnion, Domain, Ellipsoid, Polydisk,
-                      ToricNorm, describe)
+from .domains import (DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm,
+                      describe)
 from .errors import ApproxTie
 from .values import CapacityValue
 
@@ -24,9 +24,7 @@ TORIC_TRACE_KMAX = 25  # polygon search cost caps toric traces well below asympt
 
 def volume(domain: Domain) -> CapacityValue:
     """Symplectic volume; exact except for the round toric domain (pi)."""
-    if isinstance(domain, Ball):
-        return CapacityValue.exact(domain.a * domain.a / 2)
-    if isinstance(domain, Ellipsoid):
+    if isinstance(domain, Ellipsoid):   # a Ball too, as E(a, a)
         return CapacityValue.exact(domain.a * domain.b / 2)
     if isinstance(domain, Polydisk):
         return CapacityValue.exact(domain.a * domain.b)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, count
 from typing import List, Optional, Sequence, Tuple
 
-from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
+from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
 from .lattice import _toric_minima
 from .values import (CapacitySequence, CapacityValue, RationalLike,
@@ -171,6 +171,9 @@ def maxplus_convolve(first: Sequence[CapacityValue],
     and g.  Among sums that compare equal the first found wins: the lowest
     slot, and within a slot the lowest i.
     """
+    if (short := min(len(first), len(second))) <= kmax:
+        raise ValueError(f"input defined only up to k={short - 1} < {kmax}")
+
     def runs(seq):
         return [(k, seq[k]) for k in range(kmax + 1)
                 if k == 0 or seq[k] != seq[k - 1]]
@@ -220,9 +223,7 @@ def capacities(domain: Domain, kmax: int, *,
     """Distinguished capacity sequence of any model domain, up to kmax."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    if isinstance(domain, Ball):
-        return ball_capacities(domain.a, kmax)
-    if isinstance(domain, Ellipsoid):
+    if isinstance(domain, Ellipsoid):   # a Ball too, as E(a, a)
         return ellipsoid_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, Polydisk):
         return polydisk_capacities(domain.a, domain.b, kmax)

@@ -232,15 +232,10 @@ def _write_meta(path: Optional[str], command: str, argv: List[str]) -> None:
 
 def _cmd_capacities(args) -> int:
     domain = parse_domain_spec(args.spec)
-    if args.full:
-        if isinstance(domain, Ball):
-            seq = ellipsoid_full_capacities(domain.a, domain.a, args.kmax)
-        elif isinstance(domain, Ellipsoid):
-            seq = ellipsoid_full_capacities(domain.a, domain.b, args.kmax)
-        else:
-            raise ValueError("--full is defined for balls and ellipsoids only")
-    else:
-        seq = capacities(domain, args.kmax, node_limit=args.node_limit)
+    if args.full and not isinstance(domain, Ellipsoid):   # a Ball is E(a, a)
+        raise ValueError("--full is defined for balls and ellipsoids only")
+    seq = (ellipsoid_full_capacities(domain.a, domain.b, args.kmax) if args.full
+           else capacities(domain, args.kmax, node_limit=args.node_limit))
     # each run of equal entries is formatted once
     rendered = []
     last = text = None
@@ -289,27 +284,18 @@ def _cmd_embed(args) -> int:
     return EXIT_OBSTRUCTED if verdict.obstructed else EXIT_OK
 
 
-def _cmd_bound(args, bound) -> int:
+def _cmd_bound(args) -> int:
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError):
         raise SpecParseError(f"bad rational {args.a!r}", 0)
-    text = format_fraction(bound(a, args.dmax))
+    # looked up at call time, not held by the cached parser: patches are seen
+    text = format_fraction(getattr(obstructions, args.bound)(a, args.dmax))
     if args.format == "json":
         _emit({"a": args.a, "dmax": args.dmax, "bound": text})
     else:
         sys.stdout.write(text + "\n")
     return EXIT_OK
-
-
-# the bounds are looked up on the module at call time, not held by the cached
-# parser, so patched or wrapped versions are the ones called
-def _cmd_fbound(args) -> int:
-    return _cmd_bound(args, obstructions.f_lower_bound)
-
-
-def _cmd_gbound(args) -> int:
-    return _cmd_bound(args, obstructions.g_lower_bound)
 
 
 def _cmd_pack(args) -> int:
@@ -435,14 +421,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_fbound)
+    p.set_defaults(run=_cmd_bound, bound="f_lower_bound")
 
     p = sub.add_parser("gbound", help="polydisk-into-ball lower bound")
     p.add_argument("a")
     p.add_argument("--dmax", type=int, default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
-    p.set_defaults(run=_cmd_gbound)
+    p.set_defaults(run=_cmd_bound, bound="g_lower_bound")
 
     p = sub.add_parser("pack", help="ball packing inequalities")
     p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")

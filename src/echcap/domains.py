@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
@@ -27,13 +27,16 @@ class Ellipsoid(Domain):
 
 
 @dataclass(frozen=True)
-class Ball(Domain):
-    a: Fraction
+class Ball(Ellipsoid):
+    """The round ellipsoid B(a) = E(a, a), built, printed and hashed by a."""
+
+    b: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_fraction(self.a))
         if self.a <= 0:
             raise ValueError("ball size must be positive")
+        object.__setattr__(self, "b", self.a)
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,10 @@ def scale(domain: Domain, factor: RationalLike) -> Domain:
     c = as_fraction(factor)
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    if isinstance(domain, Ellipsoid):
-        return Ellipsoid(domain.a * c, domain.b * c)
     if isinstance(domain, Ball):
         return Ball(domain.a * c)
+    if isinstance(domain, Ellipsoid):
+        return Ellipsoid(domain.a * c, domain.b * c)
     if isinstance(domain, Polydisk):
         return Polydisk(domain.a * c, domain.b * c)
     if isinstance(domain, ToricNorm):

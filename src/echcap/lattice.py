@@ -179,19 +179,13 @@ class Polygonal(Norm):
         if set(points) != {(-x, -y) for (x, y) in points}:
             raise ValueError("unit ball must be centrally symmetric")
         object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "_int_vertices", (den, tuple(points)))   # for dual_eval
+        object.__setattr__(self, "_int_vertices", (den, tuple(points)))
 
     @cached_property
     def polar(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         """Vertices of the polar dual (one per edge of the unit ball)."""
-        out = []
-        n = len(self.vertices)
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            d = ax * by - ay * bx
-            out.append(((by - ay) / d, (ax - bx) / d))
-        return tuple(out)
+        den, polar = self._int_polar
+        return tuple((Fraction(ux, den), Fraction(uy, den)) for ux, uy in polar)
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
@@ -199,7 +193,8 @@ class Polygonal(Norm):
         return CapacityValue.exact(Fraction(max(p * x + q * y for x, y in points), den))
 
     def dual_ball_area(self) -> CapacityValue:
-        return CapacityValue.exact(Fraction(_shoelace2(self.polar), 2))
+        den, polar = self._int_polar
+        return CapacityValue.exact(Fraction(_shoelace2(polar), 2 * den * den))
 
     def scale(self, factor):
         c = as_fraction(factor)
@@ -209,10 +204,15 @@ class Polygonal(Norm):
 
     @cached_property
     def _int_polar(self) -> Tuple[int, Tuple[IntPoint, ...]]:
-        """(den, polar vertices times den as ints).  The tuple is cached, not
-        the closure of _lengths(), so the norm still pickles."""
-        den = math.lcm(*(c.denominator for u in self.polar for c in u))
-        return den, tuple((int(ux * den), int(uy * den)) for ux, uy in self.polar)
+        """(den, polar vertices times den as ints): the edge from v/d to w/d
+        has polar vertex (x, y)/c = d(w_y - v_y, v_x - w_x)/(v x w), and den
+        is the lcm of each c/gcd(x, y, c).  The tuple is cached, not the
+        closure of _lengths(), so the norm still pickles."""
+        d, points = self._int_vertices
+        edges = [(d * (wy - vy), d * (vx - wx), vx * wy - vy * wx)
+                 for (vx, vy), (wx, wy) in zip(points, points[1:] + points[:1])]
+        den = math.lcm(*(c // gcd(x, y, c) for x, y, c in edges))
+        return den, tuple((x * den // c, y * den // c) for x, y, c in edges)
 
     def _lengths(self):
         den, polar = self._int_polar
@@ -789,7 +789,7 @@ def toric_capacity(norm: Norm, k: int,
     the witness from that of k+1.  Every call runs its own search under
     node_limit, which counts the transitions of that dynamic program.
     """
-    if k < 0:
+    if (k := _integer(k)) < 0:
         raise ValueError("k must be >= 0")
     value, pair = _toric_minima(norm, k, node_limit)[k]
     return ToricCapacity(value, _witness(*pair))
@@ -810,7 +810,7 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     ToricEnumerationBudgetExceeded, with the directions done, past the node
     limit.
     """
-    if grading < 0 or grading % 2 != 0:
+    if (grading := _integer(grading)) < 0 or grading % 2 != 0:
         raise ValueError("grading must be a nonnegative even integer")
     try:
         return _toric_minima(norm, grading // 2, node_limit, budget)[-1][0]

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -216,6 +217,24 @@ def test_describe_parses_back_to_the_domain():
         for form in (dom, scale(dom, F(5, 3))):
             assert parse_domain_spec(describe(form)) == form, describe(form)
     assert parse_domain_spec(describe(ToricNorm(EUCLIDEAN))) == ToricNorm(EUCLIDEAN)
+
+
+def test_ball_is_the_round_ellipsoid_with_its_own_identity():
+    ball = Ball(F(3, 2))
+    assert isinstance(ball, Ellipsoid) and ball.b == ball.a == F(3, 2)
+    assert repr(ball) == "Ball(a=Fraction(3, 2))"
+    assert ball == Ball(F(3, 2)) and ball != Ball(2)
+    assert ball != Ellipsoid(F(3, 2), F(3, 2))
+    assert hash(ball) == hash(Ball(F(6, 4))) == hash((F(3, 2),))
+    copy = pickle.loads(pickle.dumps(ball))
+    assert type(copy) is Ball and copy == ball and copy.b == F(3, 2)
+    assert describe(ball) == "ball(3/2)"
+    grown = scale(ball, 2)
+    assert type(grown) is Ball and grown == Ball(3) and grown.b == 3
+    assert fracs(capacities(ball, 40)) == fracs(ball_capacities(F(3, 2), 40)) \
+        == fracs(ellipsoid_capacities(F(3, 2), F(3, 2), 40))
+    with pytest.raises(TypeError):
+        Ball(1, 2)
 
 
 def test_inclusion_monotonicity():

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
-                    WeightedL1, capacities, obstructions, polydisk_capacities)
+                    WeightedL1, asymptotics, capacities, obstructions,
+                    polydisk_capacities)
+from echcap.asymptotics import QwVerdict
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
 from echcap.values import CapacityValue
@@ -251,6 +253,16 @@ def test_qw(capsys):
     assert payload["status"] == "holds_up_to"
     assert main(["qw", "polydisk(1,1)", "--kmax", "50"]) == 0
     assert json.loads(capsys.readouterr().out)["exploratory"] is True
+
+
+def test_qw_violation_payload(capsys, monkeypatch):
+    monkeypatch.setattr(asymptotics, "qw_check",
+                        lambda domain, kmax, node_limit=None: QwVerdict(False, 5, 3))
+    assert main(["qw", "ball(1)", "--kmax", "5"]) == 1
+    out = capsys.readouterr().out
+    assert '"status": "violated_at"' in out and '"k": 3' in out
+    assert json.loads(out) == {"spec": "ball(1)", "kmax": 5, "status": "violated_at",
+                               "exploratory": False, "k": 3}
 
 
 def test_parse_error_exit_code(capsys):

@@ -104,6 +104,13 @@ def test_infinity_is_absorbing():
     assert out[2].is_infinite
 
 
+@pytest.mark.parametrize("first, second, kmax, top", [
+    ([0], [0], 3, 0), ([], [], 0, -1), ([0, 1, 2, 3], [0, 1], 3, 1)])
+def test_maxplus_rejects_inputs_shorter_than_kmax(first, second, kmax, top):
+    with pytest.raises(ValueError, match=rf"input defined only up to k={top} < {kmax}$"):
+        maxplus_convolve(first, second, kmax)
+
+
 def test_union_rejects_full_spectra():
     with pytest.raises(MismatchedIndexOrigin):
         disjoint_union_capacities(

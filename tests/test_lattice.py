@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (EUCLIDEAN, LatticePolygon, Polygonal, WeightedL1, area,
-                    dual_norm_eval, enumerate_polygons, lattice_point_count,
-                    perimeter)
+from echcap import (EUCLIDEAN, CapacityValue, LatticePolygon, Polygonal,
+                    WeightedL1, area, dual_norm_eval, enumerate_polygons,
+                    lattice_point_count, perimeter)
 
 F = Fraction
 
@@ -294,6 +294,62 @@ def test_dual_ball_areas():
     assert square.dual_ball_area().as_fraction() == 4
     approx_pi = EUCLIDEAN.dual_ball_area()
     assert abs(approx_pi.value - math.pi) < 1e-12
+
+
+def polar_oracle(vertices):
+    """The polar dual's vertices by the Fraction formula Polygonal once used:
+    the edge from a to b gives ((b_y - a_y)/d, (a_x - b_x)/d), d = a x b."""
+    out = []
+    n = len(vertices)
+    for i in range(n):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % n]
+        d = ax * by - ay * bx
+        out.append(((by - ay) / d, (ax - bx) / d))
+    return tuple(out)
+
+
+def pinned_polygonal_norms():
+    """The Polygonal norms whose searches tests/toric_pins.json pins."""
+    pins = runpy.run_path(str(pathlib.Path(__file__).with_name("test_toric_pins.py")))
+    found = [norm for table in ("NORMS", "REACH_NORMS")
+             for norm, _ in pins[table].values()]
+    found += list(pins["POLYGONAL_NORMS"].values())
+    return list(dict.fromkeys(n for n in found if isinstance(n, Polygonal)))
+
+
+def random_polygonal_norms(count, seed):
+    rng = random.Random(seed)
+    dens = (1, 2, 3, 5, 7, 12, 89, 97)
+    norms = []
+    while len(norms) < count:
+        hull = symmetric_hull([(F(rng.randint(-30, 30), rng.choice(dens)),
+                                F(rng.randint(-30, 30), rng.choice(dens)))
+                               for _ in range(rng.randint(2, 9))])
+        if len(hull) >= 4:
+            norms.append(Polygonal(hull))
+    return norms
+
+
+def test_polar_from_int_vertices_matches_fraction_formula():
+    norms = pinned_polygonal_norms()
+    assert len(norms) >= 6
+    norms += random_polygonal_norms(60, seed=29)
+    vectors = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    for norm in norms:
+        polar = polar_oracle(norm.vertices)
+        assert norm.polar == polar, norm
+        assert all(type(c) is F for u in norm.polar for c in u)
+        den = math.lcm(*(c.denominator for u in polar for c in u))
+        ints = tuple((int(ux * den), int(uy * den)) for ux, uy in polar)
+        assert norm._int_polar == (den, ints), norm
+        got_den, length = norm._lengths()
+        assert got_den == den
+        assert [length(x, y) for x, y in vectors] == \
+            [max(ux * x + uy * y for ux, uy in ints) for x, y in vectors]
+        twice_area = sum(ax * by - ay * bx
+                         for (ax, ay), (bx, by) in zip(polar, polar[1:] + polar[:1]))
+        assert norm.dual_ball_area() == CapacityValue.exact(twice_area / 2), norm
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -449,6 +449,18 @@ def test_enumerate_polygons_takes_only_integral_counts():
         enumerate_polygons(F(3), norm, 4)
 
 
+def test_toric_capacity_and_grading_take_only_integral_counts():
+    two = toric_capacity(EUCLIDEAN, 2)
+    for k in (2.0, F(2)):
+        assert toric_capacity(EUCLIDEAN, k) == two
+        assert min_action_at_grading(EUCLIDEAN, 2 * k) == two.value
+    for k in (2.5, F(5, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            toric_capacity(EUCLIDEAN, k)
+        with pytest.raises(ValueError, match="must be integers"):
+            min_action_at_grading(EUCLIDEAN, k)
+
+
 def test_negative_budgets_are_rejected():
     for grading in (0, 2):
         with pytest.raises(ValueError, match="budget must be >= 0"):
