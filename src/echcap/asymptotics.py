@@ -17,7 +17,7 @@ from .capacities import capacities
 from .domains import (DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm,
                       describe)
 from .errors import ApproxTie
-from .values import CapacityValue
+from .values import CapacityValue, _integer
 
 TORIC_TRACE_KMAX = 25  # polygon search cost caps toric traces well below asymptopia
 
@@ -92,9 +92,9 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
     and unions with a toric part, are truncated (and flagged) because the
     polygon search limits how far their sequences can go.
     """
-    if kmax < 1:
+    if (kmax := _integer(kmax)) < 1:
         raise ValueError("kmax must be >= 1")
-    if stride < 1:
+    if (stride := _integer(stride)) < 1:
         raise ValueError("stride must be >= 1")
     vol = volume(domain)
     truncated = _contains(domain, ToricNorm)  # never near k -> infinity
@@ -134,7 +134,7 @@ def qw_check(domain: Domain, kmax: int,
     rational bounds of approximate values.  Raises ApproxTie when those
     bounds cannot decide a k.  Exploratory for polydisks, whose boundary is
     only piecewise smooth."""
-    if kmax < 1:
+    if (kmax := _integer(kmax)) < 1:
         raise ValueError("kmax must be >= 1")
     exploratory = _contains(domain, Polydisk)
     if _contains(domain, ToricNorm):

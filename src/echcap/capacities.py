@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
 from .lattice import _toric_minima
-from .values import (CapacitySequence, CapacityValue, RationalLike,
+from .values import (CapacitySequence, CapacityValue, RationalLike, _integer,
                      _over_common_denominator, _polydisk_entry, as_fraction)
 
 WEAK = "weak"
@@ -101,7 +101,7 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
 def ellipsoid_capacities(a: RationalLike, b: RationalLike,
                          kmax: int) -> CapacitySequence:
     """Distinguished capacities of E(a, b): entry k is (a, b)_{k+1}."""
-    if kmax < 0:
+    if (kmax := _integer(kmax)) < 0:
         raise ValueError("kmax must be >= 0")
     return CapacitySequence._from_ints(0, *_nk_values(a, b, kmax + 1))
 
@@ -109,7 +109,7 @@ def ellipsoid_capacities(a: RationalLike, b: RationalLike,
 def ellipsoid_full_capacities(a: RationalLike, b: RationalLike,
                               kmax: int) -> CapacitySequence:
     """Full capacities of E(a, b): entry k is (a, b)_k, starting at k = 1."""
-    return CapacitySequence._from_ints(1, *_nk_values(a, b, kmax))
+    return CapacitySequence._from_ints(1, *_nk_values(a, b, _integer(kmax)))
 
 
 def ball_capacities(a: RationalLike, kmax: int) -> CapacitySequence:
@@ -134,7 +134,7 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("polydisk sizes must be positive")
-    if kmax < 0:
+    if (kmax := _integer(kmax)) < 0:
         raise ValueError("kmax must be >= 0")
     den, (a, b) = _over_common_denominator(a, b)
     need = kmax + 1
@@ -171,7 +171,7 @@ def maxplus_convolve(first: Sequence[CapacityValue],
     and g.  Among sums that compare equal the first found wins: the lowest
     slot, and within a slot the lowest i.
     """
-    if (short := min(len(first), len(second))) <= kmax:
+    if (short := min(len(first), len(second))) <= (kmax := _integer(kmax)):
         raise ValueError(f"input defined only up to k={short - 1} < {kmax}")
 
     def runs(seq):
@@ -197,6 +197,7 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
     """
     if not sequences:
         raise ValueError("need at least one sequence")
+    kmax = _integer(kmax)
     for seq in sequences:
         if seq.index_origin != 0:
             raise MismatchedIndexOrigin(
@@ -221,7 +222,7 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
 def capacities(domain: Domain, kmax: int, *,
                node_limit: Optional[int] = None) -> CapacitySequence:
     """Distinguished capacity sequence of any model domain, up to kmax."""
-    if kmax < 0:
+    if (kmax := _integer(kmax)) < 0:
         raise ValueError("kmax must be >= 0")
     if isinstance(domain, Ellipsoid):   # a Ball too, as E(a, a)
         return ellipsoid_capacities(domain.a, domain.b, kmax)

@@ -26,8 +26,9 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import (CapacityValue, RationalLike, _over_common_denominator,
-                     _polydisk_entry, _sign, _squarefree, as_fraction)
+from .values import (CapacityValue, RationalLike, Roots, _integer,
+                     _over_common_denominator, _sign, _squarefree, _staircase, _ulp,
+                     as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -37,6 +38,9 @@ Length = Union[int, float]     # a search length: int over a denominator, or flo
 Entry = Tuple[Length, int, tuple, int]
 # a bucket's value and its cheapest chain pair
 Winner = Tuple[CapacityValue, Tuple[Entry, Entry]]
+# a Euclidean length as CapacityValue's fields: (frac as an int, or None;
+# value; err; roots)
+Fields = Tuple[Optional[int], float, float, Optional[Roots]]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -304,13 +308,6 @@ class LatticePolygon:
         return (self.area2 + b) // 2 + 1
 
 
-def _integer(x) -> int:
-    """An integral coordinate or count as an int; ValueError for any other."""
-    if int(x) != x:
-        raise ValueError(f"lattice coordinates and counts must be integers, got {x!r}")
-    return int(x)
-
-
 def _canonical(verts: Sequence[IntPoint]) -> Tuple[IntPoint, ...]:
     i = min(range(len(verts)), key=lambda j: verts[j])
     ox, oy = verts[i]
@@ -327,6 +324,10 @@ def area(polygon: LatticePolygon) -> Fraction:
 
 
 def perimeter(polygon: LatticePolygon, norm: Norm) -> CapacityValue:
+    """Sum of norm.length over the edges; over den for a rational norm."""
+    den, f = norm._lengths()
+    if den is not None:
+        return CapacityValue.exact(Fraction(sum(f(*edge) for edge in polygon.edges), den))
     total = CapacityValue.exact(0)
     for edge in polygon.edges:
         total = total + norm.length(edge)
@@ -414,10 +415,11 @@ class _Lengths:
     so every window of the search is an exact comparison.  Euclidean lengths
     are floats: the limit is the budget plus a slack of 10^-9 of it, windows
     are eps = slack wide (far above the float error), and exact values are
-    per-chain sums of CapacityValues, which the pairing walk compares with an
-    exact budget for floats from exact_from = budget - eps up.  Only a float
-    budget (or an approx() CapacityValue) has no exact form: it keeps the
-    slack, also before a rational norm floors it.  chord memoizes f.
+    per-chain sums of CapacityValue's fields, which the pairing walk compares
+    with an exact budget for floats from exact_from = budget - eps up.  Only a
+    float budget (or an approx() CapacityValue) has no exact form: it keeps
+    the slack, also before a rational norm floors it.  chord memoizes f, and
+    exacts and keys memoize their methods for the search.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -445,8 +447,8 @@ class _Lengths:
             else self.budget_f - slack
         if self.den is None:
             self.eps, self.limit = slack, self.budget_f + slack
-            self.unit = _Memo(lambda x, y: norm.length((x, y)))
-            self.exacts: Dict[tuple, CapacityValue] = {(): CapacityValue.exact(0)}
+            self.exacts: Dict[tuple, Fields] = {(): (0, 0.0, 0.0, None)}
+            self.keys: Dict[tuple, tuple] = {}
             self.radicals = _Memo(lambda x, y: _squarefree(x * x + y * y))
         elif self.budget is None:
             self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
@@ -457,14 +459,15 @@ class _Lengths:
         duals = (norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
         self.box = tuple(int(self.limit * q / (2 * (self.den or 1))) for q in duals)
 
-    def exact(self, picks: tuple) -> CapacityValue:
-        """A Euclidean chain's length, one exact length per edge direction,
-        summed pick by pick; every sum is kept for its picks."""
+    def exact(self, picks: tuple) -> Fields:
+        """A Euclidean chain's length as the fields of the CapacityValue that
+        sums, pick by pick, norm.length(p).scaled(c) onto its prefix; every
+        sum is kept for its picks."""
         total = self.exacts.get(picks)
         if total is None:
             px, py, c = picks[-1]
-            total = self.exacts[picks] = (self.exact(picks[:-1])
-                                          + self.unit[px, py].scaled(c))
+            total = self.exacts[picks] = _add(self.exact(picks[:-1]),
+                                              _edge(px * px + py * py, c))
         return total
 
     def value(self, entry1: Entry, entry2: Entry) -> CapacityValue:
@@ -472,16 +475,20 @@ class _Lengths:
         (length1, _, picks1, _), (length2, _, picks2, _) = entry1, entry2
         if self.den is not None:
             return CapacityValue.exact(Fraction(length1 + length2, self.den))
-        return self.exact(picks1) + self.exact(picks2)
+        frac, value, err, roots = _add(self.exact(picks1), self.exact(picks2))
+        return CapacityValue(frac if frac is None else Fraction(frac), value, err, roots)
 
     def key(self, picks: tuple) -> tuple:
         """A Euclidean length sum c s sqrt(r), px^2 + py^2 = s^2 r with r square-
         free, as each r's int coefficient: equal iff lengths are (Besicovitch)."""
-        coef: Dict[int, int] = {}
-        for px, py, c in picks:
-            r, s = self.radicals[px, py]
-            coef[r] = coef.get(r, 0) + c * s
-        return tuple(sorted(coef.items()))
+        key = self.keys.get(picks)
+        if key is None:
+            coef: Dict[int, int] = {}
+            for px, py, c in picks:
+                r, s = self.radicals[px, py]
+                coef[r] = coef.get(r, 0) + c * s
+            key = self.keys[picks] = tuple(sorted(coef.items()))
+        return key
 
     @staticmethod
     def order(key1: tuple, key2: tuple) -> int:
@@ -494,6 +501,32 @@ class _Lengths:
         exact length, nedges, picks."""
         return self.order(self.key(entry1[2]), self.key(entry2[2])) or (
             (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:]))
+
+
+def _edge(square: int, c: int) -> Fields:
+    """The fields of CapacityValue.sqrt_rational(square).scaled(c)."""
+    root = math.isqrt(square)
+    if root * root == square:
+        return root * c, float(root * c), 0.0, None
+    unit = math.sqrt(square)
+    value = unit * c
+    return None, value, 2.0 * _ulp(unit) * c + _ulp(value), ((square, c),)
+
+
+def _add(a: Fields, b: Fields) -> Fields:
+    """The fields of the CapacityValue sum of two with these fields: the float
+    operations of CapacityValue.__add__, in its order."""
+    (frac_a, value_a, err_a, roots_a), (frac_b, value_b, err_b, roots_b) = a, b
+    if roots_a is None and roots_b is None:
+        return frac_a + frac_b, float(frac_a + frac_b), 0.0, None
+    if frac_a == 0:
+        return b
+    if frac_b == 0:
+        return a
+    value = value_a + value_b
+    return None, value, err_a + err_b + _ulp(value), (
+        ((1, frac_a),) if roots_a is None else roots_a) + (
+        ((1, frac_b),) if roots_b is None else roots_b)
 
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
@@ -723,13 +756,58 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     return {(xs[i], ys[i]): groups[i] for i in sorted(order)}
 
 
+def _budget_polygon(norm: Norm, k: int) -> LatticePolygon:
+    """The cheapest lattice octagon with at least k+1 points that a short
+    selection finds: an m-by-n rectangle less its corners at (m, 0) and
+    (0, n), cut by (1, 1) edges of t steps in all, and at (0, 0) and (m, n),
+    by (1, -1) edges of u steps, each split as evenly as it goes (the halves
+    fit on every side when m, n >= lo), which drops (t+1)^2 // 4 +
+    (u+1)^2 // 4 points.  A step along d saves |e1| + |e2| - |d|.
+
+    The least rectangle (a staircase corner, no cut) is a candidate; then
+    d = 1, 2, ... steps go along the diagonal that saves more and about
+    (d + 2) saving_other / saving - 2 along the other (the marginal points
+    of both cuts then cost the same), with m + 1 near sqrt(q |e2| / |e1|)
+    at q points before the cuts, until three d in a row improve on nothing.
+    It compares _lengths() numbers (ints over den, or Euclidean floats):
+    any such polygon is a sound budget, the choice only sets how tight."""
+    _, f = norm._lengths()
+    a, b, need = f(1, 0), f(0, 1), k + 1
+    m, n = min(_staircase(need), key=lambda corner: a * corner[0] + b * corner[1])
+    best, shape = 2 * (a * m + b * n), (m, n, 0, 0)
+    save_t, save_u = a + b - f(1, 1), a + b - f(1, -1)
+    high, low = max(save_t, save_u), min(save_t, save_u)
+    ab16, base, ratio = 16 * a * b, 2 * (a + b), b / a
+    d = idle = 0
+    while high > 0 and idle < 3:
+        d, idle = d + 1, idle + 1
+        r = max(round((d + 2) * low / high) - 2, 0)
+        for e in range(max(r - 1, 0), r + 2 if low > 0 else 1):
+            t, u = (d, e) if save_t >= save_u else (e, d)
+            q = need + (t + 1) ** 2 // 4 + (u + 1) ** 2 // 4
+            saved = save_t * t + save_u * u
+            if math.sqrt(ab16 * q) - base - saved >= best:
+                continue   # a(m+1) + b(n+1) >= 2 sqrt(a b q)
+            lo, x = (t + 1) // 2 + (u + 1) // 2, int(math.sqrt(q * ratio))
+            for m in range(max(x - 2, lo), max(x + 1, lo + 1)):
+                n = max(-(-q // (m + 1)) - 1, lo)
+                perim = 2 * (a * m + b * n) - saved
+                if perim < best:
+                    best, shape, idle = perim, (m, n, t, u), 0
+    m, n, t, u = shape
+    t1, u1 = (t + 1) // 2, (u + 1) // 2
+    t2, u2 = t - t1, u - u1
+    return LatticePolygon(_canonical(list(dict.fromkeys([
+        (u1, 0), (m - t1, 0), (m, t1), (m, n - u2), (m - u2, n), (t2, n),
+        (0, n - t2), (0, u1)]))))
+
+
 def _initial_budget(norm: Norm, k: int) -> CapacityValue:
-    """Perimeter of the cheapest m-by-n rectangle (or segment) with at least
-    k+1 lattice points, which dominates some polygon with exactly k+1: the
-    polydisk capacity c_k(P(2|e1|, 2|e2|)), as toric(l1:a,b) is P(a, b)."""
-    den, (ix, iy) = _over_common_denominator(norm.length((1, 0)).as_fraction(),
-                                             norm.length((0, 1)).as_fraction())
-    return CapacityValue.exact(Fraction(2 * _polydisk_entry(ix, iy, k + 1), den))
+    """Perimeter of _budget_polygon(norm, k), which has at least k+1 lattice
+    points: dropping vertices (the cut of _pair_buckets) leaves a polygon of
+    exactly k+1 that is no longer, so this is >= c_k.  It is never above
+    the least rectangle, c_k(P(2|e1|, 2|e2|)), as toric(l1:a,b) is P(a, b)."""
+    return perimeter(_budget_polygon(norm, k), norm)
 
 
 @dataclass(frozen=True)
@@ -750,7 +828,8 @@ class ToricCapacity:
 def _toric_minima(norm: Norm, kmax: int, node_limit: Optional[int],
                   budget=None) -> List[Winner]:
     """(value, pair) of the cheapest polygons for each k = 0..kmax, from one
-    search at the budget (by default _initial_budget of kmax).  Any budget B
+    search at the budget (by default _initial_budget of kmax, the perimeter
+    of a lattice octagon with at least kmax+1 points).  Any budget B
     >= c_kmax covers every smaller k, as c is nondecreasing, and keeps the
     same pairs: every chain of the rule's least pair, and every chain before
     it in its cell, fits under B.
@@ -782,8 +861,9 @@ def toric_capacity(norm: Norm, k: int,
     """Minimum norm-perimeter over lattice polygons with exactly k+1 enclosed
     lattice points, with a minimizing witness polygon.
 
-    The search runs at the perimeter of the cheapest rectangle with at least
-    k+1 points, builds one cheapest chain per (displacement, weight) cell by
+    The search runs at the perimeter of the cheapest lattice octagon with at
+    least k+1 points that _budget_polygon finds (a rectangle with its
+    corners cut), builds one cheapest chain per (displacement, weight) cell by
     dynamic programming, pairs them up to the least perimeter of k+1 points,
     keeps one pair per lattice-point count (see _toric_minima), and closes
     the witness from that of k+1.  Every call runs its own search under
@@ -805,7 +885,8 @@ def min_action_at_grading(norm: Norm, grading: int, budget=None,
     other points, with one point fewer and no longer perimeter (the cut of
     _pair_buckets), so that polygon is at least c_(c-1) >= c_k long; and the
     all-'e' minimizer of c_k has grading 2k.  So this is _toric_minima of k
-    at the budget, which defaults to _initial_budget of k.  An exact budget
+    at the budget, which defaults to _initial_budget of k, the perimeter of
+    a lattice octagon with at least k+1 points.  An exact budget
     is compared exactly.  RuntimeError if no generator fits the budget, and
     ToricEnumerationBudgetExceeded, with the directions done, past the node
     limit.

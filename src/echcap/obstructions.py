@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
-from .values import (CapacityValue, RationalLike, _over_common_denominator,
+from .values import (CapacityValue, RationalLike, _integer, _over_common_denominator,
                      _polydisk_entry, _staircase, as_fraction)
 
 __all__ = [
@@ -43,7 +43,7 @@ def embedding_obstruction(inner: Domain, outer: Domain, kmax: int,
     Obstructed exactly when some c_k(inner) exceeds c_k(outer) (or fails
     strictness in interior_strict mode); the witness is the first such k.
     """
-    if kmax < 1:
+    if (kmax := _integer(kmax)) < 1:
         raise ValueError("kmax must be >= 1")
     lower = capacities(inner, kmax, node_limit=node_limit)
     upper = capacities(outer, kmax, node_limit=node_limit)
@@ -61,7 +61,7 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     a = as_fraction(a)
     if a < 1:
         raise ValueError("aspect ratio a must be >= 1")
-    if dmax < 1:
+    if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
     need = (dmax * dmax + 3 * dmax + 2) // 2
     den, values = _nk_values(a, 1, need)
@@ -108,7 +108,7 @@ def g_d(a: RationalLike, d: int) -> Fraction:
 def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax,
     each read off O(d) staircase corners."""
-    if dmax < 1:
+    if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
     a = as_fraction(a)
     return max(g_d(a, d) for d in range(1, dmax + 1))
@@ -156,7 +156,7 @@ def packing_obstructions(a_list: Sequence[RationalLike],
     sizes = [as_fraction(a) for a in a_list]
     if not sizes or any(a <= 0 for a in sizes):
         raise ValueError("need a nonempty list of positive sizes")
-    if dmax < 1:
+    if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
     den, scaled = _over_common_denominator(*sizes)
     inequalities = []
@@ -209,7 +209,7 @@ def biran_sufficiency(a_list: Sequence[RationalLike], dmax: int) -> BiranVerdict
     sizes = [as_fraction(a) for a in a_list]
     if not sizes or any(a <= 0 for a in sizes):
         raise ValueError("need a nonempty list of positive sizes")
-    if dmax < 1:
+    if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
     den, scaled = _over_common_denominator(*sizes)
     if sum(a * a for a in scaled) > den * den:

@@ -36,6 +36,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _integer(x) -> int:
+    """An integral count or lattice coordinate as an int; ValueError else."""
+    if int(x) != x:
+        raise ValueError(f"counts and lattice coordinates must be integers, got {x!r}")
+    return int(x)
+
+
 def format_fraction(q: Fraction) -> str:
     """'p/q', or the bare numerator for an integer: the inverse of
     as_fraction on strings."""

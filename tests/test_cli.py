@@ -304,8 +304,8 @@ def test_node_limit_exit_notes_search_progress(capsys):
                  "--node-limit", "50"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: polygon search exceeded its node limit of 50 "
-        "(lattice-point cap 21, perimeter budget 16)",
-        "note: search stopped at direction 8 of 60"]
+        "(lattice-point cap 21, perimeter budget 13.6568542495)",
+        "note: search stopped at direction 7 of 44"]
 
 
 def test_env_node_limit(capsys, monkeypatch):

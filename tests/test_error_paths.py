@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid, Polydisk,
-                    ToricNorm, WeightedL1, ball_capacities, dominates,
-                    enumerate_polygons, scale, toric_capacity,
-                    volume_ratio_trace)
+                    ToricNorm, WeightedL1, ball_capacities, capacities,
+                    disjoint_union_capacities, dominates, ellipsoid_capacities,
+                    ellipsoid_full_capacities, enumerate_polygons,
+                    maxplus_convolve, nk_sequence, polydisk_capacities, qw_check,
+                    scale, toric_capacity, volume_ratio_trace)
 from echcap.cli import main
+from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
+                                 f_lower_bound, g_lower_bound, packing_obstructions)
 
 BAD_CALLS = {
     "ellipsoid size": (lambda: Ellipsoid(1, 0), ValueError,
@@ -58,3 +62,35 @@ def test_cli_rejects_nonpositive_sizes(spec, message, capsys):
     assert main(["capacities", spec, "--kmax", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+COUNTED_CALLS = {
+    "capacities ball": lambda n: capacities(Ball(1), n),
+    "capacities toric": lambda n: capacities(ToricNorm(EUCLIDEAN), n),
+    "union": lambda n: disjoint_union_capacities(
+        [ball_capacities(1, 3), ball_capacities(2, 3)], n),
+    "ball": lambda n: ball_capacities(1, n),
+    "ellipsoid": lambda n: ellipsoid_capacities(1, 2, n),
+    "ellipsoid full": lambda n: ellipsoid_full_capacities(1, 2, n),
+    "polydisk": lambda n: polydisk_capacities(1, 2, n),
+    "nk": lambda n: nk_sequence(1, 2, n),
+    "maxplus": lambda n: maxplus_convolve(list(ball_capacities(1, 3)),
+                                          list(ball_capacities(2, 3)), n),
+    "qw": lambda n: qw_check(Ball(1), n),
+    "embed": lambda n: embedding_obstruction(Ball(1), Ball(2), n),
+    "trace kmax": lambda n: volume_ratio_trace(Ball(1), n),
+    "trace stride": lambda n: volume_ratio_trace(Ball(1), 4, stride=n),
+    "f bound": lambda n: f_lower_bound(2, n),
+    "g bound": lambda n: g_lower_bound(2, n),
+    "packing": lambda n: packing_obstructions([Fraction(1, 2)], n),
+    "biran": lambda n: biran_sufficiency([Fraction(1, 2)], n),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_CALLS)
+def test_counts_take_integral_floats_and_fractions_only(name):
+    call = COUNTED_CALLS[name]
+    assert call(2.0) == call(Fraction(2)) == call(2)
+    for bad in (2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)

@@ -1,9 +1,10 @@
 """Source hygiene of the package: no unused imports, standard library only,
-no dead module-level names or private methods."""
+no dead module-level names or private methods, no module-level state."""
 
 import ast
 import pathlib
 import sys
+import typing
 
 import pytest
 
@@ -184,3 +185,71 @@ def test_no_write_only_self_attributes():
                        for name, line in self_attribute_stores(cls)
                        if name not in read]
     assert not unread
+
+
+def frozen_dataclasses(trees):
+    """Names of the package's classes decorated @dataclass(frozen=True)."""
+    return {node.name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                        for k in d.keywords)
+                for d in node.decorator_list)}
+
+
+def immutable(value, frozen):
+    """A constant, a tuple of immutable values, a typing alias such as
+    Tuple[int, int], or an instance of a frozen dataclass of the package
+    built from immutable values."""
+    if isinstance(value, ast.Constant):
+        return True
+    if isinstance(value, ast.Tuple):
+        return all(immutable(e, frozen) for e in value.elts)
+    if isinstance(value, ast.Subscript):
+        return isinstance(value.value, ast.Name) and value.value.id in typing.__all__
+    if isinstance(value, ast.Call):
+        return isinstance(value.func, ast.Name) and value.func.id in frozen and all(
+            immutable(a, frozen) for a in (*value.args, *(k.value for k in value.keywords)))
+    return False
+
+
+def is_main_guard(node):
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
+def decorator_name(node):
+    """functools.lru_cache(maxsize=8) -> 'lru_cache'; cache -> 'cache'."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_module_level_mutable_state():
+    """State lives in the objects a call makes, so one call cannot change
+    the next: a module binds only constants, typing aliases, __all__ and
+    frozen instances such as EUCLIDEAN (no dict, list, set or
+    comprehension), runs no other statement, assigns no global, and
+    memoizes across calls only the argparse tree of cli._build_parser."""
+    trees = package_trees()
+    frozen = frozen_dataclasses(trees)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(t, "id", None) for t in targets]
+                if names != ["__all__"] and not immutable(node.value, frozen):
+                    found.append(f"{module}:{node.lineno} {ast.unparse(node)[:60]}")
+            elif not (isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                        ast.AsyncFunctionDef, ast.ClassDef))
+                      or isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                      or is_main_guard(node)):
+                found.append(f"{module}:{node.lineno} {type(node).__name__}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{module}:{node.lineno} global {', '.join(node.names)}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{module}:{node.lineno} @{decorator_name(d)} {node.name}"
+                          for d in node.decorator_list
+                          if decorator_name(d) in ("cache", "lru_cache")
+                          and (module, node.name) != ("cli.py", "_build_parser")]
+    assert not found

@@ -144,6 +144,28 @@ def toric_minima_oracle(norm, kmax, node_limit, budget=None):
     return [minima[count] for count in range(1, kmax + 2)]
 
 
+# -- oracle: Euclidean exact lengths in CapacityValue arithmetic ----------------
+
+def capacity_value_exact(picks):
+    """The reference for lattice._Lengths.exact, as a CapacityValue: each
+    prefix's length plus EUCLIDEAN.length(p).scaled(c), pick by pick."""
+    if not picks:
+        return CapacityValue.exact(0)
+    px, py, c = picks[-1]
+    return capacity_value_exact(picks[:-1]) + EUCLIDEAN.length((px, py)).scaled(c)
+
+
+# -- oracle: the least rectangle ----------------------------------------------
+
+def least_rectangle(norm, k):
+    """Perimeter of the cheapest m-by-n rectangle (or segment) with at least
+    k+1 lattice points, the least over every such rectangle, as a value."""
+    ux, uy = norm.length((1, 0)), norm.length((0, 1))
+    perims = [ux.scaled(2 * m) + uy.scaled(2 * n)
+              for m in range(k + 1) for n in range(k + 1) if (m + 1) * (n + 1) > k]
+    return min(perims, key=lambda v: v.as_fraction())
+
+
 # -- oracle: every pair within the budget, no cut ------------------------------
 
 def all_pairs(lengths, table, max_count):
@@ -234,7 +256,7 @@ def depth_first_cells(lengths, max_count):
             continue
         b = best[0]
         if lengths.den is None and abs(a - b) <= lengths.eps:
-            order = lengths.exact(picks).compare(lengths.exact(best[2]))
+            order = capacity_value_exact(picks).compare(capacity_value_exact(best[2]))
             tied.add(key)
         else:
             order = (a > b) - (a < b)
@@ -303,9 +325,11 @@ def test_node_limit_raises():
         toric_capacity(EUCLIDEAN, 20, node_limit=50)
     exc = info.value
     assert (exc.node_limit, exc.max_count, exc.nodes) == (50, 21, 51)
-    assert exc.budget == lattice._initial_budget(EUCLIDEAN, 20).value == 16
+    budget = lattice._initial_budget(EUCLIDEAN, 20)   # the octagon 8 + 4 sqrt 2
+    assert budget == CapacityValue.exact(8) + CapacityValue.sqrt_rational(32)
+    assert exc.budget == budget.value
     assert str(exc) == ("polygon search exceeded its node limit of 50 "
-                        "(lattice-point cap 21, perimeter budget 16)")
+                        "(lattice-point cap 21, perimeter budget 13.6568542495)")
     assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
     # an earlier unlimited search of the same norm must not let a later
     # call skip its own limit
@@ -339,15 +363,14 @@ def test_node_limit_reports_directions_done():
 
 
 @pytest.mark.parametrize("norm, k, total, progress", [
-    pytest.param(EUCLIDEAN, 20, 60, [(1, 0), (2, 0), (11, 1), (101, 11), (1001, 30)],
+    pytest.param(EUCLIDEAN, 20, 44, [(1, 0), (2, 0), (11, 2), (101, 11), (1001, 28)],
                  id="euclidean-20"),
-    pytest.param(SKEW, 14, 40, [(1, 0), (2, 0), (11, 2), (101, 11), (1001, 26)],
+    pytest.param(SKEW, 14, 38, [(1, 0), (2, 0), (11, 2), (101, 11), (1001, 28)],
                  id="skew-14"),
 ])
 def test_node_limit_exit_progress_is_pinned(norm, k, total, progress):
-    # (nodes, directions done) where the search stops, recorded from the
-    # dict-keyed chain table the displacement grid replaced; the grid's
-    # sweep by decreasing id stops at the same points at these limits
+    # (nodes, directions done) where the search at the octagon budget
+    # stops, as measured; the directions are those within that budget
     for limit, (nodes, done) in zip((0, 1, 10, 100, 1000), progress):
         with pytest.raises(ToricEnumerationBudgetExceeded) as info:
             toric_capacity(norm, k, node_limit=limit)
@@ -664,16 +687,17 @@ def test_euclidean_50_fits_the_default_node_limit(monkeypatch):
 
 def test_euclidean_50_needs_few_transitions():
     # the chain-cell table skips the (displacement, direction) pairs whose
-    # first copy cannot fit before trying them
-    assert len(capacities(ToricNorm(EUCLIDEAN), 50, node_limit=250_000)) == 51
-    # and each direction walks only the chains made before it: about 34.4 k
+    # first copy cannot fit before trying them, at the octagon budget: about
+    # 85.1 k nodes at k = 50
+    assert len(capacities(ToricNorm(EUCLIDEAN), 50, node_limit=90_000)) == 51
+    # and each direction walks only the chains made before it: about 16.8 k
     # nodes at k = 30
-    assert len(capacities(ToricNorm(EUCLIDEAN), 30, node_limit=35_500)) == 31
-    # the 28.3 k copies tried there alone fit 30 k nodes, but the 6.2 k table
+    assert len(capacities(ToricNorm(EUCLIDEAN), 30, node_limit=17_000)) == 31
+    # the 13.8 k copies tried there alone fit 14 k nodes, but the 3.1 k table
     # entries that fail the weight or length test are looked at and counted
     # too, so the limit bounds that work as well
     with pytest.raises(ToricEnumerationBudgetExceeded):
-        capacities(ToricNorm(EUCLIDEAN), 30, node_limit=30_000)
+        capacities(ToricNorm(EUCLIDEAN), 30, node_limit=14_000)
 
 
 def test_euclidean_key_is_exact_equality():
@@ -692,10 +716,29 @@ def test_euclidean_keys_agree_with_exact_sign():
         picks1, picks2 = (tuple((*rng.choice(dirs), rng.randint(1, 3))
                                 for _ in range(rng.randint(1, 3))) for _ in range(2))
         equal = lengths.key(picks1) == lengths.key(picks2)
-        exact1, exact2 = lengths.exact(picks1), lengths.exact(picks2)
+        exact1, exact2 = capacity_value_exact(picks1), capacity_value_exact(picks2)
         sign = values._sign(exact1._terms(), exact2._terms())
         assert equal == (sign == 0), (picks1, picks2)
         seen.add(equal)
+    assert seen == {True, False}
+
+
+def test_euclidean_exact_fields_match_capacity_value_arithmetic():
+    # the fold keeps CapacityValue's fields with its float operations, so
+    # the values it builds repeat those of CapacityValue arithmetic exactly
+    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    dirs = [(1, 0), (0, 1), (3, 4), (2, 2), (1, 7), (1, 1), (2, 1), (5, 12)]
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        picks1, picks2 = (tuple((*rng.choice(dirs), rng.randint(1, 7))
+                                for _ in range(rng.randint(0, 4))) for _ in range(2))
+        for other in ((), picks2):
+            got = lengths.value((0.0, 0, picks1, 0), (0.0, 0, other, 0))
+            want = capacity_value_exact(picks1) + capacity_value_exact(other)
+            assert (repr(got), got._terms()) == (repr(want), want._terms()), \
+                (picks1, other)
+            seen.add(got.is_exact)
     assert seen == {True, False}
 
 
@@ -983,15 +1026,17 @@ def test_min_action_budget_is_compared_exactly():
         *((f"bench-poly{i}", poly) for i, poly in enumerate(BENCH_POLYGONS))]),
 ])
 def test_toric_minima_at_the_budget_c_kmax_keeps_the_same_pairs(norm, kmax):
-    # every chain of the rule's least pairs fits under c_kmax, so a search
-    # there keeps the pairs of the rectangle search; just below, it leaves
+    # every chain of the rule's least pairs fits under any budget >= c_kmax,
+    # so searches at the least rectangle, at the octagon of _initial_budget
+    # and at c_kmax keep the same pairs; just below c_kmax, a search leaves
     # the kmax + 1 bucket empty (and any count of the same least perimeter)
-    rectangle = lattice._toric_minima(norm, kmax, None)
+    rectangle = lattice._toric_minima(norm, kmax, None, least_rectangle(norm, kmax))
     least = rectangle[-1][0]
-    at_least = lattice._toric_minima(norm, kmax, None, least)
-    assert [pair for _, pair in at_least] == [pair for _, pair in rectangle]
-    assert [repr(value) for value, _ in at_least] == \
-        [repr(value) for value, _ in rectangle]
+    for budget in (None, least):
+        other = lattice._toric_minima(norm, kmax, None, budget)
+        assert [pair for _, pair in other] == [pair for _, pair in rectangle]
+        assert [repr(value) for value, _ in other] == \
+            [repr(value) for value, _ in rectangle]
     with pytest.raises(RuntimeError, match="no polygon with"):
         lattice._toric_minima(norm, kmax, None, least.scaled(F(10 ** 9 - 1, 10 ** 9)))
 
@@ -1010,32 +1055,42 @@ def test_min_action_at_grading_reads_the_capacity_search_at_its_budget(norm):
             assert info.value.max_count == k + 1
 
 
-@pytest.mark.parametrize("norm", [
-    EUCLIDEAN, *(WeightedL1(a, b) for a, b in
-                 [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3)), (F(1, 10), 7), (1, 4)]),
-    HEXAGON, SKEW, *BENCH_POLYGONS, DIAGONAL,
+TIGHT = range(25)   # the k <= 24 where the octagon budget is c_k
+
+
+@pytest.mark.parametrize("norm, tight", [
+    (EUCLIDEAN, set(TIGHT) - {19, 24}),
+    *((WeightedL1(a, b), TIGHT) for a, b in
+      [(1, 1), (F(7, 3), 2), (F(3, 2), F(2, 3)), (F(1, 10), 7), (1, 4)]),
+    (HEXAGON, TIGHT), (SKEW, ()), (BENCH_POLYGONS[0], TIGHT), (BENCH_POLYGONS[1], TIGHT),
+    (BENCH_POLYGONS[2], ()), (DIAGONAL, ()),
 ], ids=["euclidean", "l1:1,1", "l1:7/3,2", "l1:3/2,2/3", "l1:1/10,7", "l1:1,4",
         "hexagon", "skew", "bench-poly0", "bench-poly1", "bench-poly2", "diagonal"])
-def test_initial_budget_is_the_least_rectangle(norm):
-    # every m-by-n rectangle with at least k+1 points, perimeters as values;
-    # polygonal norms get no cheaper segment along a vertex direction
-    ux, uy = norm.length((1, 0)), norm.length((0, 1))
-    for k in range(0, 31):
-        perims = [ux.scaled(2 * m) + uy.scaled(2 * n)
-                  for m in range(k + 1) for n in range(k + 1) if (m + 1) * (n + 1) > k]
-        least = min(perims, key=lambda v: v.as_fraction())
-        assert repr(lattice._initial_budget(norm, k)) == repr(least), k
+def test_initial_budget_is_the_least_rectangle(norm, tight):
+    # the budget is the perimeter of a polygon with at least k+1 points, so
+    # at least c_k, and at most the least rectangle, compared exactly; at
+    # the ks of tight the octagon is a minimizer
+    seq = capacities(ToricNorm(norm), 30)
+    for k in range(31):
+        polygon, budget = lattice._budget_polygon(norm, k), lattice._initial_budget(norm, k)
+        assert polygon.lattice_point_count >= k + 1, k
+        assert repr(perimeter(polygon, norm)) == repr(budget), k
+        assert seq[k].compare(budget) <= 0 <= least_rectangle(norm, k).compare(budget), k
+        if k in tight:
+            assert budget == seq[k], k
 
 
 @pytest.mark.parametrize("norm", [EUCLIDEAN, SKEW, HEXAGON, WeightedL1(F(7, 3), 2),
                                   WeightedL1(1, 4)],
                          ids=["euclidean", "skew", "hexagon", "l1:7/3,2", "l1:1,4"])
 def test_initial_budget_is_a_polydisk_capacity(norm):
-    # toric(l1:a,b) is P(a, b): the least rectangle is c_k(P(2|e1|, 2|e2|))
+    # toric(l1:a,b) is P(a, b): the least rectangle is c_k(P(2|e1|, 2|e2|)),
+    # which an octagon budget meets for l1 norms and can only undercut else
     ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
     seq = polydisk_capacities(2 * ux, 2 * uy, 300)
     for k in range(301):
-        assert lattice._initial_budget(norm, k) == seq[k], k
+        order = lattice._initial_budget(norm, k).compare(seq[k])
+        assert order == 0 if isinstance(norm, WeightedL1) else order <= 0, k
 
 
 def test_floor_moves_up_from_a_float_below_the_integer():
