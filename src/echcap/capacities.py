@@ -88,6 +88,7 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("weights must be positive")
+    m, n = _integer(m), _integer(n)
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
     den, (a, b) = _over_common_denominator(a, b)

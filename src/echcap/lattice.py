@@ -7,12 +7,12 @@ edges, a segment is traversed as the edge pair {v, -v}.
 The search engine represents a convex polygon as an angle-sorted multiset of
 edge vectors (primitive direction x multiplicity) summing to zero, split into
 two chains of equal displacement; the point pairs two empty chains.  One
-dynamic program over the edge directions builds the chains, the empty chain
-at (0, 0) included: capacities, toric_capacity and min_action_at_grading
-keep the least chain of each (displacement, weight) cell, and
-enumerate_polygons keeps every chain and visits each canonical polygon
-within the perimeter budget exactly once.  One walk pairs each displacement's
-chains by length up to the least perimeter of the largest count.
+dynamic program over the edge directions builds the chains: capacities,
+toric_capacity and min_action_at_grading keep the least chain of each
+(displacement, weight) cell, and enumerate_polygons keeps every chain and
+visits each canonical polygon within the perimeter budget exactly once.  One
+walk pairs each displacement's chains by length up to the least perimeter of
+the largest count.  A Euclidean length is exact as its radicand key.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import (CapacityValue, RationalLike, Roots, _integer,
-                     _over_common_denominator, _sign, _squarefree, _staircase, _ulp,
-                     as_fraction)
+from .values import (CapacityValue, RationalLike, _integer, _over_common_denominator,
+                     _sign, _squarefree, _staircase, _ulp, as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -38,9 +37,6 @@ Length = Union[int, float]     # a search length: int over a denominator, or flo
 Entry = Tuple[Length, int, tuple, int]
 # a bucket's value and its cheapest chain pair
 Winner = Tuple[CapacityValue, Tuple[Entry, Entry]]
-# a Euclidean length as CapacityValue's fields: (frac as an int, or None;
-# value; err; roots)
-Fields = Tuple[Optional[int], float, float, Optional[Roots]]
 
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
@@ -127,6 +123,9 @@ class WeightedL1(Norm):
         object.__setattr__(self, "b", as_fraction(self.b))
         if self.a <= 0 or self.b <= 0:
             raise ValueError("weighted L1 norm needs positive weights")
+        # (den, [a/2, b/2] times den) for _lengths(): a tuple pickles, a closure not
+        object.__setattr__(self, "_int_weights",
+                           _over_common_denominator(self.a / 2, self.b / 2))
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
@@ -143,9 +142,7 @@ class WeightedL1(Norm):
         return WeightedL1(self.a * c, self.b * c)
 
     def _lengths(self):
-        ha, hb = self.a / 2, self.b / 2
-        den = math.lcm(ha.denominator, hb.denominator)
-        ia, ib = int(ha * den), int(hb * den)
+        den, (ia, ib) = self._int_weights
         return den, lambda x, y: ia * abs(x) + ib * abs(y)
 
 
@@ -328,10 +325,10 @@ def perimeter(polygon: LatticePolygon, norm: Norm) -> CapacityValue:
     den, f = norm._lengths()
     if den is not None:
         return CapacityValue.exact(Fraction(sum(f(*edge) for edge in polygon.edges), den))
-    total = CapacityValue.exact(0)
-    for edge in polygon.edges:
-        total = total + norm.length(edge)
-    return total
+    picks = tuple((dx, dy, 1) for dx, dy in polygon.edges)   # Euclidean
+    # keyed by whole squares: trial division would take |edge| steps an edge
+    squares = {(px, py): (px * px + py * py, 1) for px, py, _ in picks}
+    return _euclidean(_radicand_key(picks, squares), picks)
 
 
 def dual_norm_eval(norm: Norm, covector) -> CapacityValue:
@@ -414,20 +411,19 @@ class _Lengths:
     norm's common denominator: the limit is floor(budget * den) and eps is 0,
     so every window of the search is an exact comparison.  Euclidean lengths
     are floats: the limit is the budget plus a slack of 10^-9 of it, windows
-    are eps = slack wide (far above the float error), and exact values are
-    per-chain sums of CapacityValue's fields, which the pairing walk compares
-    with an exact budget for floats from exact_from = budget - eps up.  Only a
-    float budget (or an approx() CapacityValue) has no exact form: it keeps
-    the slack, also before a rational norm floors it.  chord memoizes f, and
-    exacts and keys memoize their methods for the search.
+    are eps = slack wide (far above the float error), and a pair's exact
+    value is built by _euclidean from its radicand key, which the pairing
+    walk compares with an exact budget for floats from exact_from = budget -
+    eps up.  Only a float budget (or an approx() CapacityValue) has no exact
+    form: it keeps the slack, also before a rational norm floors it.  chord
+    and radicals memoize f and the square-free parts for the search.
     """
 
     def __init__(self, norm: Norm, budget):
         if isinstance(budget, CapacityValue):
             if budget.is_infinite:
                 raise ValueError("length budget must be finite")
-            has_exact_form = budget.is_exact or budget.roots is not None
-            self.budget = budget if has_exact_form else None
+            self.budget = budget if budget._terms() is not None else None
         elif isinstance(budget, float):
             if not math.isfinite(budget):
                 raise ValueError("length budget must be finite")
@@ -447,8 +443,6 @@ class _Lengths:
             else self.budget_f - slack
         if self.den is None:
             self.eps, self.limit = slack, self.budget_f + slack
-            self.exacts: Dict[tuple, Fields] = {(): (0, 0.0, 0.0, None)}
-            self.keys: Dict[tuple, tuple] = {}
             self.radicals = _Memo(lambda x, y: _squarefree(x * x + y * y))
         elif self.budget is None:
             self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
@@ -459,36 +453,16 @@ class _Lengths:
         duals = (norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
         self.box = tuple(int(self.limit * q / (2 * (self.den or 1))) for q in duals)
 
-    def exact(self, picks: tuple) -> Fields:
-        """A Euclidean chain's length as the fields of the CapacityValue that
-        sums, pick by pick, norm.length(p).scaled(c) onto its prefix; every
-        sum is kept for its picks."""
-        total = self.exacts.get(picks)
-        if total is None:
-            px, py, c = picks[-1]
-            total = self.exacts[picks] = _add(self.exact(picks[:-1]),
-                                              _edge(px * px + py * py, c))
-        return total
-
     def value(self, entry1: Entry, entry2: Entry) -> CapacityValue:
         """Exact perimeter of the polygon that pairs the two chains."""
         (length1, _, picks1, _), (length2, _, picks2, _) = entry1, entry2
         if self.den is not None:
             return CapacityValue.exact(Fraction(length1 + length2, self.den))
-        frac, value, err, roots = _add(self.exact(picks1), self.exact(picks2))
-        return CapacityValue(frac if frac is None else Fraction(frac), value, err, roots)
+        return _euclidean(self.key(picks1 + picks2), picks1, picks2)
 
     def key(self, picks: tuple) -> tuple:
-        """A Euclidean length sum c s sqrt(r), px^2 + py^2 = s^2 r with r square-
-        free, as each r's int coefficient: equal iff lengths are (Besicovitch)."""
-        key = self.keys.get(picks)
-        if key is None:
-            coef: Dict[int, int] = {}
-            for px, py, c in picks:
-                r, s = self.radicals[px, py]
-                coef[r] = coef.get(r, 0) + c * s
-            key = self.keys[picks] = tuple(sorted(coef.items()))
-        return key
+        """_radicand_key of a Euclidean chain or pair."""
+        return _radicand_key(picks, self.radicals)
 
     @staticmethod
     def order(key1: tuple, key2: tuple) -> int:
@@ -503,30 +477,41 @@ class _Lengths:
             (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:]))
 
 
-def _edge(square: int, c: int) -> Fields:
-    """The fields of CapacityValue.sqrt_rational(square).scaled(c)."""
-    root = math.isqrt(square)
-    if root * root == square:
-        return root * c, float(root * c), 0.0, None
-    unit = math.sqrt(square)
-    value = unit * c
-    return None, value, 2.0 * _ulp(unit) * c + _ulp(value), ((square, c),)
+def _radicand_key(picks: tuple, radicals: Mapping[IntPoint, Tuple[int, int]]) -> tuple:
+    """A Euclidean length sum c |(px, py)| = c s sqrt(r), radicals[px, py] =
+    (r, s), as each r with its int coefficient, by increasing r.  With r
+    square-free, as in the search, keys are equal iff lengths are."""
+    coef: Dict[int, int] = {}
+    for px, py, c in picks:
+        r, s = radicals[px, py]
+        coef[r] = coef.get(r, 0) + c * s
+    return tuple(sorted(coef.items()))
 
 
-def _add(a: Fields, b: Fields) -> Fields:
-    """The fields of the CapacityValue sum of two with these fields: the float
-    operations of CapacityValue.__add__, in its order."""
-    (frac_a, value_a, err_a, roots_a), (frac_b, value_b, err_b, roots_b) = a, b
-    if roots_a is None and roots_b is None:
-        return frac_a + frac_b, float(frac_a + frac_b), 0.0, None
-    if frac_a == 0:
-        return b
-    if frac_b == 0:
-        return a
-    value = value_a + value_b
-    return None, value, err_a + err_b + _ulp(value), (
-        ((1, frac_a),) if roots_a is None else roots_a) + (
-        ((1, frac_b),) if roots_b is None else roots_b)
+def _euclidean(key: tuple, *chains: tuple) -> CapacityValue:
+    """The length sum c |(px, py)| over the picks of one or two chains with
+    _radicand_key key: exact if each r is a square, else with roots key and
+    the float and err of the CapacityValue sums, from 0 and pick by pick, of
+    each chain's sqrt_rational(px^2 + py^2).scaled(c), then of the chains."""
+    if all(math.isqrt(r) ** 2 == r for r, _ in key):
+        return CapacityValue.exact(sum(math.isqrt(r) * q for r, q in key))
+    value = err = 0.0
+    for picks in chains:
+        total = total_err = 0.0
+        for px, py, c in picks:
+            unit = math.sqrt(square := px * px + py * py)
+            surd = math.isqrt(square) ** 2 != square
+            rounded = total and (surd or total_err)   # an exact sum has err 0
+            total += unit * c
+            if surd:
+                total_err += 2.0 * _ulp(unit) * c + _ulp(unit * c)
+            if rounded:
+                total_err += _ulp(total)
+        prefix, value = value, value + total
+        err += total_err
+        if prefix and total:   # not both exact, as key is irrational
+            err += _ulp(value)
+    return CapacityValue(None, value, err, key)
 
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:

@@ -78,7 +78,7 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
     Collinear points on a hull edge are kept: they are listed as vertices of
     the path, and keeping them cannot change a linear minimization.
     """
-    if d < 1:
+    if (d := _integer(d)) < 1:
         raise ValueError("d must be >= 1")
     hull: List[Tuple[int, int]] = []
     for p in _staircase((d + 1) * (d + 2) // 2):
@@ -99,7 +99,7 @@ def g_d(a: RationalLike, d: int) -> Fraction:
     a = as_fraction(a)
     if a < 1:
         raise ValueError("aspect ratio a must be >= 1")
-    if d < 1:
+    if (d := _integer(d)) < 1:
         raise ValueError("d must be >= 1")
     p, q = a.numerator, a.denominator
     return Fraction(_polydisk_entry(p, q, (d + 1) * (d + 2) // 2), q * d)

@@ -9,11 +9,13 @@ from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid, Polydisk,
                     ToricNorm, WeightedL1, ball_capacities, capacities,
                     disjoint_union_capacities, dominates, ellipsoid_capacities,
                     ellipsoid_full_capacities, enumerate_polygons,
-                    maxplus_convolve, nk_sequence, polydisk_capacities, qw_check,
-                    scale, toric_capacity, volume_ratio_trace)
+                    maxplus_convolve, nk_sequence, nk_via_triangle,
+                    polydisk_capacities, qw_check, scale, toric_capacity,
+                    volume_ratio_trace)
 from echcap.cli import main
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
-                                 f_lower_bound, g_lower_bound, packing_obstructions)
+                                 f_lower_bound, g_d, g_lower_bound, lambda_d_path,
+                                 packing_obstructions)
 
 BAD_CALLS = {
     "ellipsoid size": (lambda: Ellipsoid(1, 0), ValueError,
@@ -74,6 +76,8 @@ COUNTED_CALLS = {
     "ellipsoid full": lambda n: ellipsoid_full_capacities(1, 2, n),
     "polydisk": lambda n: polydisk_capacities(1, 2, n),
     "nk": lambda n: nk_sequence(1, 2, n),
+    "nk_via_triangle m": lambda n: nk_via_triangle(1, 2, n, 1),
+    "nk_via_triangle n": lambda n: nk_via_triangle(1, 2, 1, n),
     "maxplus": lambda n: maxplus_convolve(list(ball_capacities(1, 3)),
                                           list(ball_capacities(2, 3)), n),
     "qw": lambda n: qw_check(Ball(1), n),
@@ -82,6 +86,8 @@ COUNTED_CALLS = {
     "trace stride": lambda n: volume_ratio_trace(Ball(1), 4, stride=n),
     "f bound": lambda n: f_lower_bound(2, n),
     "g bound": lambda n: g_lower_bound(2, n),
+    "g_d": lambda n: g_d(Fraction(7, 2), n),
+    "lambda_d path": lambda n: lambda_d_path(n),
     "packing": lambda n: packing_obstructions([Fraction(1, 2)], n),
     "biran": lambda n: biran_sufficiency([Fraction(1, 2)], n),
 }

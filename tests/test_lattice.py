@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import pathlib
@@ -13,6 +14,7 @@ from echcap import (EUCLIDEAN, CapacityValue, LatticePolygon, Polygonal,
                     lattice_point_count, perimeter)
 
 F = Fraction
+lattice = importlib.import_module("echcap.lattice")
 
 UNIT_SQUARE = LatticePolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = LatticePolygon.from_vertices([(0, 0), (1, 0), (0, 1)])
@@ -129,6 +131,42 @@ def test_euclidean_perimeter_tracks_error():
     assert abs(v.value - (2 + math.sqrt(2))) <= v.err + 1e-15
 
 
+def random_convex_polygons(count, seed):
+    """Hulls of a few random lattice points: points, segments and proper
+    polygons, small and large (edges past 2^26, whose squares pass 2^53)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.choice([1, 2, 4, 9, 30, 1000, 10 ** 9])
+        yield LatticePolygon.from_vertices(convex_hull(
+            (rng.randint(-size, size), rng.randint(-size, size))
+            for _ in range(rng.randint(1, 9))))
+
+
+def test_euclidean_perimeter_matches_capacity_value_sum():
+    # against the sum of EUCLIDEAN.length over the edges in CapacityValue
+    # arithmetic: the same float and exact value, and an irrational one's
+    # err covers the float's distance to the sum, enclosed at 2^-160 by isqrt
+    bits = 160
+    polygons = [lattice._budget_polygon(EUCLIDEAN, k) for k in range(40)]
+    polygons += random_convex_polygons(300, 7)
+    kinds = set()
+    for poly in polygons:
+        want = CapacityValue.exact(0)
+        for edge in poly.edges:
+            want = want + EUCLIDEAN.length(edge)
+        got = perimeter(poly, EUCLIDEAN)
+        assert got.value == want.value and got == want, poly
+        kinds.add((poly.kind, got.is_exact))
+        if got.is_exact:
+            continue
+        lo = sum(math.isqrt((dx * dx + dy * dy) << (2 * bits)) for dx, dy in poly.edges)
+        hi = lo + len(poly.edges)   # each root r of the sum: r <= 2^bits |e| < r + 1
+        gap = max(abs(F(got.value) - F(lo, 2 ** bits)), abs(F(got.value) - F(hi, 2 ** bits)))
+        assert F(got.err) >= gap, poly
+    assert kinds >= {("point", True), ("segment", True), ("segment", False),
+                     ("proper", True), ("proper", False)}
+
+
 # -- dual norms ----------------------------------------------------------------
 
 def test_dual_norm_eval():
@@ -174,12 +212,14 @@ def test_polygonal_gauge_matches_l1_diamond():
         assert diamond.length(v).as_fraction() == wl.length(v).as_fraction()
 
 
-def test_polygonal_pickles_after_lengths_are_cached():
-    skew = Polygonal(((F(2, 3), F(1, 2)), (-1, 1), (-F(2, 3), -F(1, 2)), (1, -1)))
+@pytest.mark.parametrize("norm", [
+    Polygonal(((F(2, 3), F(1, 2)), (-1, 1), (-F(2, 3), -F(1, 2)), (1, -1))),
+    WeightedL1(F(7, 3), 2)], ids=["skew", "l1:7/3,2"])
+def test_polygonal_pickles_after_lengths_are_cached(norm):
     vectors = [(1, 0), (0, 1), (2, 3), (-1, 4), (5, -2)]
-    lengths = [skew.length(v) for v in vectors]
-    copy = pickle.loads(pickle.dumps(skew))
-    assert copy == skew
+    lengths = [norm.length(v) for v in vectors]
+    copy = pickle.loads(pickle.dumps(norm))
+    assert copy == norm
     assert [copy.length(v) for v in vectors] == lengths
 
 

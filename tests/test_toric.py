@@ -147,8 +147,9 @@ def toric_minima_oracle(norm, kmax, node_limit, budget=None):
 # -- oracle: Euclidean exact lengths in CapacityValue arithmetic ----------------
 
 def capacity_value_exact(picks):
-    """The reference for lattice._Lengths.exact, as a CapacityValue: each
-    prefix's length plus EUCLIDEAN.length(p).scaled(c), pick by pick."""
+    """The reference for a Euclidean chain's exact length, as a
+    CapacityValue: each prefix's length plus EUCLIDEAN.length(p).scaled(c),
+    pick by pick."""
     if not picks:
         return CapacityValue.exact(0)
     px, py, c = picks[-1]
@@ -724,8 +725,9 @@ def test_euclidean_keys_agree_with_exact_sign():
 
 
 def test_euclidean_exact_fields_match_capacity_value_arithmetic():
-    # the fold keeps CapacityValue's fields with its float operations, so
-    # the values it builds repeat those of CapacityValue arithmetic exactly
+    # _euclidean replays the float operations of CapacityValue arithmetic,
+    # so the values it builds repeat its reprs and values, with the pair's
+    # radicand key as their exact form
     lengths = lattice._Lengths(EUCLIDEAN, 10)
     dirs = [(1, 0), (0, 1), (3, 4), (2, 2), (1, 7), (1, 1), (2, 1), (5, 12)]
     rng = random.Random(11)
@@ -736,7 +738,8 @@ def test_euclidean_exact_fields_match_capacity_value_arithmetic():
         for other in ((), picks2):
             got = lengths.value((0.0, 0, picks1, 0), (0.0, 0, other, 0))
             want = capacity_value_exact(picks1) + capacity_value_exact(other)
-            assert (repr(got), got._terms()) == (repr(want), want._terms()), \
+            assert repr(got) == repr(want) and got == want, (picks1, other)
+            assert got.is_exact or got._terms() == lengths.key(picks1 + other), \
                 (picks1, other)
             seen.add(got.is_exact)
     assert seen == {True, False}
@@ -749,12 +752,51 @@ def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
     assert (lengths.compare(five, root18), lengths.compare(root18, five)) == (1, -1)
 
     # equal keys are ordered by nedges, then picks, with no exact value built
-    def refuse(picks):
+    def refuse(*args):
         raise AssertionError("an exact value was built for equal keys")
 
-    monkeypatch.setattr(lengths, "exact", refuse)
+    monkeypatch.setattr(lattice, "_euclidean", refuse)
     assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 2, ((1, 0, 5),))) == -1
     assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 1, ((1, 0, 5),))) == 1
+
+
+def square_free_key(edges):
+    """{r: coefficient} of sum c |(px, py)| over edges (px, py, c), each
+    px^2 + py^2 = s^2 r with r square-free found by stripping prime squares,
+    as sorted pairs (r, c s)."""
+    coef = {}
+    for px, py, c in edges:
+        r, s, p = px * px + py * py, 1, 2
+        while p * p <= r:
+            while r % (p * p) == 0:
+                r, s = r // (p * p), s * p
+            p += 1
+        coef[r] = coef.get(r, 0) + c * s
+    return tuple(sorted(coef.items()))
+
+
+def test_euclidean_values_are_their_pairs_radicand_keys():
+    # an irrational Euclidean c_k carries as its exact form the key of its
+    # winning pair, which is that of its witness's edges: strictly
+    # increasing square-free radicands with positive int coefficients
+    seq = capacities(ToricNorm(EUCLIDEAN), 30)
+    minima = lattice._toric_minima(EUCLIDEAN, 30, None)
+    irrational = 0
+    for k in range(31):
+        value, ((_, _, picks1, _), (_, _, picks2, _)) = minima[k]
+        single = toric_capacity(EUCLIDEAN, k)
+        assert repr(seq[k]) == repr(value) == repr(single.value), k
+        if value.is_exact:
+            continue
+        irrational += 1
+        witness_key = square_free_key([(dx, dy, 1) for dx, dy in single.witness.edges])
+        for got in (seq[k], single.value):
+            terms = got._terms()
+            assert terms == square_free_key(picks1 + picks2) == witness_key, k
+            assert all(r1 < r2 for (r1, _), (r2, _) in zip(terms, terms[1:])), k
+            assert all(type(q) is int and q > 0 for _, q in terms), k
+            assert all(r % (d * d) for r, _ in terms for d in range(2, math.isqrt(r) + 1)), k
+    assert irrational > 20
 
 
 def crafted_minimum(lengths, pairs):
