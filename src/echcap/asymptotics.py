@@ -42,8 +42,8 @@ def _contains(domain: Domain, kind: type) -> bool:
     """Whether the domain, or a part of a disjoint union, is a kind.
 
     Polydisks have only piecewise smooth boundary, so results that assume a
-    genuine contact boundary are labeled exploratory for them; the polygon
-    search caps the kmax of anything with a toric part."""
+    genuine contact boundary are labeled exploratory for them; any toric
+    part, l1 too though it runs no search, caps kmax at TORIC_TRACE_KMAX."""
     if isinstance(domain, DisjointUnion):
         return any(_contains(part, kind) for part in domain.parts)
     return isinstance(domain, kind)
@@ -89,8 +89,8 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
     """Sampled convergence trace of c_k^2 / (4 k vol) up to kmax.
 
     Every domain reads its full sequence from capacities().  Toric domains,
-    and unions with a toric part, are truncated (and flagged) because the
-    polygon search limits how far their sequences can go.
+    and unions with a toric part, are truncated (and flagged): the polygon
+    search limits how far their sequences can go, and l1 ones keep the cap.
     """
     if (kmax := _integer(kmax)) < 1:
         raise ValueError("kmax must be >= 1")

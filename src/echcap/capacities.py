@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
-from .lattice import _toric_minima
+from .lattice import WeightedL1, _toric_minima
 from .values import (CapacitySequence, CapacityValue, RationalLike, _integer,
                      _over_common_denominator, _polydisk_entry, as_fraction)
 
@@ -222,7 +222,10 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
 
 def capacities(domain: Domain, kmax: int, *,
                node_limit: Optional[int] = None) -> CapacitySequence:
-    """Distinguished capacity sequence of any model domain, up to kmax."""
+    """Distinguished capacity sequence of any model domain, up to kmax.
+
+    toric(l1:a,b) is P(a, b) (its least polygons are rectangles), read off
+    the polydisk kernel: node_limit bounds the other norms' search only."""
     if (kmax := _integer(kmax)) < 0:
         raise ValueError("kmax must be >= 0")
     if isinstance(domain, Ellipsoid):   # a Ball too, as E(a, a)
@@ -230,6 +233,8 @@ def capacities(domain: Domain, kmax: int, *,
     if isinstance(domain, Polydisk):
         return polydisk_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, ToricNorm):
+        if isinstance(domain.norm, WeightedL1):
+            return polydisk_capacities(domain.norm.a, domain.norm.b, kmax)
         minima = _toric_minima(domain.norm, kmax, node_limit)
         return CapacitySequence(0, (value for value, _ in minima))
     if isinstance(domain, DisjointUnion):

@@ -308,6 +308,17 @@ def test_node_limit_exit_notes_search_progress(capsys):
         "note: search stopped at direction 7 of 44"]
 
 
+def test_node_limit_leaves_l1_capacities_alone(capsys):
+    # toric(l1:a,b) reads the polydisk kernel: no search, so no node limit
+    assert main(["capacities", "toric(l1:1,1)", "--kmax", "300",
+                 "--node-limit", "100"]) == 0
+    out = capsys.readouterr().out
+    assert main(["capacities", "polydisk(1,1)", "--kmax", "300"]) == 0
+    assert out == capsys.readouterr().out
+    assert main(["capacities", "toric(poly:[[2,1],[-1,1],[-2,-1],[1,-1]])",
+                 "--kmax", "14", "--node-limit", "100"]) == 3
+
+
 def test_env_node_limit(capsys, monkeypatch):
     monkeypatch.setenv("ECHCAP_NODE_LIMIT", "10")
     assert main(["capacities", "toric(euclidean)", "--kmax", "20"]) == 3

@@ -31,6 +31,14 @@ SKEW = Polygonal(((2, 1), (-1, 1), (-2, -1), (1, -1)))
 DIAGONAL = Polygonal(((3, 3), (-1, 1), (-3, -3), (1, -1)))
 
 
+def searched(norm, kmax):
+    """c_0, ..., c_kmax from the polygon search itself.  capacities() reads
+    a WeightedL1 norm off the polydisk kernel, so the l1 differential tests
+    call the search through this."""
+    minima = lattice._toric_minima(norm, kmax, None)
+    return values.CapacitySequence(0, (value for value, _ in minima))
+
+
 # -- oracles: the depth-first chain walk, and exact lengths for every pair ------
 
 def depth_first_chains(lengths, max_count):
@@ -670,13 +678,41 @@ def test_every_chain_turns_left_at_each_pick(name, norm):
 
 @pytest.mark.parametrize("a, b", [(1, 1), (F(7, 3), 2)], ids=["1,1", "7/3,2"])
 def test_weighted_l1_matches_polydisk_at_60(a, b):
-    assert capacities(ToricNorm(WeightedL1(a, b)), 60) == polydisk_capacities(a, b, 60)
+    assert searched(WeightedL1(a, b), 60) == polydisk_capacities(a, b, 60)
+
+
+def test_weighted_l1_search_matches_polydisk_seeded():
+    # sizes drawn as the bench draws them: a third over a prime 11..97, the
+    # rest over 1..9, with aspect ratios up to 10 in either order
+    rng = random.Random(34)
+    small, large = range(1, 10), [q for q in range(11, 98)
+                                  if all(q % p for p in range(2, 10))]
+
+    def size(lo, hi):
+        while True:
+            q = rng.choice(large) if rng.random() < 1 / 3 else rng.choice(small)
+            plo, phi = max(1, math.ceil(lo * q)), math.floor(hi * q)
+            if plo <= phi:
+                return F(rng.randint(plo, phi), q)
+
+    for _ in range(40):
+        a = size(1 / 2, 2)
+        b = size(float(a), 10 * float(a))
+        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        assert searched(WeightedL1(a, b), 30) == polydisk_capacities(a, b, 30), \
+            (a, b)
+
+
+def test_weighted_l1_capacities_read_the_polydisk_kernel():
+    # no search runs, so not even a node limit of 0 stops it
+    seq = capacities(ToricNorm(WeightedL1(F(7, 3), 2)), 10_000, node_limit=0)
+    assert seq == polydisk_capacities(F(7, 3), 2, 10_000)
 
 
 def test_diamond_matches_weighted_l1():
     diamond = Polygonal(((1, 0), (0, 1), (-1, 0), (0, -1)))
     assert capacities(ToricNorm(diamond), 30) == \
-        capacities(ToricNorm(WeightedL1(2, 2)), 30) == polydisk_capacities(2, 2, 30)
+        searched(WeightedL1(2, 2), 30) == polydisk_capacities(2, 2, 30)
 
 
 def test_euclidean_50_fits_the_default_node_limit(monkeypatch):
@@ -984,7 +1020,7 @@ def test_upper_directions_check_the_float_angle_order(monkeypatch):
 def test_near_ties_below_float_resolution(a, b):
     # the weights differ by less than a float can tell (or by less than eps),
     # so only the exact comparison inside the eps window picks the minimum
-    assert capacities(ToricNorm(WeightedL1(a, b)), 20) == polydisk_capacities(a, b, 20)
+    assert searched(WeightedL1(a, b), 20) == polydisk_capacities(a, b, 20)
 
 
 @pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(F(1, 10), 7),
