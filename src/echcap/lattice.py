@@ -380,21 +380,9 @@ def reeb_orbit_data(norm: Norm, m: int, n: int):
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-def _floor(value: CapacityValue) -> int:
-    """Exact floor of a value with an exact form: its float's floor, moved
-    by exact comparisons until it is the floor."""
-    if value.is_exact:
-        return math.floor(value.frac)
-    n = math.floor(value.value)
-    while value.compare(CapacityValue.exact(n)) < 0:
-        n -= 1
-    while value.compare(CapacityValue.exact(n + 1)) >= 0:
-        n += 1
-    return n
-
-
 class _Memo(dict):
-    """(x, y) -> f(x, y), each computed on its first lookup."""
+    """(x, y) -> f(x, y), each computed on its first lookup: the square-free
+    parts of a Euclidean search's lengths, which _radicand_key reads."""
 
     def __init__(self, f: Callable[[int, int], Length]):
         self.f = f
@@ -408,15 +396,17 @@ class _Lengths:
     """The length arithmetic of one search, from the norm's _lengths() hook.
 
     For a rational norm (weighted L1, polygonal) a length is an int over the
-    norm's common denominator: the limit is floor(budget * den) and eps is 0,
-    so every window of the search is an exact comparison.  Euclidean lengths
-    are floats: the limit is the budget plus a slack of 10^-9 of it, windows
-    are eps = slack wide (far above the float error), and a pair's exact
-    value is built by _euclidean from its radicand key, which the pairing
-    walk compares with an exact budget for floats from exact_from = budget -
-    eps up.  Only a float budget (or an approx() CapacityValue) has no exact
-    form: it keeps the slack, also before a rational norm floors it.  chord
-    and radicals memoize f and the square-free parts for the search.
+    norm's common denominator and eps is 0, so every window of the search is
+    an exact comparison.  Euclidean lengths are floats, with windows eps =
+    slack = 10^-9 of the budget wide (far above the float error), and a
+    pair's exact value is built by _euclidean from its radicand key.  One
+    boundary rule serves every norm: an exact budget whose float is off by
+    at most its err sets the limit at that float plus band = max(slack,
+    2 err), and the pairing walk tests each pair from exact_from = the
+    float minus band up against the budget itself.  A rational budget on a
+    rational norm needs no test: its limit is floor(budget * den).  A float
+    budget (or an approx() CapacityValue) has no exact form and keeps the
+    slack.  radicals memoizes the square-free parts for the search.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -437,17 +427,18 @@ class _Lengths:
             budget = self.budget = CapacityValue.exact(frac)
         self.budget_f = float(budget)
         self.den, self.f = norm._lengths()
-        self.chord = _Memo(self.f)
         slack = 1e-9 * max(1.0, self.budget_f)
-        self.exact_from = math.inf if self.den is not None or self.budget is None \
-            else self.budget_f - slack
+        exact = self.budget is not None
+        band = max(slack, 2 * self.budget.err) if exact else slack
+        self.exact_from = (self.budget_f - band) * (self.den or 1) if exact else math.inf
         if self.den is None:
-            self.eps, self.limit = slack, self.budget_f + slack
+            self.eps, self.limit = slack, self.budget_f + band
             self.radicals = _Memo(lambda x, y: _squarefree(x * x + y * y))
-        elif self.budget is None:
-            self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + slack) * self.den)
+        elif exact and self.budget.is_exact:   # floored: no pair needs the test
+            self.eps, self.limit = 0, math.floor(self.budget.frac * self.den)
+            self.exact_from = math.inf
         else:
-            self.eps, self.limit = 0, _floor(self.budget.scaled(self.den))
+            self.eps, self.limit = 0, math.floor(Fraction(self.budget_f + band) * self.den)
         # box: |x| <= bx and |y| <= by where 2|v| <= limit, by the dual norms of
         # the axes (max |x| and max |y| on the unit ball)
         duals = (norm.dual_eval(e).as_fraction() for e in ((1, 0), (0, 1)))
@@ -516,11 +507,11 @@ def _euclidean(key: tuple, *chains: tuple) -> CapacityValue:
 
 def _upper_directions(lengths: _Lengths) -> List[IntPoint]:
     """Primitive vectors in the upper half-plane (y > 0, or y == 0 and x > 0)
-    with twice their length (kept in the chord memo) within the limit, sorted
-    by angle from (1, 0), searched over lengths.box."""
-    chord, limit, (bx, by) = lengths.chord, lengths.limit, lengths.box
+    with twice their length within the limit, sorted by angle from (1, 0),
+    searched over lengths.box."""
+    f, limit, (bx, by) = lengths.f, lengths.limit, lengths.box
     dirs = [(x, y) for y in range(by + 1) for x in range(-bx, bx + 1)
-            if (y or x > 0) and gcd(x, y) == 1 and 2 * chord[x, y] <= limit]
+            if (y or x > 0) and gcd(x, y) == 1 and 2 * f(x, y) <= limit]
     dirs.sort(key=lambda v: math.atan2(v[1], v[0]))
     if any(ax * cy - ay * cx <= 0 for (ax, ay), (cx, cy) in zip(dirs, dirs[1:])):
         raise RuntimeError("the float angle key misordered two directions")
@@ -681,7 +672,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     and every copy lands on a group already walked.  The table is handed on
     in increasing id, which is (sy, sx) order."""
     node_cap = resolve_node_limit(node_limit)
-    chord, limit, eps = lengths.chord, lengths.limit, lengths.eps
+    f, limit, eps = lengths.f, lengths.limit, lengths.eps
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
     # an edge vector e of a closed polygon satisfies 2|e| <= perimeter
@@ -690,18 +681,18 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
     xs = list(range(-off, off + 1)) * rows
     ys = [y for y in range(rows) for _ in range(width)]
     chords, groups, order = [None] * len(xs), [None] * len(xs), [off]
-    chords[off], groups[off], nodes = chord[0, 0], {0: (0, 0, (), 0)}, 0
+    chords[off], groups[off], nodes = f(0, 0), {0: (0, 0, (), 0)}, 0
 
     def exceeded(nodes, done):
         return ToricEnumerationBudgetExceeded(
             node_cap, max_count, lengths.budget_f, nodes, done, len(dirs))
 
     for done, (px, py) in enumerate(dirs):
-        dl, step = chord[px, py], px + width * py
+        dl, step = f(px, py), px + width * py
         for i in sorted(order, reverse=True):
             j = i + step
             if (cj := chords[j]) is None:
-                cj = chords[j] = chord[xs[j], ys[j]]
+                cj = chords[j] = f(xs[j], ys[j])
             top = limit - dl - cj + eps
             if chords[i] > top:   # no chain to s is shorter than its chord
                 continue
@@ -720,7 +711,7 @@ def _chain_cells(lengths: _Lengths, max_count: int, node_limit: Optional[int],
                     length += dl
                     c += 1
                     if (cj := chords[j]) is None:
-                        cj = chords[j] = chord[xs[j], ys[j]]
+                        cj = chords[j] = f(xs[j], ys[j])
                     if w > weight_cap or length + cj > limit:
                         break
                     group = groups[j]

@@ -50,7 +50,7 @@ def depth_first_chains(lengths, max_count):
     time, while the weight and length prunes of lattice._chain_cells hold.
     Lengths are summed in the same order, pick by pick."""
     dirs = lattice._upper_directions(lengths)
-    chord, limit = lengths.chord, lengths.limit
+    f, limit = lengths.f, lengths.limit
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
     chains = [(0, 0, (0, 0, (), 0))]
@@ -63,9 +63,9 @@ def depth_first_chains(lengths, max_count):
                 cw += csx * py - csy * px + 1
                 csx += px
                 csy += py
-                clen += chord[px, py]
+                clen += f(px, py)
                 c += 1
-                if cw > weight_cap or clen + chord[csx, csy] > limit:
+                if cw > weight_cap or clen + f(csx, csy) > limit:
                     break
                 cpicks = picks + ((px, py, c),)
                 chains.append((csx, csy, (clen, len(cpicks), cpicks, cw)))
@@ -1171,6 +1171,16 @@ def test_initial_budget_is_a_polydisk_capacity(norm):
         assert order == 0 if isinstance(norm, WeightedL1) else order <= 0, k
 
 
-def test_floor_moves_up_from_a_float_below_the_integer():
-    # sqrt 65 carried with a coarse float 7.9 +/- 0.2
-    assert lattice._floor(CapacityValue(None, 7.9, 0.2, ((65, 1),))) == 8
+@pytest.mark.parametrize("norm", [EUCLIDEAN, WeightedL1(1, 1), HEXAGON],
+                         ids=["euclidean", "l1:1,1", "hexagon"])
+def test_a_coarse_exact_budget_is_read_as_the_exact_one(norm):
+    # sqrt 65 carried with a coarse float 7.9 +/- 0.2: the search must read
+    # it as sqrt_rational(65) does, not as its float
+    coarse = CapacityValue(None, 7.9, 0.2, ((65, 1),))
+    exact = CapacityValue.sqrt_rational(65)
+    for target in (5, 7, 9):
+        assert enumerate_polygons(target, norm, coarse) == \
+            enumerate_polygons(target, norm, exact), target
+    for grading in (8, 14, 16):
+        assert min_action_at_grading(norm, grading, coarse) == \
+            min_action_at_grading(norm, grading, exact), grading
