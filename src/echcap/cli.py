@@ -192,7 +192,8 @@ def _parse_size_list(text: str) -> List[Fraction]:
         try:
             out.append(Fraction(stripped))
         except (ValueError, ZeroDivisionError):
-            raise SpecParseError(f"bad rational {stripped!r}", offset)
+            start = offset + len(token) - len(token.lstrip())
+            raise SpecParseError(f"bad rational {stripped!r}", start)
         offset += len(token) + 1
     return out
 
@@ -459,13 +460,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_read(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace `parse_args(argv)` returns, read straight off the
+    declarations of _build_parser, for plain argv: a command, then its
+    positionals and exact `--option value` pairs or bare flags in any order,
+    the last repeat of an option winning.  Anything else (help, --opt=value,
+    an abbreviation, `--`, a value starting with '-', one that `type` or
+    `choices` rejects, too many or too few positionals) returns None, and
+    argparse parses it: help, usage and error text come from argparse alone."""
+    commands, = _build_parser()._get_positional_actions()
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    args = {commands.dest: argv[0], **sub._defaults}
+    args.update((a.dest, a.default) for a in sub._actions
+                if a.default is not argparse.SUPPRESS)
+    positionals = sub._get_positional_actions()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            action, text = positionals.pop(0), token
+        else:
+            action = sub._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                args[action.dest] = action.const
+                continue
+            text = next(tokens, "-")   # a missing value declines as a '-' one does
+            if type(action) is not argparse._StoreAction or text[:1] == "-":
+                return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+    return None if positionals else argparse.Namespace(**args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    args = _plain_read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
         args.node_limit = resolve_node_limit(args.node_limit)
         code = args.run(args)

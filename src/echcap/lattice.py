@@ -403,7 +403,9 @@ class _Lengths:
     boundary rule serves every norm: an exact budget whose float is off by
     at most its err sets the limit at that float plus band = max(slack,
     2 err), and the pairing walk tests each pair from exact_from = the
-    float minus band up against the budget itself.  A rational budget on a
+    float minus band up against the budget itself.  A budget whose err is
+    wider than the slack is first rebuilt from its own terms, so a coarse
+    float searches no further than the exact one.  A rational budget on a
     rational norm needs no test: its limit is floor(budget * den).  A float
     budget (or an approx() CapacityValue) has no exact form and keeps the
     slack.  radicals memoizes the square-free parts for the search.
@@ -425,10 +427,15 @@ class _Lengths:
             if frac < 0:
                 raise ValueError("length budget must be >= 0")
             budget = self.budget = CapacityValue.exact(frac)
+        exact = self.budget is not None
+        if exact and self.budget.err > 1e-9 * max(1.0, float(budget)):
+            # a coarse float: rebuilt from the budget's own terms
+            budget = self.budget = sum(
+                (CapacityValue.sqrt_rational(n).scaled(q) for n, q in budget._terms()),
+                CapacityValue.exact(0))
         self.budget_f = float(budget)
         self.den, self.f = norm._lengths()
         slack = 1e-9 * max(1.0, self.budget_f)
-        exact = self.budget is not None
         band = max(slack, 2 * self.budget.err) if exact else slack
         self.exact_from = (self.budget_f - band) * (self.den or 1) if exact else math.inf
         if self.den is None:

@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import os
 import pathlib
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
-                    WeightedL1, asymptotics, capacities, obstructions,
+                    WeightedL1, asymptotics, capacities, cli, obstructions,
                     polydisk_capacities)
 from echcap.asymptotics import QwVerdict
 from echcap.cli import format_value, main, parse_domain_spec
@@ -192,6 +194,14 @@ def test_fbound(capsys):
 def test_gbound(capsys):
     assert main(["gbound", "7/2", "--dmax", "6"]) == 0
     assert capsys.readouterr().out.strip() == "8/3"
+
+
+def test_size_list_error_points_at_the_stripped_token(capsys):
+    # position 5 is the 'x' itself, not the space before it, as in a spec
+    assert main(["pack", "1/2, x", "--dmax", "2"]) == 2
+    assert capsys.readouterr().err == "error: bad rational 'x' (at position 5)\n"
+    assert main(["biran", "1/2,1/3,  1/0"]) == 2
+    assert capsys.readouterr().err == "error: bad rational '1/0' (at position 10)\n"
 
 
 def test_pack(capsys):
@@ -470,3 +480,89 @@ print(at_import, after_one, len(built))
     assert at_import == 0          # importing the CLI builds no parser
     assert after_one == 9          # the top-level parser and its 8 subparsers
     assert after_three == after_one
+
+
+# -- the plain read of argv ------------------------------------------------------
+
+BENCH = SRC.parent / "bench"
+
+# (argv, read): True where the plain read must give parse_args' Namespace,
+# False where it must leave argv to argparse
+EDGE_ARGV = [
+    (["capacities", "ball(1)", "--kmax=5"], False),
+    (["capacities", "ball(1)", "--km", "5"], False),
+    (["capacities", "-h"], False),
+    (["capacities", "--help"], False),
+    (["-h"], False),
+    (["capacities", "ball(1)", "--kmax"], False),
+    (["capacities", "ball(1)", "--kmax", "x"], False),
+    (["capacities", "ball(1)", "--format", "xml"], False),
+    (["capacities", "ball(1)", "--kmax", "-1"], False),
+    (["capacities", "ball(1)", "--kmax", "--full"], False),
+    (["capacities", "ball(1)", "--kmax", "3", "--kmax", "5"], True),
+    (["capacities", "--kmax", "5", "ball(1)"], True),
+    (["embed", "ball(1)", "--mode", "strict", "ball(2)"], True),
+    (["capacities", "ball(1)", "--full", "--full", "--meta", ""], True),
+    (["no-such-command", "ball(1)"], False),
+    ([], False),
+    (["capacities", "--", "ball(1)"], False),
+    (["capacities", "ball(1)", "ball(2)"], False),
+    (["embed", "ball(1)"], False),
+    (["capacities"], False),
+]
+
+
+def bench_argv(monkeypatch, seeds):
+    """Every argv of the pinned rounds of these seeds of the benchmark's
+    three workloads, generated by bench/workloads.py; nothing is written."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    run, workloads = importlib.import_module("run"), importlib.import_module("workloads")
+    return [op.argv for workload in ("sequences", "toric", "queries") for seed in seeds
+            for ops in workloads.generate(workload, seed, run.pinned_rounds(workload))[0]
+            for op in ops]
+
+
+def test_plain_read_is_parse_args(monkeypatch):
+    parser = cli._build_parser()
+    for argv, read in EDGE_ARGV:
+        args = cli._plain_read(argv)
+        assert (args is not None) == read, argv
+        if read:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+    for argv in bench_argv(monkeypatch, (0, 1)):
+        args = cli._plain_read(argv)
+        assert args is None or vars(args) == vars(parser.parse_args(argv)), argv
+
+
+def test_main_without_the_plain_read_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
+    corpus = [argv for argv, _ in EDGE_ARGV] + bench_argv(monkeypatch, (0, 1))
+    calls = [(argv, None) for argv in corpus]
+    with_plain_read = run_calls(capsys, calls)
+    monkeypatch.setattr(cli, "_plain_read", lambda argv: None)
+    for argv, expected, got in zip(corpus, with_plain_read, run_calls(capsys, calls)):
+        assert got == expected, argv
+
+
+def test_plain_read_handles_every_declared_action(monkeypatch):
+    # a new kind of option, or one argparse would read differently, fails
+    # here instead of turning the plain read off or being misread by it
+    parser = cli._build_parser()
+    commands, = parser._get_positional_actions()
+    assert type(commands) is argparse._SubParsersAction and not parser._defaults
+    assert all(type(a) is argparse._HelpAction for a in parser._get_optional_actions())
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            kind = type(action)
+            assert kind in (argparse._StoreAction, argparse._StoreTrueAction,
+                            argparse._HelpAction), (name, action)
+            if kind is argparse._StoreAction:
+                assert action.nargs is None and action.const is None, (name, action)
+                assert not (action.option_strings and action.required), (name, action)
+                # argparse would pass a str default through type
+                assert action.type is None or not isinstance(action.default, str), \
+                    (name, action)
+    for argv in bench_argv(monkeypatch, (0,)):
+        assert cli._plain_read(argv) is not None, argv

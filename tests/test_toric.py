@@ -2,6 +2,7 @@ import importlib
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -1184,3 +1185,19 @@ def test_a_coarse_exact_budget_is_read_as_the_exact_one(norm):
     for grading in (8, 14, 16):
         assert min_action_at_grading(norm, grading, coarse) == \
             min_action_at_grading(norm, grading, exact), grading
+
+
+@pytest.mark.parametrize("err", [0.2, 2, 20, 200])
+def test_a_coarse_exact_budget_searches_to_its_own_float(err):
+    # sqrt 65 = 8.062... carried as 7.9 +/- err: the search runs to the float
+    # of its terms, not to 7.9 + 2 err, which at err 200 ran past the node
+    # limit; the budget it reports is that float too
+    coarse = CapacityValue(None, 7.9, err, ((65, 1),))
+    start = time.perf_counter()
+    found = enumerate_polygons(7, EUCLIDEAN, coarse)
+    assert time.perf_counter() - start < 0.05
+    assert len(found) == 78
+    assert found == enumerate_polygons(7, EUCLIDEAN, CapacityValue.sqrt_rational(65))
+    with pytest.raises(ToricEnumerationBudgetExceeded) as info:
+        enumerate_polygons(7, EUCLIDEAN, coarse, node_limit=1)
+    assert info.value.budget == math.sqrt(65)
