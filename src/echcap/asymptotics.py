@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .capacities import capacities
+from .capacities import _capacities_at, capacities
 from .domains import (DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm,
                       describe)
 from .errors import ApproxTie
@@ -88,9 +88,11 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
                        node_limit: Optional[int] = None) -> VolumeReport:
     """Sampled convergence trace of c_k^2 / (4 k vol) up to kmax.
 
-    Every domain reads its full sequence from capacities().  Toric domains,
-    and unions with a toric part, are truncated (and flagged): the polygon
-    search limits how far their sequences can go, and l1 ones keep the cap.
+    Each sampled c_k is capacities(domain, kmax)[k]; a union of two or more
+    parts builds its last max-plus fold only at the sampled k.  Toric
+    domains, and unions with a toric part, are truncated (and flagged): the
+    polygon search limits how far their sequences can go, and l1 ones keep
+    the cap.
     """
     if (kmax := _integer(kmax)) < 1:
         raise ValueError("kmax must be >= 1")
@@ -101,9 +103,9 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
     if truncated:
         kmax = min(kmax, TORIC_TRACE_KMAX)
 
-    seq = capacities(domain, kmax, node_limit=node_limit)
-    trace = [TracePoint(k, c_k := seq[k], _ratio(c_k, k, vol))
-             for k in _sample_points(kmax, stride)]
+    ks = _sample_points(kmax, stride)
+    trace = [TracePoint(k, c_k, _ratio(c_k, k, vol)) for k, c_k in
+             zip(ks, _capacities_at(domain, kmax, ks, node_limit=node_limit))]
 
     last_decade = [p for p in trace if p.k * 10 >= kmax]
     max_dev = max(abs(p.ratio - 1.0) for p in last_decade)

@@ -159,6 +159,12 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
     return CapacitySequence._from_ints(0, den, entries)
 
 
+def _runs(seq: Sequence, kmax: int) -> List[Tuple[int, object]]:
+    """(k, seq[k]) at the start of each run of equal entries up to kmax."""
+    return [(k, seq[k]) for k in range(kmax + 1)
+            if k == 0 or seq[k] != seq[k - 1]]
+
+
 def maxplus_convolve(first: Sequence[CapacityValue],
                      second: Sequence[CapacityValue],
                      kmax: int) -> List[CapacityValue]:
@@ -174,15 +180,10 @@ def maxplus_convolve(first: Sequence[CapacityValue],
     """
     if (short := min(len(first), len(second))) <= (kmax := _integer(kmax)):
         raise ValueError(f"input defined only up to k={short - 1} < {kmax}")
-
-    def runs(seq):
-        return [(k, seq[k]) for k in range(kmax + 1)
-                if k == 0 or seq[k] != seq[k - 1]]
-
-    g_runs = runs(second)
+    g_runs = _runs(second, kmax)
     g_starts = [j for j, _ in g_runs]
     slots = [first[0] + second[0]] * (kmax + 1)
-    for i, f_i in runs(first):
+    for i, f_i in _runs(first, kmax):
         for j, g_j in g_runs[:bisect_right(g_starts, kmax - i)]:
             s = f_i + g_j
             if s > slots[i + j]:
@@ -190,15 +191,45 @@ def maxplus_convolve(first: Sequence[CapacityValue],
     return list(accumulate(slots, max))
 
 
-def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
-                              kmax: int) -> CapacitySequence:
-    """Capacity sequence of a disjoint union from its parts' sequences.
+def _maxplus_at(first: Sequence, second: Sequence, kmax: int,
+                ks: Sequence[int]) -> list:
+    """maxplus_convolve(first, second, kmax)[k] for each k in ks, the same
+    sum of the same run-start entries, at samples * min(runs) sums.
 
-    Exact parts are convolved as ints over the lcm of their denominators.
+    At k the winning pair (i, j) of run starts is the max, then the least
+    slot i+j, then the least i.  With f_i + g_j a max, g_{k-i} >= g_j is in
+    j's run, so j is the start of the run of k-i, and i that of k-j: it is
+    enough to walk the run starts of the operand with fewer runs and pair
+    each with the start of the other's run at k minus it.
     """
+    f_runs, g_runs = _runs(first, kmax), _runs(second, kmax)
+    walk, other = (f_runs, g_runs) if len(f_runs) <= len(g_runs) else (g_runs, f_runs)
+    marks = [0] * (kmax + 1)
+    for r, (y, _) in enumerate(other):
+        marks[y] = r
+    # (start, entry) of the run of `other` that holds each index
+    held = [other[r] for r in accumulate(marks, max)]
+    out = []
+    for k in ks:
+        best = rank = None
+        for x, walked in walk:
+            if x > k:
+                break
+            y, paired = held[k - x]
+            i, f_i, g_j = (x, walked, paired) if walk is f_runs else (y, paired, walked)
+            s = f_i + g_j
+            if best is None or s > best or (not best > s and (x + y, i) < rank):
+                best, rank = s, (x + y, i)
+        out.append(best)
+    return out
+
+
+def _union_operands(sequences: Sequence[CapacitySequence],
+                    kmax: int) -> Tuple[Optional[int], List[list]]:
+    """(den, entry lists to kmax) of a union's parts: ints over den, the lcm
+    of the parts' denominators, when every part is exact, else values."""
     if not sequences:
         raise ValueError("need at least one sequence")
-    kmax = _integer(kmax)
     for seq in sequences:
         if seq.index_origin != 0:
             raise MismatchedIndexOrigin(
@@ -208,16 +239,33 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
         if seq.kmax < kmax:
             raise ValueError(f"input defined only up to k={seq.kmax} < {kmax}")
     if any(seq.den is None for seq in sequences):
-        den, parts = None, [list(seq)[:kmax + 1] for seq in sequences]
-    else:
-        den = math.lcm(*(seq.den for seq in sequences))
-        parts = [[v * (den // seq.den) for v in seq._items[:kmax + 1]]
+        return None, [list(seq)[:kmax + 1] for seq in sequences]
+    den = math.lcm(*(seq.den for seq in sequences))
+    return den, [[v * (den // seq.den) for v in seq._items[:kmax + 1]]
                  for seq in sequences]
+
+
+def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
+                              kmax: int) -> CapacitySequence:
+    """Capacity sequence of a disjoint union from its parts' sequences.
+
+    Exact parts are convolved as ints over the lcm of their denominators.
+    """
+    den, parts = _union_operands(sequences, kmax := _integer(kmax))
     acc = parts[0]
     for part in parts[1:]:
         acc = maxplus_convolve(acc, part, kmax)
     return CapacitySequence(0, acc) if den is None else \
         CapacitySequence._from_ints(0, den, acc)
+
+
+def _part_sequences(union: DisjointUnion, kmax: int,
+                    node_limit: Optional[int]) -> List[CapacitySequence]:
+    """capacities() of each part of a union, equal parts (frozen
+    dataclasses) sharing one computation."""
+    seqs = {p: capacities(p, kmax, node_limit=node_limit)
+            for p in dict.fromkeys(union.parts)}
+    return [seqs[p] for p in union.parts]
 
 
 def capacities(domain: Domain, kmax: int, *,
@@ -238,11 +286,29 @@ def capacities(domain: Domain, kmax: int, *,
         minima = _toric_minima(domain.norm, kmax, node_limit)
         return CapacitySequence(0, (value for value, _ in minima))
     if isinstance(domain, DisjointUnion):
-        # equal parts (frozen dataclasses) share one computation
-        seqs = {p: capacities(p, kmax, node_limit=node_limit)
-                for p in dict.fromkeys(domain.parts)}
-        return disjoint_union_capacities([seqs[p] for p in domain.parts], kmax)
+        return disjoint_union_capacities(
+            _part_sequences(domain, kmax, node_limit), kmax)
     raise TypeError(f"unsupported domain {domain!r}")
+
+
+def _capacities_at(domain: Domain, kmax: int, ks: Sequence[int], *,
+                   node_limit: Optional[int] = None) -> List[CapacityValue]:
+    """capacities(domain, kmax)[k] for each k in ks, 0 <= k <= kmax, equal
+    to it in value and in repr.
+
+    A union of n >= 2 parts runs its first n-2 max-plus folds in full and
+    its last only at the ks (_maxplus_at): the whole last fold would cost
+    runs(f) * runs(g) sums to read len(ks) of its entries.
+    """
+    if not isinstance(domain, DisjointUnion) or len(domain.parts) == 1:
+        seq = capacities(domain, kmax, node_limit=node_limit)
+        return [seq[k] for k in ks]
+    den, parts = _union_operands(_part_sequences(domain, kmax, node_limit), kmax)
+    acc = parts[0]
+    for part in parts[1:-1]:
+        acc = maxplus_convolve(acc, part, kmax)
+    return [v if den is None else CapacityValue.exact(Fraction(v, den))
+            for v in _maxplus_at(acc, parts[-1], kmax, ks)]
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,7 @@ class _Parser:
         token = self.text[start:self.pos]
         if not token:
             raise self.error("expected a rational number (p/q or integer)")
-        try:
-            value = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            self.pos = start
-            raise self.error(f"bad rational {token!r}")
-        return value
+        return _rational(token, start)
 
     def sizes(self, count: int) -> List[Fraction]:
         """count comma-separated rationals and the closing ')'."""
@@ -184,16 +179,26 @@ def parse_domain_spec(text: str) -> Domain:
     return domain
 
 
+def _rational(text: str, offset: int = 0) -> Fraction:
+    """The rational token of every size, in specs, size lists and the a of
+    fbound/gbound: an integer or p/q in ASCII digits, q nonzero, surrounding
+    whitespace allowed.  Anything else (a sign, a decimal, an exponent) is a
+    SpecParseError 'bad rational' at the token's position, offset plus
+    where it starts in text."""
+    token = text.strip()
+    p, slash, q = token.partition("/")
+    if p.isascii() and p.isdigit() and (
+            not slash or q.isascii() and q.isdigit() and int(q)):
+        return Fraction(int(p), int(q) if slash else 1)
+    raise SpecParseError(f"bad rational {token!r}",
+                         offset + len(text) - len(text.lstrip()))
+
+
 def _parse_size_list(text: str) -> List[Fraction]:
     out = []
     offset = 0
     for token in text.split(","):
-        stripped = token.strip()
-        try:
-            out.append(Fraction(stripped))
-        except (ValueError, ZeroDivisionError):
-            start = offset + len(token) - len(token.lstrip())
-            raise SpecParseError(f"bad rational {stripped!r}", start)
+        out.append(_rational(token, offset))
         offset += len(token) + 1
     return out
 
@@ -286,10 +291,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        a = Fraction(args.a)
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"bad rational {args.a!r}", 0)
+    a = _rational(args.a)
     # looked up at call time, not held by the cached parser: patches are seen
     text = format_fraction(getattr(obstructions, args.bound)(a, args.dmax))
     if args.format == "json":

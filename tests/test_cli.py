@@ -185,7 +185,7 @@ def test_fbound(capsys):
     assert main(["fbound", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
     # a thin ellipsoid lists about kmax values, not sqrt(2a*kmax) of them
-    assert main(["fbound", "1e400", "--dmax", "2"]) == 0
+    assert main(["fbound", str(10 ** 400), "--dmax", "2"]) == 0
     assert capsys.readouterr().out == "5/2\n"
     assert main(["capacities", "ellipsoid(1000000000000,1)", "--kmax", "5"]) == 0
     assert capsys.readouterr().out == "0,1,2,3,4,5\n"
@@ -202,6 +202,33 @@ def test_size_list_error_points_at_the_stripped_token(capsys):
     assert capsys.readouterr().err == "error: bad rational 'x' (at position 5)\n"
     assert main(["biran", "1/2,1/3,  1/0"]) == 2
     assert capsys.readouterr().err == "error: bad rational '1/0' (at position 10)\n"
+
+
+@pytest.mark.parametrize("argv, token, position", [
+    (["pack", "0.5,1e-1", "--dmax", "1"], "0.5", 0),
+    (["pack", "1/2,+5"], "+5", 4),
+    (["biran", "1/4, 1e-1"], "1e-1", 5),
+    (["biran", "1/2,1/3,"], "", 8),
+    (["fbound", "1e400", "--dmax", "2"], "1e400", 0),
+    (["fbound", " 2.5"], "2.5", 1),
+    (["gbound", "7/2/1"], "7/2/1", 0),
+    (["gbound", "-3"], "-3", 0),
+    (["capacities", "ball(1/0)"], "1/0", 5),
+    (["capacities", "ball(\u0663)"], "\u0663", 5),
+])
+def test_sizes_are_integers_or_p_over_q_everywhere(capsys, argv, token, position):
+    # specs, size lists and the a of fbound/gbound read one rational token:
+    # no sign, decimal, exponent or non-ASCII digit, surrounding spaces allowed
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: bad rational {token!r} (at position {position})\n"
+
+
+def test_sizes_may_be_surrounded_by_whitespace(capsys):
+    assert main(["fbound", " 5 ", "--dmax", "10"]) == 0
+    assert capsys.readouterr().out == "5/2\n"
+    assert main(["pack", " 1/2 ,1/2 ", "--dmax", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["a_list"] == ["1/2", "1/2"]
 
 
 def test_pack(capsys):

@@ -8,7 +8,8 @@ from echcap import (Ball, CapacitySequence, CapacityValue, DisjointUnion, Ellips
                     EUCLIDEAN, MismatchedIndexOrigin, ToricNorm,
                     ball_capacities, capacities,
                     disjoint_union_capacities, ellipsoid_full_capacities,
-                    maxplus_convolve)
+                    maxplus_convolve, volume_ratio_trace)
+from echcap.capacities import _maxplus_at
 from echcap.cli import format_value
 
 F = Fraction
@@ -143,6 +144,79 @@ def test_union_computes_each_distinct_part_once(monkeypatch):
         "0,2,4,~5.414213562373,~6.828427124746,~7.414213562373," \
         "~8.828427124746,~9.414213562373,~10.828427124746,~11.414213562373," \
         "~12.242640687119"
+
+
+def test_union_trace_computes_each_distinct_part_once(monkeypatch):
+    module = importlib.import_module("echcap.capacities")
+    search = module._toric_minima
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(module, "_toric_minima", counted)
+    union = DisjointUnion([ToricNorm(EUCLIDEAN), ToricNorm(EUCLIDEAN)])
+    report = volume_ratio_trace(union, 10, 3)
+    assert len(calls) == 1
+    assert [format_value(p.c_k) for p in report.trace] == \
+        ["~5.414213562373", "~8.828427124746", "~11.414213562373", "~12.242640687119"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_union_trace_folds_all_but_the_last_part_in_full(monkeypatch, n):
+    # the last fold is read at the sampled k only: an n-part trace runs
+    # n - 2 whole convolutions, a two-part trace none
+    module = importlib.import_module("echcap.capacities")
+    convolve = module.maxplus_convolve
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(module, "maxplus_convolve", counted)
+    parts = [Ball(1), Ellipsoid(F(7, 3), F(5, 4)), Ball(F(1, 2)), Ball(1), Ball(3)][:n]
+    volume_ratio_trace(DisjointUnion(parts), 500, 50)
+    assert len(calls) == n - 2
+
+
+def sqrt2_sequence(rng, kmax):
+    """A nondecreasing sequence of a + b sqrt(2), each entry built along one
+    of three paths: equal values with different error bounds print apart."""
+    root2 = CapacityValue.sqrt_rational(2)
+    a = b = 0
+    out = [e(0)]
+    for _ in range(kmax):
+        if rng.random() < 0.6:
+            a, b = a + rng.randint(0, 2), b + rng.randint(0, 1)
+        path = rng.randrange(3) if b else 0
+        tail = (e(0), CapacityValue.sqrt_rational(2 * b * b),
+                root2.scaled(b))[path]
+        if path == 0 and b:
+            for _ in range(b):
+                tail = tail + root2
+        out.append(e(a) + tail)
+    return out
+
+
+def test_sampled_last_fold_is_the_convolution_entry_in_repr():
+    # _maxplus_at walks the run starts of the operand with fewer runs and
+    # must land on the pair maxplus_convolve keeps: the max, then the least
+    # slot i + j, then the least i, each entry read at its run's start
+    rng = random.Random(2012)
+    for _ in range(60):
+        kmax = rng.randint(0, 40)
+        first, second = sqrt2_sequence(rng, kmax), sqrt2_sequence(rng, kmax)
+        ks = sorted(rng.sample(range(kmax + 1), rng.randint(1, kmax + 1)))
+        full = maxplus_convolve(first, second, kmax)
+        for f, g, want in ((first, second, full),
+                           (second, first, maxplus_convolve(second, first, kmax))):
+            assert [repr(v) for v in _maxplus_at(f, g, kmax, ks)] == \
+                [repr(want[k]) for k in ks]
+    ints = [0, 1, 1, 4, 4, 4, 9]
+    assert _maxplus_at(ints, ints, 6, [0, 3, 6]) == \
+        [maxplus_convolve(ints, ints, 6)[k] for k in (0, 3, 6)]
 
 
 def weight_expansion(a, b):

@@ -308,3 +308,55 @@ def test_two_part_trace_matches_sampled_oracle(parts, kmax, stride):
     assert ks[-1] == kmax
     assert strings(p.c_k for p in report.trace) == \
         strings(sampled_union_oracle(first, second, ks))
+
+
+def random_closed_part(rng):
+    kind = rng.choice((Ball, Ellipsoid, Polydisk))
+    return kind(random_size(rng)) if kind is Ball else kind(random_size(rng),
+                                                           random_size(rng))
+
+
+def assert_trace_is_the_union_sequence(parts, kmax, stride):
+    """Each trace point is capacities(union, kmax)[k] in repr and in print,
+    and the last fold matches the sampled oracle over the first n-1 parts."""
+    union = DisjointUnion(parts)
+    report = volume_ratio_trace(union, kmax, stride)
+    ks = [p.k for p in report.trace]
+    full = capacities(union, kmax)
+    assert [repr(p.c_k) for p in report.trace] == [repr(full[k]) for k in ks]
+    assert strings(p.c_k for p in report.trace) == strings(full[k] for k in ks)
+    head = DisjointUnion(parts[:-1]) if len(parts) > 2 else parts[0]
+    first, second = (list(capacities(p, kmax)) for p in (head, parts[-1]))
+    assert strings(p.c_k for p in report.trace) == \
+        strings(sampled_union_oracle(first, second, ks))
+
+
+def test_union_traces_match_the_full_sequence():
+    # 2- and 3-part closed unions, denominators to 97, kmax <= 600, at
+    # strides 1 (every k), kmax and kmax + 5 (the last k only) and between
+    rng = random.Random(37)
+    for n in (2, 3) * 6:
+        parts = tuple(random_closed_part(rng) for _ in range(n))
+        kmax = rng.randint(1, 600)
+        for stride in (kmax, kmax + 5, rng.randint(2, 60)):
+            assert_trace_is_the_union_sequence(parts, kmax, stride)
+        assert_trace_is_the_union_sequence(parts, min(kmax, 120), 1)
+    # equal parts, a part repeated and a one-point union
+    assert_trace_is_the_union_sequence((Ball(F(3, 97)), Ball(F(3, 97))), 600, 1)
+    assert_trace_is_the_union_sequence(
+        (Polydisk(F(19, 8), F(14, 9)), Ellipsoid(F(154, 79), F(2, 3)),
+         Polydisk(F(19, 8), F(14, 9))), 586, 45)
+    assert_trace_is_the_union_sequence((Ball(1), Ball(2)), 1, 1)
+
+
+def test_union_traces_with_a_euclidean_part_match_the_full_sequence():
+    # sums of square roots: the last fold keeps maxplus_convolve's tie rule
+    rng = random.Random(25)
+    euclid = ToricNorm(EUCLIDEAN)
+    for parts in [(euclid, euclid), (euclid, euclid, euclid),
+                  (euclid, Ball(F(3, 2))), (Polydisk(F(2), F(13, 11)), euclid),
+                  (random_closed_part(rng), euclid, random_closed_part(rng)),
+                  (euclid, random_closed_part(rng), euclid)]:
+        for kmax in (25, rng.randint(1, 25)):
+            for stride in (1, kmax, kmax + 5, rng.randint(2, 9)):
+                assert_trace_is_the_union_sequence(parts, kmax, stride)
