@@ -303,24 +303,19 @@ def _cmd_bound(args) -> int:
 
 def _cmd_pack(args) -> int:
     sizes = _parse_size_list(args.sizes)
-    report = obstructions.packing_obstructions(sizes, args.dmax)
-    payload = {
+    den, rows, pairs = obstructions._packing_table(sizes, args.dmax)
+    # each row's multiplier list and lhs text are made once, for every bound
+    shown = [(list(mult), format_fraction(Fraction(lhs, den))) for _, mult, lhs in rows]
+    all_hold = all(ok for _, _, ok in pairs)
+    _emit({
         "a_list": [format_fraction(a) for a in sizes],
         "dmax": args.dmax,
-        "all_hold": report.all_hold,
-        "status": "no_obstruction" if report.all_hold else "obstructed",
-        "inequalities": [
-            {
-                "multipliers": list(ineq.multipliers),
-                "bound": ineq.bound,
-                "lhs": format_fraction(ineq.lhs),
-                "satisfied": ineq.satisfied,
-            }
-            for ineq in report.inequalities
-        ],
-    }
-    _emit(payload)
-    return EXIT_OK if report.all_hold else EXIT_OBSTRUCTED
+        "all_hold": all_hold,
+        "status": "no_obstruction" if all_hold else "obstructed",
+        "inequalities": [{"multipliers": shown[i][0], "bound": d, "lhs": shown[i][1],
+                          "satisfied": ok} for d, i, ok in pairs],
+    })
+    return EXIT_OK if all_hold else EXIT_OBSTRUCTED
 
 
 def _cmd_biran(args) -> int:
@@ -433,17 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_cmd_bound, bound="g_lower_bound")
 
-    p = sub.add_parser("pack", help="ball packing inequalities")
-    p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
-    p.add_argument("--dmax", type=int, default=6)
-    common(p)
-    p.set_defaults(run=_cmd_pack)
-
-    p = sub.add_parser("biran", help="packing sufficiency conditions")
-    p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
-    p.add_argument("--dmax", type=int, default=10)
-    common(p)
-    p.set_defaults(run=_cmd_biran)
+    for name, what, dmax, run in (
+            ("pack", "ball packing inequalities", 6, _cmd_pack),
+            ("biran", "packing sufficiency conditions", 10, _cmd_biran)):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
+        p.add_argument("--dmax", type=int, default=dmax)
+        common(p)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("asym", help="volume-ratio convergence trace")
     p.add_argument("spec")

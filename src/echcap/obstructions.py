@@ -58,15 +58,22 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
 
     max over d = 1..dmax of (a,1)_{(d^2+3d+2)/2} / d; exact.
     """
-    a = as_fraction(a)
-    if a < 1:
+    if (a := as_fraction(a)) < 1:
         raise ValueError("aspect ratio a must be >= 1")
     if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
-    need = (dmax * dmax + 3 * dmax + 2) // 2
-    den, values = _nk_values(a, 1, need)
-    return max(Fraction(values[(d * d + 3 * d + 2) // 2 - 1], d * den)
-               for d in range(1, dmax + 1))
+    den, values = _nk_values(a, 1, (dmax * dmax + 3 * dmax + 2) // 2)
+    return _max_over_d([values[(d * d + 3 * d + 2) // 2 - 1]
+                        for d in range(1, dmax + 1)], den)
+
+
+def _max_over_d(values: List[int], den: int) -> Fraction:
+    """max over d = 1.. of values[d-1] / (d * den), picked on ints."""
+    best, best_d = values[0], 1
+    for d, v in enumerate(values, 1):
+        if v * best_d > best * d:
+            best, best_d = v, d
+    return Fraction(best, best_d * den)
 
 
 def lambda_d_path(d: int) -> List[Tuple[int, int]]:
@@ -96,8 +103,7 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
 def g_d(a: RationalLike, d: int) -> Fraction:
     """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, which is c_k(P(a, 1))/d
     at k = (d^2+3d)/2: for a = p/q, the polydisk entry of P(p, q) over q*d."""
-    a = as_fraction(a)
-    if a < 1:
+    if (a := as_fraction(a)) < 1:
         raise ValueError("aspect ratio a must be >= 1")
     if (d := _integer(d)) < 1:
         raise ValueError("d must be >= 1")
@@ -110,8 +116,10 @@ def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     each read off O(d) staircase corners."""
     if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
-    a = as_fraction(a)
-    return max(g_d(a, d) for d in range(1, dmax + 1))
+    if (a := as_fraction(a)) < 1:
+        raise ValueError("aspect ratio a must be >= 1")
+    return _max_over_d([_polydisk_entry(a.numerator, a.denominator, (d + 1) * (d + 2) // 2)
+                        for d in range(1, dmax + 1)], a.denominator)
 
 
 @dataclass(frozen=True)
@@ -130,28 +138,14 @@ class PackingReport:
     all_hold: bool
 
 
-def _multiplier_tuples(n: int, budget: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples (d_1..d_n) of nonnegative ints with sum(d_i^2 + d_i) <= budget."""
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        d = 0
-        while d * d + d <= remaining:
-            prefix.append(d)
-            yield from rec(prefix, remaining - d * d - d, slots - 1)
-            prefix.pop()
-            d += 1
-    yield from rec([], budget, n)
+def _packing_table(a_list: Sequence[RationalLike], dmax: int) -> Tuple[
+        int, List[Tuple[int, Tuple[int, ...], int]], List[Tuple[int, int, bool]]]:
+    """(den, rows, pairs) of the packing inequalities with bound d <= dmax.
 
-
-def packing_obstructions(a_list: Sequence[RationalLike],
-                         dmax: int) -> PackingReport:
-    """Evaluate every packing inequality with bound d <= dmax.
-
-    Tuples range over nonnegative multipliers with sum(d_i^2 + d_i) <= d^2+3d.
-    The all-zero tuple is listed too, trivially satisfied, at every d.
-    all_hold means no obstruction was found.
+    rows: (cost, multipliers, lhs) per nonnegative tuple with cost
+    sum(d_i^2 + d_i) <= dmax^2 + 3 dmax, lexicographically, lhs = sum(d_i * a_i)
+    as an int over den, the sizes' least common denominator.  Bound d lists the
+    rows of cost <= d^2 + 3d in table order, (d, row index, lhs < d * den) each.
     """
     sizes = [as_fraction(a) for a in a_list]
     if not sizes or any(a <= 0 for a in sizes):
@@ -159,16 +153,30 @@ def packing_obstructions(a_list: Sequence[RationalLike],
     if (dmax := _integer(dmax)) < 1:
         raise ValueError("dmax must be >= 1")
     den, scaled = _over_common_denominator(*sizes)
-    inequalities = []
-    all_hold = True
-    for d in range(1, dmax + 1):
-        budget = d * d + 3 * d
-        for mult in _multiplier_tuples(len(sizes), budget):
-            lhs = sum(m * a for m, a in zip(mult, scaled))
-            ok = lhs < d * den
-            all_hold = all_hold and ok
-            inequalities.append(PackingInequality(mult, d, Fraction(lhs, den), ok))
-    return PackingReport(tuple(inequalities), all_hold)
+    top = dmax * dmax + 3 * dmax
+    rows = [(0, (), 0)]
+    for a in scaled:   # each row takes every d_i with d_i^2 + d_i <= its budget left
+        rows = [(cost + d * d + d, mult + (d,), lhs + d * a) for cost, mult, lhs in rows
+                for d in range((math.isqrt(4 * (top - cost) + 1) + 1) // 2)]
+    bounds = [(d, d * d + 3 * d, d * den) for d in range(1, dmax + 1)]
+    pairs = [(d, i, lhs < limit) for d, budget, limit in bounds
+             for i, (cost, _, lhs) in enumerate(rows) if cost <= budget]
+    return den, rows, pairs
+
+
+def packing_obstructions(a_list: Sequence[RationalLike],
+                         dmax: int) -> PackingReport:
+    """Evaluate every packing inequality with bound d <= dmax.
+
+    Tuples range over nonnegative multipliers with sum(d_i^2 + d_i) <= d^2+3d,
+    each listed once at dmax's budget.  The all-zero tuple is listed too,
+    trivially satisfied, at every d.  all_hold means no obstruction was found.
+    """
+    den, rows, pairs = _packing_table(a_list, dmax)
+    lhs = [Fraction(v, den) for _, _, v in rows]
+    return PackingReport(
+        tuple(PackingInequality(rows[i][1], d, lhs[i], ok) for d, i, ok in pairs),
+        all(ok for _, _, ok in pairs))
 
 
 @dataclass(frozen=True)

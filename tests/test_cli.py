@@ -15,7 +15,7 @@ from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
 from echcap.asymptotics import QwVerdict
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
-from echcap.values import CapacityValue
+from echcap.values import CapacityValue, format_fraction
 
 
 # -- spec parsing --------------------------------------------------------------
@@ -593,3 +593,34 @@ def test_plain_read_handles_every_declared_action(monkeypatch):
                     (name, action)
     for argv in bench_argv(monkeypatch, (0,)):
         assert cli._plain_read(argv) is not None, argv
+
+
+def pack_from_the_library(argv):
+    """(exit code, stdout) of `pack` on argv, from a payload built out of
+    packing_obstructions."""
+    sizes = cli._parse_size_list(argv[1])
+    dmax = int(argv[argv.index("--dmax") + 1])
+    report = obstructions.packing_obstructions(sizes, dmax)
+    payload = {
+        "a_list": [format_fraction(a) for a in sizes],
+        "dmax": dmax,
+        "all_hold": report.all_hold,
+        "status": "no_obstruction" if report.all_hold else "obstructed",
+        "inequalities": [{"multipliers": list(q.multipliers), "bound": q.bound,
+                          "lhs": format_fraction(q.lhs), "satisfied": q.satisfied}
+                         for q in report.inequalities],
+    }
+    return (0 if report.all_hold else 1), json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_pack_prints_the_library_report(capsys, monkeypatch):
+    # on the packing oracle's corpus and every pack argv of the bench rounds
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent))
+    corpus = importlib.import_module("test_obstructions").packing_corpus(1994, 60)
+    argvs = [["pack", ",".join(map(str, sizes)), "--dmax", str(dmax)]
+             for sizes, dmax in corpus]
+    bench = [argv for argv in bench_argv(monkeypatch, (0, 1)) if argv[0] == "pack"]
+    assert len(argvs) == 60 and bench
+    for argv in argvs + bench:
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == pack_from_the_library(argv), argv

@@ -66,6 +66,16 @@ def test_cli_rejects_nonpositive_sizes(spec, message, capsys):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pack", "0,1/2", "--dmax", "2"], "need a nonempty list of positive sizes"),
+    (["pack", "1/2,1/3", "--dmax", "0"], "dmax must be >= 1"),
+])
+def test_cli_pack_rejects_bad_sizes_and_dmax(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 COUNTED_CALLS = {
     "capacities ball": lambda n: capacities(Ball(1), n),
     "capacities toric": lambda n: capacities(ToricNorm(EUCLIDEAN), n),

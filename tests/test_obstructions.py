@@ -8,7 +8,8 @@ import pytest
 from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid,
                     INTERIOR_STRICT, Polydisk, ToricNorm, WEAK, WeightedL1,
                     ball_capacities, disjoint_union_capacities, dominates)
-from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
+from echcap.obstructions import (PackingInequality, PackingReport,
+                                 biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d,
                                  g_lower_bound, lambda_d_path,
                                  packing_obstructions)
@@ -313,6 +314,54 @@ def test_packing_numbers_of_equal_balls_into_a_ball():
             DisjointUnion([Ball(a + F(1, 10 ** 6))] * n), Ball(1), 60)
         assert above.obstructed and above.witness_k == k, n
     assert time.perf_counter() - start < 0.25
+
+
+def multiplier_tuples_oracle(n, budget):
+    """All tuples (d_1..d_n) of nonnegative ints with sum(d_i^2 + d_i) <= budget,
+    in lexicographic order, by recursion over the slots."""
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            yield tuple(prefix)
+            return
+        d = 0
+        while d * d + d <= remaining:
+            prefix.append(d)
+            yield from rec(prefix, remaining - d * d - d, slots - 1)
+            prefix.pop()
+            d += 1
+    yield from rec([], budget, n)
+
+
+def packing_report_oracle(sizes, dmax):
+    """The report enumerated afresh at every bound d, in Fractions."""
+    inequalities = []
+    for d in range(1, dmax + 1):
+        for mult in multiplier_tuples_oracle(len(sizes), d * d + 3 * d):
+            lhs = sum((m * a for m, a in zip(mult, sizes)), F(0))
+            inequalities.append(PackingInequality(mult, d, lhs, lhs < d))
+    return PackingReport(tuple(inequalities), all(q.satisfied for q in inequalities))
+
+
+def packing_corpus(seed, count):
+    """count seeded (sizes, dmax): n = 1..5 sizes p/q with q <= 97, half of
+    the q at most 6 so that some inequalities are tight, and p <= 2q/(n+1) so
+    that both verdicts are drawn; dmax <= 8, and <= 5 past three sizes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        qs = [rng.randint(1, rng.choice((6, 97))) for _ in range(n)]
+        yield ([F(rng.randint(1, max(1, 2 * q // (n + 1))), q) for q in qs],
+               rng.randint(1, 8 if n <= 3 else 5))
+
+
+def test_packing_report_matches_the_enumeration_oracle():
+    held = tight = 0
+    for sizes, dmax in packing_corpus(1994, 60):
+        report = packing_obstructions(sizes, dmax)
+        assert report == packing_report_oracle(sizes, dmax), (sizes, dmax)
+        held += report.all_hold
+        tight += sum(q.lhs == q.bound for q in report.inequalities)
+    assert 10 < held < 50 and tight > 0   # both verdicts, and lhs = d, are drawn
 
 
 def ball_union_capacities(sizes, kmax):
