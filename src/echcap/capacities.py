@@ -296,19 +296,18 @@ def _capacities_at(domain: Domain, kmax: int, ks: Sequence[int], *,
     """capacities(domain, kmax)[k] for each k in ks, 0 <= k <= kmax, equal
     to it in value and in repr.
 
-    A union of n >= 2 parts runs its first n-2 max-plus folds in full and
-    its last only at the ks (_maxplus_at): the whole last fold would cost
-    runs(f) * runs(g) sums to read len(ks) of its entries.
+    A union of n >= 2 parts folds all but its last part in full
+    (disjoint_union_capacities) and the last fold only at the ks
+    (_maxplus_at): the whole last fold would cost runs(f) * runs(g) sums to
+    read len(ks) of its entries.
     """
     if not isinstance(domain, DisjointUnion) or len(domain.parts) == 1:
         seq = capacities(domain, kmax, node_limit=node_limit)
         return [seq[k] for k in ks]
-    den, parts = _union_operands(_part_sequences(domain, kmax, node_limit), kmax)
-    acc = parts[0]
-    for part in parts[1:-1]:
-        acc = maxplus_convolve(acc, part, kmax)
+    *head, last = _part_sequences(domain, kmax, node_limit)
+    den, (acc, last) = _union_operands([disjoint_union_capacities(head, kmax), last], kmax)
     return [v if den is None else CapacityValue.exact(Fraction(v, den))
-            for v in _maxplus_at(acc, parts[-1], kmax, ks)]
+            for v in _maxplus_at(acc, last, kmax, ks)]
 
 
 @dataclass(frozen=True)

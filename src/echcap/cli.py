@@ -38,7 +38,7 @@ from .capacities import (INTERIOR_STRICT, WEAK, capacities,
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import (ApproxTie, SpecParseError, ToricEnumerationBudgetExceeded)
 from .lattice import EUCLIDEAN, Polygonal, WeightedL1, resolve_node_limit
-from .values import CapacityValue, format_fraction
+from .values import CapacityValue
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -212,7 +212,7 @@ def format_value(value: CapacityValue) -> str:
     if value.is_infinite:
         return "inf"
     if value.is_exact:
-        return format_fraction(value.frac)
+        return str(value.frac)
     return f"~{value.value:.12f}"
 
 
@@ -250,7 +250,7 @@ def _cmd_capacities(args) -> int:
             if value is not last:
                 last, text = value, format_value(value)
             rendered.append(text)
-    else:                 # ints over den, reduced as format_fraction would
+    else:                 # ints over den, reduced as str(Fraction) would
         den = seq.den
         for v in seq._items:
             if v != last:
@@ -293,7 +293,7 @@ def _cmd_embed(args) -> int:
 def _cmd_bound(args) -> int:
     a = _rational(args.a)
     # looked up at call time, not held by the cached parser: patches are seen
-    text = format_fraction(getattr(obstructions, args.bound)(a, args.dmax))
+    text = str(getattr(obstructions, args.bound)(a, args.dmax))
     if args.format == "json":
         _emit({"a": args.a, "dmax": args.dmax, "bound": text})
     else:
@@ -305,10 +305,10 @@ def _cmd_pack(args) -> int:
     sizes = _parse_size_list(args.sizes)
     den, rows, pairs = obstructions._packing_table(sizes, args.dmax)
     # each row's multiplier list and lhs text are made once, for every bound
-    shown = [(list(mult), format_fraction(Fraction(lhs, den))) for _, mult, lhs in rows]
+    shown = [(list(mult), str(Fraction(lhs, den))) for _, mult, lhs in rows]
     all_hold = all(ok for _, _, ok in pairs)
     _emit({
-        "a_list": [format_fraction(a) for a in sizes],
+        "a_list": [str(a) for a in sizes],
         "dmax": args.dmax,
         "all_hold": all_hold,
         "status": "no_obstruction" if all_hold else "obstructed",
@@ -322,7 +322,7 @@ def _cmd_biran(args) -> int:
     sizes = _parse_size_list(args.sizes)
     verdict = obstructions.biran_sufficiency(sizes, args.dmax)
     payload = {
-        "a_list": [format_fraction(a) for a in sizes],
+        "a_list": [str(a) for a in sizes],
         "dmax": args.dmax,
         "status": verdict.status,
     }

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .lattice import Euclidean, Norm, Polygonal, WeightedL1
-from .values import RationalLike, as_fraction, format_fraction
+from .values import RationalLike, as_fraction
 
 
 class Domain:
@@ -15,7 +15,9 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class Ellipsoid(Domain):
+class _Sizes(Domain):
+    """The body of a domain of two positive sizes a, b, named by its class."""
+
     a: Fraction
     b: Fraction
 
@@ -23,7 +25,12 @@ class Ellipsoid(Domain):
         object.__setattr__(self, "a", as_fraction(self.a))
         object.__setattr__(self, "b", as_fraction(self.b))
         if self.a <= 0 or self.b <= 0:
-            raise ValueError("ellipsoid sizes must be positive")
+            raise ValueError(f"{type(self).__name__.lower()} sizes must be positive")
+
+
+@dataclass(frozen=True)
+class Ellipsoid(_Sizes):
+    """The ellipsoid E(a, b)."""
 
 
 @dataclass(frozen=True)
@@ -40,15 +47,8 @@ class Ball(Ellipsoid):
 
 
 @dataclass(frozen=True)
-class Polydisk(Domain):
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("polydisk sizes must be positive")
+class Polydisk(_Sizes):
+    """The polydisk P(a, b)."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ def scale(domain: Domain, factor: RationalLike) -> Domain:
         raise ValueError("scale factor must be positive")
     if isinstance(domain, Ball):
         return Ball(domain.a * c)
-    if isinstance(domain, Ellipsoid):
-        return Ellipsoid(domain.a * c, domain.b * c)
-    if isinstance(domain, Polydisk):
-        return Polydisk(domain.a * c, domain.b * c)
+    if isinstance(domain, _Sizes):
+        return type(domain)(domain.a * c, domain.b * c)
     if isinstance(domain, ToricNorm):
         return ToricNorm(domain.norm.scale(c))
     if isinstance(domain, DisjointUnion):
@@ -94,20 +92,17 @@ def scale(domain: Domain, factor: RationalLike) -> Domain:
 def describe(domain: Domain) -> str:
     """Canonical one-line label, matching the CLI spec grammar."""
     if isinstance(domain, Ball):
-        return f"ball({format_fraction(domain.a)})"
-    if isinstance(domain, Ellipsoid):
-        return f"ellipsoid({format_fraction(domain.a)},{format_fraction(domain.b)})"
-    if isinstance(domain, Polydisk):
-        return f"polydisk({format_fraction(domain.a)},{format_fraction(domain.b)})"
+        return f"ball({domain.a})"
+    if isinstance(domain, _Sizes):
+        return f"{type(domain).__name__.lower()}({domain.a},{domain.b})"
     if isinstance(domain, ToricNorm):
         norm = domain.norm
         if isinstance(norm, Euclidean):
             return "toric(euclidean)"
         if isinstance(norm, WeightedL1):
-            return f"toric(l1:{format_fraction(norm.a)},{format_fraction(norm.b)})"
+            return f"toric(l1:{norm.a},{norm.b})"
         if isinstance(norm, Polygonal):
-            verts = ",".join(f"[{format_fraction(x)},{format_fraction(y)}]"
-                             for x, y in norm.vertices)
+            verts = ",".join(f"[{x},{y}]" for x, y in norm.vertices)
             return f"toric(poly:[{verts}])"
     if isinstance(domain, DisjointUnion):
         return "union(" + ";".join(describe(p) for p in domain.parts) + ")"

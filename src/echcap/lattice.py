@@ -21,9 +21,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from math import gcd
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
 from .values import (CapacityValue, RationalLike, _integer, _over_common_denominator,
@@ -327,8 +327,7 @@ def perimeter(polygon: LatticePolygon, norm: Norm) -> CapacityValue:
         return CapacityValue.exact(Fraction(sum(f(*edge) for edge in polygon.edges), den))
     picks = tuple((dx, dy, 1) for dx, dy in polygon.edges)   # Euclidean
     # keyed by whole squares: trial division would take |edge| steps an edge
-    squares = {(px, py): (px * px + py * py, 1) for px, py, _ in picks}
-    return _euclidean(_radicand_key(picks, squares), picks)
+    return _euclidean(_radicand_key(picks, lambda x, y: (x * x + y * y, 1)), picks)
 
 
 def dual_norm_eval(norm: Norm, covector) -> CapacityValue:
@@ -380,18 +379,6 @@ def reeb_orbit_data(norm: Norm, m: int, n: int):
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-class _Memo(dict):
-    """(x, y) -> f(x, y), each computed on its first lookup: the square-free
-    parts of a Euclidean search's lengths, which _radicand_key reads."""
-
-    def __init__(self, f: Callable[[int, int], Length]):
-        self.f = f
-
-    def __missing__(self, key: IntPoint) -> Length:
-        value = self[key] = self.f(*key)
-        return value
-
-
 class _Lengths:
     """The length arithmetic of one search, from the norm's _lengths() hook.
 
@@ -408,7 +395,8 @@ class _Lengths:
     float searches no further than the exact one.  A rational budget on a
     rational norm needs no test: its limit is floor(budget * den).  A float
     budget (or an approx() CapacityValue) has no exact form and keeps the
-    slack.  radicals memoizes the square-free parts for the search.
+    slack.  radicals(x, y) = (r, s) with x^2 + y^2 = s^2 r, r square-free,
+    is cached for this search only: each (x, y) is split once per search.
     """
 
     def __init__(self, norm: Norm, budget):
@@ -440,7 +428,7 @@ class _Lengths:
         self.exact_from = (self.budget_f - band) * (self.den or 1) if exact else math.inf
         if self.den is None:
             self.eps, self.limit = slack, self.budget_f + band
-            self.radicals = _Memo(lambda x, y: _squarefree(x * x + y * y))
+            self.radicals = cache(lambda x, y: _squarefree(x * x + y * y))
         elif exact and self.budget.is_exact:   # floored: no pair needs the test
             self.eps, self.limit = 0, math.floor(self.budget.frac * self.den)
             self.exact_from = math.inf
@@ -475,13 +463,14 @@ class _Lengths:
             (entry1[1:] > entry2[1:]) - (entry1[1:] < entry2[1:]))
 
 
-def _radicand_key(picks: tuple, radicals: Mapping[IntPoint, Tuple[int, int]]) -> tuple:
-    """A Euclidean length sum c |(px, py)| = c s sqrt(r), radicals[px, py] =
-    (r, s), as each r with its int coefficient, by increasing r.  With r
-    square-free, as in the search, keys are equal iff lengths are."""
+def _radicand_key(picks: tuple, radicals: Callable[[int, int], Tuple[int, int]]) -> tuple:
+    """A Euclidean length sum c |(px, py)| = c s sqrt(r), radicals(px, py) =
+    (r, s) with s^2 r = px^2 + py^2, as each r with its int coefficient, by
+    increasing r.  With r square-free, as in the search, keys are equal iff
+    lengths are."""
     coef: Dict[int, int] = {}
     for px, py, c in picks:
-        r, s = radicals[px, py]
+        r, s = radicals(px, py)
         coef[r] = coef.get(r, 0) + c * s
     return tuple(sorted(coef.items()))
 

@@ -138,6 +138,17 @@ class PackingReport:
     all_hold: bool
 
 
+def _sizes(a_list: Sequence[RationalLike], dmax: int) -> Tuple[int, int, List[int]]:
+    """(dmax, den, ints): the sizes as ints over den, their least common
+    denominator, once the sizes are checked positive and then dmax >= 1."""
+    sizes = [as_fraction(a) for a in a_list]
+    if not sizes or any(a <= 0 for a in sizes):
+        raise ValueError("need a nonempty list of positive sizes")
+    if (dmax := _integer(dmax)) < 1:
+        raise ValueError("dmax must be >= 1")
+    return (dmax, *_over_common_denominator(*sizes))
+
+
 def _packing_table(a_list: Sequence[RationalLike], dmax: int) -> Tuple[
         int, List[Tuple[int, Tuple[int, ...], int]], List[Tuple[int, int, bool]]]:
     """(den, rows, pairs) of the packing inequalities with bound d <= dmax.
@@ -147,12 +158,7 @@ def _packing_table(a_list: Sequence[RationalLike], dmax: int) -> Tuple[
     as an int over den, the sizes' least common denominator.  Bound d lists the
     rows of cost <= d^2 + 3d in table order, (d, row index, lhs < d * den) each.
     """
-    sizes = [as_fraction(a) for a in a_list]
-    if not sizes or any(a <= 0 for a in sizes):
-        raise ValueError("need a nonempty list of positive sizes")
-    if (dmax := _integer(dmax)) < 1:
-        raise ValueError("dmax must be >= 1")
-    den, scaled = _over_common_denominator(*sizes)
+    dmax, den, scaled = _sizes(a_list, dmax)
     top = dmax * dmax + 3 * dmax
     rows = [(0, (), 0)]
     for a in scaled:   # each row takes every d_i with d_i^2 + d_i <= its budget left
@@ -214,16 +220,11 @@ def biran_sufficiency(a_list: Sequence[RationalLike], dmax: int) -> BiranVerdict
     """Sufficiency test for packing balls of sizes a_i into the unit ball:
     the volume constraint plus the inequality family indexed by tuples with
     sum d_i = 3d - 1 and sum d_i^2 = d^2 + 1, checked for d <= dmax."""
-    sizes = [as_fraction(a) for a in a_list]
-    if not sizes or any(a <= 0 for a in sizes):
-        raise ValueError("need a nonempty list of positive sizes")
-    if (dmax := _integer(dmax)) < 1:
-        raise ValueError("dmax must be >= 1")
-    den, scaled = _over_common_denominator(*sizes)
+    dmax, den, scaled = _sizes(a_list, dmax)
     if sum(a * a for a in scaled) > den * den:
         return BiranVerdict("fails_volume")
     for d in range(1, dmax + 1):
-        for mult in _biran_tuples(len(sizes), 3 * d - 1, d * d + 1):
+        for mult in _biran_tuples(len(scaled), 3 * d - 1, d * d + 1):
             if sum(m * a for m, a in zip(mult, scaled)) > d * den:
                 return BiranVerdict("fails_inequality", mult, d)
     return BiranVerdict("sufficient")

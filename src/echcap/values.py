@@ -43,12 +43,6 @@ def _integer(x) -> int:
     return int(x)
 
 
-def format_fraction(q: Fraction) -> str:
-    """'p/q', or the bare numerator for an integer: the inverse of
-    as_fraction on strings."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
     """(d, [q * d for q in sizes]) with d the least common denominator."""
     den = math.lcm(*(q.denominator for q in sizes))

@@ -1,4 +1,6 @@
+import importlib
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,8 +11,9 @@ from echcap import (EUCLIDEAN, Ball, CapacitySequence, CapacityValue,
                     DisjointUnion, Ellipsoid, INTERIOR_STRICT,
                     MismatchedIndexOrigin, Polydisk, Polygonal, ToricNorm, WEAK,
                     WeightedL1, ball_capacities, capacities, describe,
-                    dominates, ellipsoid_capacities, ellipsoid_full_capacities,
-                    nk_sequence, nk_via_triangle, polydisk_capacities, scale)
+                    disjoint_union_capacities, dominates, ellipsoid_capacities,
+                    ellipsoid_full_capacities, nk_sequence, nk_via_triangle,
+                    polydisk_capacities, scale)
 from echcap.cli import format_value, main, parse_domain_spec
 
 F = Fraction
@@ -212,11 +215,56 @@ def test_capacities_are_conformal_under_scale():
         scale(ToricNorm(EUCLIDEAN), lam)
 
 
+def any_domain(rng, depth=1):
+    """A seeded domain of every kind: sizes p/q with q <= 97, polygonal unit
+    balls with negative and p/q vertices, unions of 1 to 3 parts."""
+    def size():
+        return F(rng.randint(1, 400), rng.randint(1, 97))
+
+    kind = rng.choice(["ball", "ellipsoid", "polydisk", "euclidean", "l1", "poly"]
+                      + ["union"] * depth)
+    if kind == "ball":
+        return Ball(size())
+    if kind in ("ellipsoid", "polydisk"):
+        return (Ellipsoid if kind == "ellipsoid" else Polydisk)(size(), size())
+    if kind == "euclidean":
+        return ToricNorm(EUCLIDEAN)
+    if kind == "l1":
+        return ToricNorm(WeightedL1(size(), size()))
+    if kind == "union":
+        return DisjointUnion(any_domain(rng, 0) for _ in range(rng.randint(1, 3)))
+    while True:   # edges at increasing angles in [0, pi), then their negatives
+        edges = sorted(((F(rng.randint(-40, 40), rng.randint(1, 97)),
+                         F(rng.randint(0, 40), rng.randint(1, 97)))
+                        for _ in range(rng.randint(2, 4))),
+                       key=lambda e: math.atan2(e[1], e[0]))
+        if all(y > 0 or x > 0 for x, y in edges) and all(
+                x1 * y2 - y1 * x2 > 0 for (x1, y1), (x2, y2) in zip(edges, edges[1:])):
+            break
+    vertex = (-sum(x for x, _ in edges) / 2, -sum(y for _, y in edges) / 2)
+    verts = []
+    for dx, dy in edges + [(-x, -y) for x, y in edges]:
+        verts.append(vertex)
+        vertex = (vertex[0] + dx, vertex[1] + dy)
+    rng.shuffle(verts)
+    return ToricNorm(Polygonal(tuple(verts)))
+
+
 def test_describe_parses_back_to_the_domain():
     for dom in SCALABLE:
         for form in (dom, scale(dom, F(5, 3))):
             assert parse_domain_spec(describe(form)) == form, describe(form)
     assert parse_domain_spec(describe(ToricNorm(EUCLIDEAN))) == ToricNorm(EUCLIDEAN)
+    rng = random.Random(97)
+    texts = set()
+    for _ in range(300):
+        text = describe(dom := any_domain(rng))
+        back = parse_domain_spec(text)
+        assert back == dom and describe(back) == text, text
+        texts.add(text)
+    # the draws reach negative and p/q vertices and three-part unions
+    assert any("[-" in t and "/" in t for t in texts)
+    assert any(t.startswith("union(") and t.count(";") == 2 for t in texts)
 
 
 def test_ball_is_the_round_ellipsoid_with_its_own_identity():
@@ -235,6 +283,43 @@ def test_ball_is_the_round_ellipsoid_with_its_own_identity():
         == fracs(ellipsoid_capacities(F(3, 2), F(3, 2), 40))
     with pytest.raises(TypeError):
         Ball(1, 2)
+
+
+def test_ellipsoid_and_polydisk_share_one_body_with_their_own_identity(monkeypatch):
+    ellipsoid, polydisk = Ellipsoid(1, 2), Polydisk(1, 2)
+    assert (ellipsoid.a, ellipsoid.b) == (polydisk.a, polydisk.b) == (1, 2)
+    assert ellipsoid != polydisk and polydisk != ellipsoid
+    assert repr(ellipsoid) == "Ellipsoid(a=Fraction(1, 1), b=Fraction(2, 1))"
+    assert repr(polydisk) == "Polydisk(a=Fraction(1, 1), b=Fraction(2, 1))"
+    for dom in (ellipsoid, polydisk):
+        copy = pickle.loads(pickle.dumps(dom))
+        assert type(copy) is type(dom) and copy == dom
+        grown = scale(dom, F(3, 2))
+        assert type(grown) is type(dom) and grown == type(dom)(F(3, 2), 3)
+    assert describe(ellipsoid) == "ellipsoid(1,2)" and describe(polydisk) == "polydisk(1,2)"
+    with pytest.raises(ValueError, match="^ellipsoid sizes must be positive$"):
+        Ellipsoid(1, 0)
+    with pytest.raises(ValueError, match="^polydisk sizes must be positive$"):
+        Polydisk(-1, 2)
+    with pytest.raises(ValueError, match="^ball size must be positive$"):
+        Ball(0)
+    # the two parts are not equal, so each runs its own kernel
+    runs = []
+    module = importlib.import_module("echcap.capacities")
+
+    def counted(name, kernel):
+        def run(*args):
+            runs.append(name)
+            return kernel(*args)
+        return run
+
+    for name in ("ellipsoid_capacities", "polydisk_capacities"):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    union = capacities(parse_domain_spec("union(ellipsoid(1,2);polydisk(1,2))"), 30)
+    assert runs == ["ellipsoid_capacities", "polydisk_capacities"]
+    assert fracs(union) == fracs(disjoint_union_capacities(
+        [ellipsoid_capacities(1, 2, 30), polydisk_capacities(1, 2, 30)], 30))
+    assert fracs(union) != fracs(capacities(DisjointUnion((ellipsoid, ellipsoid)), 30))
 
 
 def test_inclusion_monotonicity():

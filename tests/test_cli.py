@@ -15,7 +15,7 @@ from echcap import (DisjointUnion, Ellipsoid, SpecParseError, ToricNorm,
 from echcap.asymptotics import QwVerdict
 from echcap.cli import format_value, main, parse_domain_spec
 from echcap.lattice import resolve_node_limit
-from echcap.values import CapacityValue, format_fraction
+from echcap.values import CapacityValue
 
 
 # -- spec parsing --------------------------------------------------------------
@@ -602,12 +602,12 @@ def pack_from_the_library(argv):
     dmax = int(argv[argv.index("--dmax") + 1])
     report = obstructions.packing_obstructions(sizes, dmax)
     payload = {
-        "a_list": [format_fraction(a) for a in sizes],
+        "a_list": [str(a) for a in sizes],
         "dmax": dmax,
         "all_hold": report.all_hold,
         "status": "no_obstruction" if report.all_hold else "obstructed",
         "inequalities": [{"multipliers": list(q.multipliers), "bound": q.bound,
-                          "lhs": format_fraction(q.lhs), "satisfied": q.satisfied}
+                          "lhs": str(q.lhs), "satisfied": q.satisfied}
                          for q in report.inequalities],
     }
     return (0 if report.all_hold else 1), json.dumps(payload, sort_keys=True) + "\n"

@@ -167,6 +167,39 @@ def test_euclidean_perimeter_matches_capacity_value_sum():
                      ("proper", True), ("proper", False)}
 
 
+def test_a_euclidean_search_splits_each_radicand_once(monkeypatch):
+    """One search calls _squarefree at most once per (x, y) it reads, the
+    next search starts from an empty cache, and perimeter never calls it."""
+    calls, searches = [], []
+    squarefree = lattice._squarefree
+
+    def counted(n):
+        calls.append(n)
+        return squarefree(n)
+
+    class Recorded(lattice._Lengths):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(lattice, "_squarefree", counted)
+    monkeypatch.setattr(lattice, "_Lengths", Recorded)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        values = [value for value, _ in lattice._toric_minima(EUCLIDEAN, 25, None)]
+        info = searches[-1].radicals.cache_info()
+        # every call is a distinct (x, y): a repeat would be a miss too
+        assert len(calls) == info.misses == info.currsize > 0
+        runs.append((values, len(calls)))
+    assert len(searches) == 2 and runs[0] == runs[1]   # the second search recomputed all
+    calls.clear()
+    for poly in [lattice._budget_polygon(EUCLIDEAN, k) for k in range(40)] + list(
+            random_convex_polygons(100, 11)):
+        perimeter(poly, EUCLIDEAN)
+    assert not calls
+
+
 # -- dual norms ----------------------------------------------------------------
 
 def test_dual_norm_eval():
