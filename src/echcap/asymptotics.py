@@ -17,7 +17,7 @@ from .capacities import _capacities_at, capacities
 from .domains import (DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm,
                       describe)
 from .errors import ApproxTie
-from .values import CapacityValue, _integer
+from .values import CapacityValue, _count
 
 TORIC_TRACE_KMAX = 25  # polygon search cost caps toric traces well below asymptopia
 
@@ -94,10 +94,7 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
     polygon search limits how far their sequences can go, and l1 ones keep
     the cap.
     """
-    if (kmax := _integer(kmax)) < 1:
-        raise ValueError("kmax must be >= 1")
-    if (stride := _integer(stride)) < 1:
-        raise ValueError("stride must be >= 1")
+    kmax, stride = _count(kmax, 1, "kmax"), _count(stride, 1, "stride")
     vol = volume(domain)
     truncated = _contains(domain, ToricNorm)  # never near k -> infinity
     if truncated:
@@ -136,8 +133,7 @@ def qw_check(domain: Domain, kmax: int,
     rational bounds of approximate values.  Raises ApproxTie when those
     bounds cannot decide a k.  Exploratory for polydisks, whose boundary is
     only piecewise smooth."""
-    if (kmax := _integer(kmax)) < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _count(kmax, 1, "kmax")
     exploratory = _contains(domain, Polydisk)
     if _contains(domain, ToricNorm):
         kmax = min(kmax, TORIC_TRACE_KMAX)

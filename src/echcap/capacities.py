@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
 from .lattice import WeightedL1, _toric_minima
-from .values import (CapacitySequence, CapacityValue, RationalLike, _integer,
-                     _over_common_denominator, _polydisk_entry, as_fraction)
+from .values import (CapacitySequence, CapacityValue, RationalLike, _count,
+                     _over_common_denominator, _polydisk_entry, _positive)
 
 WEAK = "weak"
 INTERIOR_STRICT = "interior_strict"
@@ -37,11 +37,8 @@ def _nk_values(a: RationalLike, b: RationalLike,
     (kmax-1)*c holds the kmax values 0, c, ..., (kmax-1)*c, which caps the
     level of a thin pair: under the first, a >> b lists sqrt(2a*kmax/b) values.
     """
-    a, b = as_fraction(a), as_fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("weights must be positive")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    a, b = _positive(a, "weights"), _positive(b, "weights")
+    kmax = _count(kmax, 1, "kmax")
     den, (a, b) = _over_common_denominator(a, b)
     level = min(math.isqrt(2 * a * b * kmax) + 1, (kmax - 1) * min(a, b))
     values: List[int] = []
@@ -85,12 +82,8 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
     one down, are columns t = 0, 1, ... of (big*t + value mod big) // small
     + 1 points each, a floor sum.
     """
-    a, b = as_fraction(a), as_fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("weights must be positive")
-    m, n = _integer(m), _integer(n)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
+    a, b = _positive(a, "weights"), _positive(b, "weights")
+    m, n = _count(m, 0, "m"), _count(n, 0, "n")
     den, (a, b) = _over_common_denominator(a, b)
     value = a * m + b * n
     big, small = max(a, b), min(a, b)
@@ -102,21 +95,18 @@ def nk_via_triangle(a: RationalLike, b: RationalLike,
 def ellipsoid_capacities(a: RationalLike, b: RationalLike,
                          kmax: int) -> CapacitySequence:
     """Distinguished capacities of E(a, b): entry k is (a, b)_{k+1}."""
-    if (kmax := _integer(kmax)) < 0:
-        raise ValueError("kmax must be >= 0")
-    return CapacitySequence._from_ints(0, *_nk_values(a, b, kmax + 1))
+    return CapacitySequence._from_ints(0, *_nk_values(a, b, _count(kmax, 0, "kmax") + 1))
 
 
 def ellipsoid_full_capacities(a: RationalLike, b: RationalLike,
                               kmax: int) -> CapacitySequence:
     """Full capacities of E(a, b): entry k is (a, b)_k, starting at k = 1."""
-    return CapacitySequence._from_ints(1, *_nk_values(a, b, _integer(kmax)))
+    return CapacitySequence._from_ints(1, *_nk_values(a, b, kmax))
 
 
 def ball_capacities(a: RationalLike, kmax: int) -> CapacitySequence:
     """Capacities of B(a) = E(a, a): entry k is d*a, (d^2+d)/2 <= k <= (d^2+3d)/2."""
-    if as_fraction(a) <= 0:
-        raise ValueError("ball size must be positive")
+    a = _positive(a, "ball size")
     return ellipsoid_capacities(a, a, kmax)
 
 
@@ -132,11 +122,8 @@ def polydisk_capacities(a: RationalLike, b: RationalLike,
     _nk_values, the values up to that level (about 2(kmax+1) of them) are
     enumerated, here as keys v * radix + (m+1)(n+1), and sorted once.
     """
-    a, b = as_fraction(a), as_fraction(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("polydisk sizes must be positive")
-    if (kmax := _integer(kmax)) < 0:
-        raise ValueError("kmax must be >= 0")
+    a, b = _positive(a, "polydisk sizes"), _positive(b, "polydisk sizes")
+    kmax = _count(kmax, 0, "kmax")
     den, (a, b) = _over_common_denominator(a, b)
     need = kmax + 1
     level = _polydisk_entry(a, b, need)
@@ -178,7 +165,7 @@ def maxplus_convolve(first: Sequence[CapacityValue],
     and g.  Among sums that compare equal the first found wins: the lowest
     slot, and within a slot the lowest i.
     """
-    if (short := min(len(first), len(second))) <= (kmax := _integer(kmax)):
+    if (short := min(len(first), len(second))) <= (kmax := _count(kmax, 0, "kmax")):
         raise ValueError(f"input defined only up to k={short - 1} < {kmax}")
     g_runs = _runs(second, kmax)
     g_starts = [j for j, _ in g_runs]
@@ -251,7 +238,7 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
 
     Exact parts are convolved as ints over the lcm of their denominators.
     """
-    den, parts = _union_operands(sequences, kmax := _integer(kmax))
+    den, parts = _union_operands(sequences, kmax := _count(kmax, 0, "kmax"))
     acc = parts[0]
     for part in parts[1:]:
         acc = maxplus_convolve(acc, part, kmax)
@@ -274,8 +261,7 @@ def capacities(domain: Domain, kmax: int, *,
 
     toric(l1:a,b) is P(a, b) (its least polygons are rectangles), read off
     the polydisk kernel: node_limit bounds the other norms' search only."""
-    if (kmax := _integer(kmax)) < 0:
-        raise ValueError("kmax must be >= 0")
+    kmax = _count(kmax, 0, "kmax")
     if isinstance(domain, Ellipsoid):   # a Ball too, as E(a, a)
         return ellipsoid_capacities(domain.a, domain.b, kmax)
     if isinstance(domain, Polydisk):

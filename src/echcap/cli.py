@@ -414,19 +414,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_cmd_embed)
 
-    p = sub.add_parser("fbound", help="ellipsoid-into-ball lower bound")
-    p.add_argument("a")
-    p.add_argument("--dmax", type=int, default=10)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
-    p.set_defaults(run=_cmd_bound, bound="f_lower_bound")
-
-    p = sub.add_parser("gbound", help="polydisk-into-ball lower bound")
-    p.add_argument("a")
-    p.add_argument("--dmax", type=int, default=6)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
-    p.set_defaults(run=_cmd_bound, bound="g_lower_bound")
+    for name, what, dmax, bound in (
+            ("fbound", "ellipsoid-into-ball lower bound", 10, "f_lower_bound"),
+            ("gbound", "polydisk-into-ball lower bound", 6, "g_lower_bound")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("a")
+        p.add_argument("--dmax", type=int, default=dmax)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        common(p)
+        p.set_defaults(run=_cmd_bound, bound=bound)
 
     for name, what, dmax, run in (
             ("pack", "ball packing inequalities", 6, _cmd_pack),

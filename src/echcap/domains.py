@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .lattice import Euclidean, Norm, Polygonal, WeightedL1
-from .values import RationalLike, as_fraction
+from .values import RationalLike, _positive
 
 
 class Domain:
@@ -22,10 +22,9 @@ class _Sizes(Domain):
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"{type(self).__name__.lower()} sizes must be positive")
+        what = f"{type(self).__name__.lower()} sizes"
+        object.__setattr__(self, "a", _positive(self.a, what))
+        object.__setattr__(self, "b", _positive(self.b, what))
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,7 @@ class Ball(Ellipsoid):
     b: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        if self.a <= 0:
-            raise ValueError("ball size must be positive")
+        object.__setattr__(self, "a", _positive(self.a, "ball size"))
         object.__setattr__(self, "b", self.a)
 
 
@@ -75,9 +72,7 @@ class DisjointUnion(Domain):
 
 def scale(domain: Domain, factor: RationalLike) -> Domain:
     """Multiply every size parameter by a positive rational factor."""
-    c = as_fraction(factor)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
+    c = _positive(factor, "scale factor")
     if isinstance(domain, Ball):
         return Ball(domain.a * c)
     if isinstance(domain, _Sizes):

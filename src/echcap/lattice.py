@@ -26,8 +26,9 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import (CapacityValue, RationalLike, _integer, _over_common_denominator,
-                     _sign, _squarefree, _staircase, _ulp, as_fraction)
+from .values import (CapacityValue, RationalLike, _count, _integer,
+                     _over_common_denominator, _positive, _sign, _squarefree,
+                     _staircase, _ulp, as_fraction)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -41,16 +42,17 @@ Winner = Tuple[CapacityValue, Tuple[Entry, Entry]]
 
 def resolve_node_limit(node_limit: Optional[int]) -> int:
     """Explicit argument wins, then ECHCAP_NODE_LIMIT, then the default.
-    ValueError for a negative limit or a non-integer ECHCAP_NODE_LIMIT."""
+    ValueError for a negative or non-integral limit (2.5, inf, as _integer
+    reads a count) or a non-integer ECHCAP_NODE_LIMIT."""
     if node_limit is None:
         env = os.environ.get("ECHCAP_NODE_LIMIT")
         try:
             node_limit = int(env) if env else DEFAULT_NODE_LIMIT
         except ValueError:
             raise ValueError(f"ECHCAP_NODE_LIMIT must be an integer, got {env!r}") from None
-    if int(node_limit) < 0:
+    if (node_limit := _integer(node_limit)) < 0:
         raise ValueError(f"node limit must be >= 0, got {node_limit}")
-    return int(node_limit)
+    return node_limit
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +138,7 @@ class WeightedL1(Norm):
         return CapacityValue.exact(self.a * self.b)
 
     def scale(self, factor):
-        c = as_fraction(factor)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
+        c = _positive(factor, "scale factor")
         return WeightedL1(self.a * c, self.b * c)
 
     def _lengths(self):
@@ -198,9 +198,7 @@ class Polygonal(Norm):
         return CapacityValue.exact(Fraction(_shoelace2(polar), 2 * den * den))
 
     def scale(self, factor):
-        c = as_fraction(factor)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
+        c = _positive(factor, "scale factor")
         return Polygonal(tuple((x / c, y / c) for x, y in self.vertices))
 
     @cached_property
@@ -595,9 +593,7 @@ def enumerate_polygons(target_count: int, norm: Norm, length_budget,
     directions done, if building the chains needs more nodes than the
     configured limit.
     """
-    target_count = _integer(target_count)
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
+    target_count = _count(target_count, 1, "target_count")
     lengths = _Lengths(norm, length_budget)
     found = []
     table = _chain_cells(lengths, target_count, node_limit, every=True)
@@ -841,8 +837,7 @@ def toric_capacity(norm: Norm, k: int,
     the witness from that of k+1.  Every call runs its own search under
     node_limit, which counts the transitions of that dynamic program.
     """
-    if (k := _integer(k)) < 0:
-        raise ValueError("k must be >= 0")
+    k = _count(k, 0, "k")
     value, pair = _toric_minima(norm, k, node_limit)[k]
     return ToricCapacity(value, _witness(*pair))
 

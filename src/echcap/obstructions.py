@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
-from .values import (CapacityValue, RationalLike, _integer, _over_common_denominator,
+from .values import (CapacityValue, RationalLike, _count, _over_common_denominator,
                      _polydisk_entry, _staircase, as_fraction)
 
 __all__ = [
@@ -43,8 +43,7 @@ def embedding_obstruction(inner: Domain, outer: Domain, kmax: int,
     Obstructed exactly when some c_k(inner) exceeds c_k(outer) (or fails
     strictness in interior_strict mode); the witness is the first such k.
     """
-    if (kmax := _integer(kmax)) < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _count(kmax, 1, "kmax")
     lower = capacities(inner, kmax, node_limit=node_limit)
     upper = capacities(outer, kmax, node_limit=node_limit)
     verdict = dominates(lower, upper, mode)
@@ -60,8 +59,7 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     """
     if (a := as_fraction(a)) < 1:
         raise ValueError("aspect ratio a must be >= 1")
-    if (dmax := _integer(dmax)) < 1:
-        raise ValueError("dmax must be >= 1")
+    dmax = _count(dmax, 1, "dmax")
     den, values = _nk_values(a, 1, (dmax * dmax + 3 * dmax + 2) // 2)
     return _max_over_d([values[(d * d + 3 * d + 2) // 2 - 1]
                         for d in range(1, dmax + 1)], den)
@@ -85,8 +83,7 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
     Collinear points on a hull edge are kept: they are listed as vertices of
     the path, and keeping them cannot change a linear minimization.
     """
-    if (d := _integer(d)) < 1:
-        raise ValueError("d must be >= 1")
+    d = _count(d, 1, "d")
     hull: List[Tuple[int, int]] = []
     for p in _staircase((d + 1) * (d + 2) // 2):
         # pop strictly concave middle points; collinear ones stay
@@ -105,8 +102,7 @@ def g_d(a: RationalLike, d: int) -> Fraction:
     at k = (d^2+3d)/2: for a = p/q, the polydisk entry of P(p, q) over q*d."""
     if (a := as_fraction(a)) < 1:
         raise ValueError("aspect ratio a must be >= 1")
-    if (d := _integer(d)) < 1:
-        raise ValueError("d must be >= 1")
+    d = _count(d, 1, "d")
     p, q = a.numerator, a.denominator
     return Fraction(_polydisk_entry(p, q, (d + 1) * (d + 2) // 2), q * d)
 
@@ -114,8 +110,7 @@ def g_d(a: RationalLike, d: int) -> Fraction:
 def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax,
     each read off O(d) staircase corners."""
-    if (dmax := _integer(dmax)) < 1:
-        raise ValueError("dmax must be >= 1")
+    dmax = _count(dmax, 1, "dmax")
     if (a := as_fraction(a)) < 1:
         raise ValueError("aspect ratio a must be >= 1")
     return _max_over_d([_polydisk_entry(a.numerator, a.denominator, (d + 1) * (d + 2) // 2)
@@ -144,9 +139,7 @@ def _sizes(a_list: Sequence[RationalLike], dmax: int) -> Tuple[int, int, List[in
     sizes = [as_fraction(a) for a in a_list]
     if not sizes or any(a <= 0 for a in sizes):
         raise ValueError("need a nonempty list of positive sizes")
-    if (dmax := _integer(dmax)) < 1:
-        raise ValueError("dmax must be >= 1")
-    return (dmax, *_over_common_denominator(*sizes))
+    return (_count(dmax, 1, "dmax"), *_over_common_denominator(*sizes))
 
 
 def _packing_table(a_list: Sequence[RationalLike], dmax: int) -> Tuple[

@@ -37,10 +37,27 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def _integer(x) -> int:
-    """An integral count or lattice coordinate as an int; ValueError else."""
-    if int(x) != x:
+    """An integral count or lattice coordinate as an int: an int, an integral
+    float or an integral Fraction.  ValueError else, inf and nan included."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float) and not math.isfinite(x) or int(x) != x:
         raise ValueError(f"counts and lattice coordinates must be integers, got {x!r}")
     return int(x)
+
+
+def _count(x, least: int, name: str) -> int:
+    """_integer(x), with ValueError "<name> must be >= <least>" below least."""
+    if (x := _integer(x)) < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return x
+
+
+def _positive(q: RationalLike, what: str) -> Fraction:
+    """as_fraction(q), with ValueError "<what> must be positive" unless q > 0."""
+    if (q := as_fraction(q)) <= 0:
+        raise ValueError(f"{what} must be positive")
+    return q
 
 
 def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:

@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -365,6 +366,9 @@ def test_env_node_limit(capsys, monkeypatch):
 def test_negative_or_malformed_node_limit_is_a_usage_error(capsys, monkeypatch):
     with pytest.raises(ValueError, match="node limit must be >= 0"):
         resolve_node_limit(-5)
+    for bad in (2.5, math.inf):
+        with pytest.raises(ValueError, match="must be integers"):
+            resolve_node_limit(bad)
     # commands and domains that never search reject a bad limit too
     for argv in (["capacities", "toric(euclidean)", "--kmax", "4"],
                  ["capacities", "ball(1)", "--kmax", "3"], ["fbound", "5"],

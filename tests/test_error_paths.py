@@ -1,6 +1,8 @@
 """Each documented bad input raises its own exception and message, through
 the library and, for domain sizes, through the CLI's exit code 2."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +109,9 @@ COUNTED_CALLS = {
 def test_counts_take_integral_floats_and_fractions_only(name):
     call = COUNTED_CALLS[name]
     assert call(2.0) == call(Fraction(2)) == call(2)
-    for bad in (2.5, Fraction(5, 2)):
+    for bad in (2.5, Fraction(5, 2), math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="must be integers"):
             call(bad)
+    with pytest.raises(ValueError) as info:
+        call(-1)
+    assert re.fullmatch(r"\w+ must be >= [01]", str(info.value))

@@ -1,8 +1,10 @@
 """Source hygiene of the package: no unused imports, standard library only,
-no dead module-level names or private methods, no module-level state."""
+no dead module-level names or private methods, no module-level state, and
+count and size checks only in values.py."""
 
 import ast
 import pathlib
+import re
 import sys
 import typing
 
@@ -253,3 +255,26 @@ def test_no_module_level_mutable_state():
                           if decorator_name(d) in ("cache", "lru_cache")
                           and (module, node.name) != ("cli.py", "_build_parser")]
     assert not found
+
+
+def literal_texts(tree):
+    """(line, text) per string literal: each plain string and each f-string
+    part, and each f-string whole with its fields read as 'x'."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
+        elif isinstance(node, ast.JoinedStr):
+            yield node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "x"
+                for part in node.values)
+
+
+def test_count_and_size_checks_live_in_values():
+    """values._count and values._positive raise every "<name> must be >=
+    <least>" and "<what> must be positive": no other module spells one."""
+    copied = [f"{module}:{line} {text!r}"
+              for module, tree in package_trees().items() if module != "values.py"
+              for line, text in literal_texts(tree)
+              if re.fullmatch(r"\w+ must be >= \d+", text)
+              or text.endswith("must be positive")]
+    assert not copied
