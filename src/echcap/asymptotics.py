@@ -8,7 +8,6 @@ counts, which is what the tolerances in the test suite are sized for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
@@ -17,7 +16,7 @@ from .capacities import _capacities_at, capacities
 from .domains import (DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm,
                       describe)
 from .errors import ApproxTie
-from .values import CapacityValue, _count
+from .values import CapacityValue, Record, _count
 
 TORIC_TRACE_KMAX = 25  # polygon search cost caps toric traces well below asymptopia
 
@@ -49,15 +48,18 @@ def _contains(domain: Domain, kind: type) -> bool:
     return isinstance(domain, kind)
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(Record):
     k: int
     c_k: CapacityValue
     ratio: float
 
+    def __init__(self, k: int, c_k: CapacityValue, ratio: float):
+        self.__dict__["k"] = k
+        self.__dict__["c_k"] = c_k
+        self.__dict__["ratio"] = ratio
 
-@dataclass(frozen=True)
-class VolumeReport:
+
+class VolumeReport(Record):
     """Sampled trace of c_k^2 / (4 k vol) together with the exact volumes."""
 
     label: str
@@ -67,6 +69,17 @@ class VolumeReport:
     final_ratio: float
     max_deviation_last_decade: float
     truncated: bool
+
+    def __init__(self, label: str, vol_x: CapacityValue, vol_y: CapacityValue,
+                 trace: Tuple[TracePoint, ...], final_ratio: float,
+                 max_deviation_last_decade: float, truncated: bool):
+        self.__dict__["label"] = label
+        self.__dict__["vol_x"] = vol_x
+        self.__dict__["vol_y"] = vol_y
+        self.__dict__["trace"] = trace
+        self.__dict__["final_ratio"] = final_ratio
+        self.__dict__["max_deviation_last_decade"] = max_deviation_last_decade
+        self.__dict__["truncated"] = truncated
 
 
 def _sample_points(kmax: int, stride: int) -> List[int]:
@@ -117,14 +130,20 @@ def volume_ratio_trace(domain: Domain, kmax: int, stride: int = 1,
     )
 
 
-@dataclass(frozen=True)
-class QwVerdict:
+class QwVerdict(Record):
     """Whether c_k < sqrt(2 k vol_Y) held for every k = 1..kmax."""
 
     holds: bool
     kmax: int
-    k: Optional[int] = None
-    exploratory: bool = False
+    k: Optional[int]
+    exploratory: bool
+
+    def __init__(self, holds: bool, kmax: int, k: Optional[int] = None,
+                 exploratory: bool = False):
+        self.__dict__["holds"] = holds
+        self.__dict__["kmax"] = kmax
+        self.__dict__["k"] = k
+        self.__dict__["exploratory"] = exploratory
 
 
 def qw_check(domain: Domain, kmax: int,

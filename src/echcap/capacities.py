@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count
 from typing import List, Optional, Sequence, Tuple
@@ -19,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
 from .lattice import WeightedL1, _toric_minima
-from .values import (CapacitySequence, CapacityValue, RationalLike, _count,
+from .values import (CapacitySequence, CapacityValue, RationalLike, Record, _count,
                      _over_common_denominator, _polydisk_entry, _positive)
 
 WEAK = "weak"
@@ -249,7 +248,7 @@ def disjoint_union_capacities(sequences: Sequence[CapacitySequence],
 def _part_sequences(union: DisjointUnion, kmax: int,
                     node_limit: Optional[int]) -> List[CapacitySequence]:
     """capacities() of each part of a union, equal parts (frozen
-    dataclasses) sharing one computation."""
+    records) sharing one computation."""
     seqs = {p: capacities(p, kmax, node_limit=node_limit)
             for p in dict.fromkeys(union.parts)}
     return [seqs[p] for p in union.parts]
@@ -296,14 +295,21 @@ def _capacities_at(domain: Domain, kmax: int, ks: Sequence[int], *,
             for v in _maxplus_at(acc, last, kmax, ks)]
 
 
-@dataclass(frozen=True)
-class Dominance:
+class Dominance(Record):
     """Outcome of an entrywise sequence comparison."""
 
     dominated: bool
-    k: Optional[int] = None
-    lower: Optional[CapacityValue] = None
-    upper: Optional[CapacityValue] = None
+    k: Optional[int]
+    lower: Optional[CapacityValue]
+    upper: Optional[CapacityValue]
+
+    def __init__(self, dominated: bool, k: Optional[int] = None,
+                 lower: Optional[CapacityValue] = None,
+                 upper: Optional[CapacityValue] = None):
+        self.__dict__["dominated"] = dominated
+        self.__dict__["k"] = k
+        self.__dict__["lower"] = lower
+        self.__dict__["upper"] = upper
 
 
 def dominates(lower: CapacitySequence, upper: CapacitySequence,

@@ -24,7 +24,6 @@ deterministic; timestamps only ever go to the optional --meta sidecar.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import math
@@ -223,6 +222,7 @@ def _emit(payload) -> None:
 def _write_meta(path: Optional[str], command: str, argv: List[str]) -> None:
     if not path:
         return
+    import datetime   # here, not at the top: only --meta runs pay its import
     meta = {
         "command": command,
         "argv": argv,

@@ -2,62 +2,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
 from .lattice import Euclidean, Norm, Polygonal, WeightedL1
-from .values import RationalLike, _positive
+from .values import RationalLike, Record, _positive
 
 
-class Domain:
+class Domain(Record):
     """Base class for the model domains."""
 
 
-@dataclass(frozen=True)
 class _Sizes(Domain):
     """The body of a domain of two positive sizes a, b, named by its class."""
 
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
+    def __init__(self, a: RationalLike, b: RationalLike):
         what = f"{type(self).__name__.lower()} sizes"
-        object.__setattr__(self, "a", _positive(self.a, what))
-        object.__setattr__(self, "b", _positive(self.b, what))
+        self.__dict__["a"] = _positive(a, what)
+        self.__dict__["b"] = _positive(b, what)
 
 
-@dataclass(frozen=True)
 class Ellipsoid(_Sizes):
     """The ellipsoid E(a, b)."""
 
 
-@dataclass(frozen=True)
 class Ball(Ellipsoid):
     """The round ellipsoid B(a) = E(a, a), built, printed and hashed by a."""
 
-    b: Fraction = field(init=False, repr=False, compare=False)
+    _fields = ("a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _positive(self.a, "ball size"))
-        object.__setattr__(self, "b", self.a)
+    def __init__(self, a: RationalLike):
+        self.__dict__["a"] = self.__dict__["b"] = _positive(a, "ball size")
 
 
-@dataclass(frozen=True)
 class Polydisk(_Sizes):
     """The polydisk P(a, b)."""
 
 
-@dataclass(frozen=True)
 class ToricNorm(Domain):
     norm: Norm
 
-    def __post_init__(self):
-        if not isinstance(self.norm, Norm):
+    def __init__(self, norm: Norm):
+        if not isinstance(norm, Norm):
             raise TypeError("ToricNorm expects a Norm instance")
+        self.__dict__["norm"] = norm
 
 
-@dataclass(frozen=True)
 class DisjointUnion(Domain):
     parts: Tuple[Domain, ...]
 
@@ -67,7 +60,7 @@ class DisjointUnion(Domain):
             raise ValueError("a disjoint union needs at least one part")
         if any(not isinstance(p, Domain) for p in parts):
             raise TypeError("disjoint union parts must be domains")
-        object.__setattr__(self, "parts", parts)
+        self.__dict__["parts"] = parts
 
 
 def scale(domain: Domain, factor: RationalLike) -> Domain:

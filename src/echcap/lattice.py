@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotPrimitive, ToricEnumerationBudgetExceeded
-from .values import (CapacityValue, RationalLike, _count, _integer,
+from .values import (CapacityValue, RationalLike, Record, _count, _integer,
                      _over_common_denominator, _positive, _sign, _squarefree,
                      _staircase, _ulp, as_fraction)
 
@@ -67,7 +66,7 @@ def _pair(v) -> Tuple[RationalLike, RationalLike]:
     return (as_fraction(x), as_fraction(y))
 
 
-class Norm:
+class Norm(Record):
     """Symmetric positively homogeneous gauge on the plane."""
 
     def length(self, vector) -> CapacityValue:
@@ -92,7 +91,6 @@ class Norm:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Euclidean(Norm):
     """The round norm.  Lengths are exact sums of square roots."""
 
@@ -113,21 +111,20 @@ class Euclidean(Norm):
         return None, math.hypot
 
 
-@dataclass(frozen=True)
 class WeightedL1(Norm):
     """|(x, y)| = a|x|/2 + b|y|/2 with positive rational weights."""
 
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if self.a <= 0 or self.b <= 0:
+    def __init__(self, a: RationalLike, b: RationalLike):
+        a, b = as_fraction(a), as_fraction(b)
+        if a <= 0 or b <= 0:
             raise ValueError("weighted L1 norm needs positive weights")
+        self.__dict__["a"] = a
+        self.__dict__["b"] = b
         # (den, [a/2, b/2] times den) for _lengths(): a tuple pickles, a closure not
-        object.__setattr__(self, "_int_weights",
-                           _over_common_denominator(self.a / 2, self.b / 2))
+        self.__dict__["_int_weights"] = _over_common_denominator(a / 2, b / 2)
 
     def dual_eval(self, covector) -> CapacityValue:
         p, q = _pair(covector)
@@ -146,14 +143,13 @@ class WeightedL1(Norm):
         return den, lambda x, y: ia * abs(x) + ib * abs(y)
 
 
-@dataclass(frozen=True)
 class Polygonal(Norm):
     """Gauge of a centrally symmetric convex polygon with rational vertices."""
 
     vertices: Tuple[Tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self):
-        verts = [(as_fraction(x), as_fraction(y)) for x, y in self.vertices]
+    def __init__(self, vertices: Sequence[Tuple[RationalLike, RationalLike]]):
+        verts = [(as_fraction(x), as_fraction(y)) for x, y in vertices]
         if len(verts) < 4:
             raise ValueError("polygonal unit ball needs at least 4 vertices")
         # the tests run on the vertices times their common denominator; the
@@ -179,8 +175,8 @@ class Polygonal(Norm):
                 raise ValueError("unit ball must contain the origin in its interior")
         if set(points) != {(-x, -y) for (x, y) in points}:
             raise ValueError("unit ball must be centrally symmetric")
-        object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "_int_vertices", (den, tuple(points)))
+        self.__dict__["vertices"] = tuple(verts)
+        self.__dict__["_int_vertices"] = (den, tuple(points))
 
     @cached_property
     def polar(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -239,8 +235,7 @@ def _shoelace2(verts: Sequence[Tuple[Fraction, Fraction]]) -> Union[int, Fractio
 # lattice polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Possibly degenerate convex lattice polygon, canonical under translation.
 
     vertices are counterclockwise, integer, and start at the lexicographically
@@ -249,6 +244,9 @@ class LatticePolygon:
     """
 
     vertices: Tuple[IntPoint, ...]
+
+    def __init__(self, vertices: Tuple[IntPoint, ...]):
+        self.__dict__["vertices"] = vertices
 
     @staticmethod
     def point() -> "LatticePolygon":
@@ -336,22 +334,22 @@ def dual_norm_eval(norm: Norm, covector) -> CapacityValue:
 # labeled generators (combinatorial model of the torus boundary generators)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledGenerator:
+class LabeledGenerator(Record):
     """A lattice polygon with an 'e' or 'h' label on each edge."""
 
     polygon: LatticePolygon
     labels: Tuple[str, ...]
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != len(self.polygon.edges):
+    def __init__(self, polygon: LatticePolygon, labels: Sequence[str]):
+        labels = tuple(labels)
+        if len(labels) != len(polygon.edges):
             raise ValueError(
-                f"need {len(self.polygon.edges)} labels, got {len(labels)}"
+                f"need {len(polygon.edges)} labels, got {len(labels)}"
             )
         if any(label not in ("e", "h") for label in labels):
             raise ValueError("labels must be 'e' or 'h'")
+        self.__dict__["polygon"] = polygon
+        self.__dict__["labels"] = labels
 
 
 def generator_grading(gen: LabeledGenerator) -> int:
@@ -778,8 +776,7 @@ def _initial_budget(norm: Norm, k: int) -> CapacityValue:
     return perimeter(_budget_polygon(norm, k), norm)
 
 
-@dataclass(frozen=True)
-class ToricCapacity:
+class ToricCapacity(Record):
     """Minimum perimeter at fixed enclosed lattice point count, with witness.
 
     Of several minimizers the witness closes the pair of chains with the
@@ -788,6 +785,10 @@ class ToricCapacity:
 
     value: CapacityValue
     witness: LatticePolygon
+
+    def __init__(self, value: CapacityValue, witness: LatticePolygon):
+        self.__dict__["value"] = value
+        self.__dict__["witness"] = witness
 
     def __iter__(self):
         return iter((self.value, self.witness))

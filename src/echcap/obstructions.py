@@ -8,13 +8,12 @@ classical sufficiency conditions for packing a ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
-from .values import (CapacityValue, RationalLike, _count, _over_common_denominator,
+from .values import (CapacityValue, RationalLike, Record, _count, _over_common_denominator,
                      _polydisk_entry, _staircase, as_fraction)
 
 __all__ = [
@@ -24,15 +23,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(Record):
     """Either no obstruction up to kmax, or a witness index with both values."""
 
     obstructed: bool
     kmax: int
-    witness_k: Optional[int] = None
-    lower: Optional[CapacityValue] = None
-    upper: Optional[CapacityValue] = None
+    witness_k: Optional[int]
+    lower: Optional[CapacityValue]
+    upper: Optional[CapacityValue]
+
+    def __init__(self, obstructed: bool, kmax: int, witness_k: Optional[int] = None,
+                 lower: Optional[CapacityValue] = None,
+                 upper: Optional[CapacityValue] = None):
+        self.__dict__["obstructed"] = obstructed
+        self.__dict__["kmax"] = kmax
+        self.__dict__["witness_k"] = witness_k
+        self.__dict__["lower"] = lower
+        self.__dict__["upper"] = upper
 
 
 def embedding_obstruction(inner: Domain, outer: Domain, kmax: int,
@@ -117,8 +124,7 @@ def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
                         for d in range(1, dmax + 1)], a.denominator)
 
 
-@dataclass(frozen=True)
-class PackingInequality:
+class PackingInequality(Record):
     """One inequality sum(d_i * a_i) < d from the ball packing obstruction."""
 
     multipliers: Tuple[int, ...]
@@ -126,11 +132,21 @@ class PackingInequality:
     lhs: Fraction
     satisfied: bool
 
+    def __init__(self, multipliers: Tuple[int, ...], bound: int, lhs: Fraction,
+                 satisfied: bool):
+        self.__dict__["multipliers"] = multipliers
+        self.__dict__["bound"] = bound
+        self.__dict__["lhs"] = lhs
+        self.__dict__["satisfied"] = satisfied
 
-@dataclass(frozen=True)
-class PackingReport:
+
+class PackingReport(Record):
     inequalities: Tuple[PackingInequality, ...]
     all_hold: bool
+
+    def __init__(self, inequalities: Tuple[PackingInequality, ...], all_hold: bool):
+        self.__dict__["inequalities"] = inequalities
+        self.__dict__["all_hold"] = all_hold
 
 
 def _sizes(a_list: Sequence[RationalLike], dmax: int) -> Tuple[int, int, List[int]]:
@@ -178,13 +194,18 @@ def packing_obstructions(a_list: Sequence[RationalLike],
         all(ok for _, _, ok in pairs))
 
 
-@dataclass(frozen=True)
-class BiranVerdict:
+class BiranVerdict(Record):
     """sufficient | fails_volume | fails_inequality (with the failing tuple)."""
 
     status: str
-    multipliers: Optional[Tuple[int, ...]] = None
-    bound: Optional[int] = None
+    multipliers: Optional[Tuple[int, ...]]
+    bound: Optional[int]
+
+    def __init__(self, status: str, multipliers: Optional[Tuple[int, ...]] = None,
+                 bound: Optional[int] = None):
+        self.__dict__["status"] = status
+        self.__dict__["multipliers"] = multipliers
+        self.__dict__["bound"] = bound
 
     @property
     def sufficient(self) -> bool:

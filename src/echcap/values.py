@@ -60,6 +60,46 @@ def _positive(q: RationalLike, what: str) -> Fraction:
     return q
 
 
+class Record:
+    """Base of the package's frozen records, built without dataclasses so
+    that importing the package stays cheap.
+
+    A subclass's fields are its bases' fields, then its own annotated names,
+    unless it sets _fields itself.  Its __init__ stores them, and any derived
+    attribute, into self.__dict__.  Like a frozen dataclass, a record equals
+    only a record of its own class with equal fields, hashes and prints by
+    its fields, and refuses assignment and deletion with AttributeError.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _over_common_denominator(*sizes: Fraction) -> Tuple[int, List[int]]:
     """(d, [q * d for q in sizes]) with d the least common denominator."""
     den = math.lcm(*(q.denominator for q in sizes))

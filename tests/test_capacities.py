@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import json
 import math
 import pickle
@@ -8,13 +10,19 @@ from fractions import Fraction
 import pytest
 
 from echcap import (EUCLIDEAN, Ball, CapacitySequence, CapacityValue,
-                    DisjointUnion, Ellipsoid, INTERIOR_STRICT,
-                    MismatchedIndexOrigin, Polydisk, Polygonal, ToricNorm, WEAK,
+                    DisjointUnion, Domain, Dominance, Ellipsoid, Euclidean,
+                    INTERIOR_STRICT, LabeledGenerator, LatticePolygon,
+                    MismatchedIndexOrigin, Norm, Polydisk, Polygonal, QwVerdict,
+                    ToricCapacity, ToricNorm, TracePoint, VolumeReport, WEAK,
                     WeightedL1, ball_capacities, capacities, describe,
                     disjoint_union_capacities, dominates, ellipsoid_capacities,
                     ellipsoid_full_capacities, nk_sequence, nk_via_triangle,
                     polydisk_capacities, scale)
 from echcap.cli import format_value, main, parse_domain_spec
+from echcap.domains import _Sizes
+from echcap.obstructions import (BiranVerdict, ObstructionVerdict, PackingInequality,
+                                 PackingReport)
+from echcap.values import Record
 
 F = Fraction
 
@@ -320,6 +328,139 @@ def test_ellipsoid_and_polydisk_share_one_body_with_their_own_identity(monkeypat
     assert fracs(union) == fracs(disjoint_union_capacities(
         [ellipsoid_capacities(1, 2, 30), polydisk_capacities(1, 2, 30)], 30))
     assert fracs(union) != fracs(capacities(DisjointUnion((ellipsoid, ellipsoid)), 30))
+
+
+# Each record class, its constructor's parameters as the frozen dataclass it
+# replaced declared them ((name, default) for a defaulted one), which are
+# also the fields it prints, compares and hashes (Ball's b is derived), and
+# the arguments of unequal samples.
+V = CapacityValue.exact
+TRIANGLE = LatticePolygon(((0, 0), (1, 0), (0, 1)))
+RECORDS = [
+    (TracePoint, ("k", "c_k", "ratio"),
+     [(3, V(2), 0.5), (4, V(F(5, 2)), 0.75)]),
+    (VolumeReport, ("label", "vol_x", "vol_y", "trace", "final_ratio",
+                    "max_deviation_last_decade", "truncated"),
+     [("ball(1)", V(F(1, 2)), V(1), (TracePoint(1, V(1), 1.0),), 1.0, 0.0, False),
+      ("ball(1)", V(F(1, 2)), V(1), (), 1.0, 0.0, True)]),
+    (QwVerdict, ("holds", "kmax", ("k", None), ("exploratory", False)),
+     [(True, 5), (False, 5, 3, True)]),
+    (Dominance, ("dominated", ("k", None), ("lower", None), ("upper", None)),
+     [(True,), (False, 2, V(3), V(2))]),
+    (_Sizes, ("a", "b"), [(1, 2), (2, 1)]),
+    (Ellipsoid, ("a", "b"), [(1, 2), (F(1, 2), 3)]),
+    (Ball, ("a",), [(F(3, 2),), (2,)]),
+    (Polydisk, ("a", "b"), [(1, 2), (2, 2)]),
+    (ToricNorm, ("norm",), [(EUCLIDEAN,), (WeightedL1(1, 2),)]),
+    (DisjointUnion, ("parts",),
+     [((Ball(1), Ellipsoid(1, 2)),), ((Ball(1),),)]),
+    (Euclidean, (), [()]),
+    (WeightedL1, ("a", "b"), [(1, 2), (F(1, 2), 3)]),
+    (Polygonal, ("vertices",),
+     [(((1, 0), (0, 1), (-1, 0), (0, -1)),), (((2, 1), (-1, 1), (-2, -1), (1, -1)),)]),
+    (LatticePolygon, ("vertices",), [(TRIANGLE.vertices,), (((0, 0), (2, 0), (0, 1)),)]),
+    (LabeledGenerator, ("polygon", "labels"),
+     [(TRIANGLE, ("e", "e", "h")), (TRIANGLE, ("h", "e", "e"))]),
+    (ToricCapacity, ("value", "witness"),
+     [(V(0), LatticePolygon.point()), (V(3), TRIANGLE)]),
+    (ObstructionVerdict, ("obstructed", "kmax", ("witness_k", None), ("lower", None),
+                          ("upper", None)),
+     [(False, 10), (True, 10, 2, V(2), V(F(3, 2)))]),
+    (PackingInequality, ("multipliers", "bound", "lhs", "satisfied"),
+     [((1, 1), 2, F(3, 2), True), ((2, 1, 1), 3, F(5, 2), True)]),
+    (PackingReport, ("inequalities", "all_hold"),
+     [((PackingInequality((1,), 1, F(1, 2), True),), True), ((), True)]),
+    (BiranVerdict, ("status", ("multipliers", None), ("bound", None)),
+     [("sufficient",), ("fails_inequality", (1, 1), 2)]),
+]
+
+
+def dataclass_twin(cls, params):
+    """The frozen dataclass the record class replaced: its name, its
+    parameters as fields (Ball's derived b is neither printed nor compared,
+    so it is left out), and their defaults."""
+    fields = [p if isinstance(p, str) else (p[0], object, dataclasses.field(default=p[1]))
+              for p in params]
+    return dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+
+
+TWINS = {cls: dataclass_twin(cls, params) for cls, params, _ in RECORDS}
+
+
+def twin_of(record):
+    twin = TWINS[type(record)]
+    return twin(*(getattr(record, f.name) for f in dataclasses.fields(twin)))
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError:   # a CapacityValue field is unhashable, in a dataclass too
+        return TypeError
+
+
+def test_records_cover_every_record_class():
+    """RECORDS names every class derived from values.Record (the 20 that
+    were frozen dataclasses)."""
+    def subclasses(cls):
+        return {cls} | set().union(*map(subclasses, cls.__subclasses__()))
+    package = {c for c in subclasses(Record) if c.__module__.startswith("echcap.")}
+    assert package - {Record, Domain, Norm} == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, params, samples", RECORDS,
+                         ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_record_behaves_as_its_frozen_dataclass(cls, params, samples):
+    twin = TWINS[cls]
+    signature = [(p.name, p.kind, p.default)
+                 for p in inspect.signature(cls).parameters.values()]
+    assert signature == [(p.name, p.kind, p.default)
+                         for p in inspect.signature(twin).parameters.values()]
+    for args in samples:
+        record, again = cls(*args), cls(*args)
+        assert repr(record) == repr(twin_of(record))
+        assert record == again and not record != again
+        assert hash_or_error(record) == hash_or_error(again) == hash_or_error(twin_of(record))
+        if cls is Polygonal:
+            record._int_polar   # a cached_property lands in the pickled __dict__
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record and repr(copy) == repr(record)
+        assert vars(copy) == vars(record)
+        assert cls is not Polygonal or "_int_polar" in vars(copy)
+        for name in [f.name for f in dataclasses.fields(twin)] + ["unknown"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert vars(record) == vars(copy)
+        with pytest.raises(TypeError):
+            cls(*args, unexpected=None)
+    required = [p for p in params if isinstance(p, str)]
+    if required:
+        with pytest.raises(TypeError):
+            cls(*samples[0][:len(required) - 1])
+    # defaults: the fields left out take the twin's defaults
+    least = cls(*samples[0][:len(required)])
+    assert repr(least) == repr(twin_of(least))
+    assert [getattr(least, f.name) for f in dataclasses.fields(twin)][len(required):] \
+        == [p[1] for p in params if not isinstance(p, str)]
+
+
+def test_records_equal_only_their_own_class():
+    """== and != between any two samples of any two record classes, equal
+    builds of one sample included, agree with the dataclass twins: a Ball is
+    not the Ellipsoid E(a, a), and an Ellipsoid is not the Polydisk of the
+    same sizes."""
+    records = [cls(*args) for cls, _, samples in RECORDS for args in samples for _ in "ab"]
+    records += [Ellipsoid(1, 1), Ball(1), Polydisk(1, 1), _Sizes(1, 1)]
+    twins = [twin_of(r) for r in records]
+    for x, tx in zip(records, twins):
+        for y, ty in zip(records, twins):
+            assert (x == y) is (tx == ty) and (x != y) is (tx != ty)
+    assert Ellipsoid(1, 2) != Polydisk(1, 2) and Ball(1) != Ellipsoid(1, 1)
+    assert QwVerdict(True, 3).k is None and Dominance(True).lower is None
+    assert list(dict.fromkeys([Ball(1), Ellipsoid(1, 1), Ball(F(2, 2)), Polydisk(1, 1)])) \
+        == [Ball(1), Ellipsoid(1, 1), Polydisk(1, 1)]
 
 
 def test_inclusion_monotonicity():

@@ -1,4 +1,5 @@
 import argparse
+import datetime
 import importlib
 import json
 import math
@@ -395,7 +396,8 @@ def test_meta_sidecar(tmp_path, capsys):
     assert code == 0
     payload = json.loads(meta.read_text())
     assert payload["command"] == "capacities"
-    assert "created_utc" in payload
+    created = datetime.datetime.fromisoformat(payload["created_utc"])
+    assert created.utcoffset() == datetime.timedelta(0)
     # the actual output stays timestamp-free
     assert "created" not in capsys.readouterr().out
     # an obstructed verdict (exit 1) is a result: it gets a sidecar

@@ -1,10 +1,11 @@
 """Source hygiene of the package: no unused imports, standard library only,
-no dead module-level names or private methods, no module-level state, and
-count and size checks only in values.py."""
+no dead module-level names or private methods, no module-level state,
+count and size checks only in values.py, and a lean import."""
 
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 import typing
 
@@ -138,12 +139,16 @@ def test_no_dead_private_methods():
 
 def self_attribute_stores(cls):
     """(attribute, line) per attribute a method of the class assigns on
-    self, by self.x = ... (also inside a tuple target) or
-    object.__setattr__(self, "x", ...)."""
+    self, by self.x = ... (also inside a tuple target),
+    self.__dict__["x"] = ... or object.__setattr__(self, "x", ...)."""
     for node in ast.walk(cls):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
                 and isinstance(node.value, ast.Name) and node.value.id == "self":
             yield node.attr, node.lineno
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                and ast.unparse(node.value) == "self.__dict__" \
+                and isinstance(node.slice, ast.Constant):
+            yield node.slice.value, node.lineno
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "__setattr__" and len(node.args) >= 2 \
                 and isinstance(node.args[0], ast.Name) and node.args[0].id == "self" \
@@ -168,7 +173,9 @@ def named(tree):
 def test_no_write_only_self_attributes():
     """Every attribute a class assigns on self is read, as an attribute
     load, in the class's own module or in a module or test that names the
-    class; a read of the same name on an unrelated object does not count."""
+    class; a read of the same name on an unrelated object does not count.
+    A field the class annotates counts as read: a record's repr, == and
+    hash read its fields."""
     trees = package_trees()
     tests = [ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(__file__).resolve().parent.glob("*.py")]
@@ -183,25 +190,31 @@ def test_no_write_only_self_attributes():
                 continue
             read = set().union(*(loads for other, names, loads in files
                                  if other is tree or cls.name in names))
+            read |= {node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
             unread += [f"{module}:{line} {cls.name}.{name}"
                        for name, line in self_attribute_stores(cls)
                        if name not in read]
     assert not unread
 
 
-def frozen_dataclasses(trees):
-    """Names of the package's classes decorated @dataclass(frozen=True)."""
-    return {node.name for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and any(
-                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
-                        for k in d.keywords)
-                for d in node.decorator_list)}
+def frozen_records(trees):
+    """Names of values.Record, the package's frozen record base, and of the
+    package's classes derived from it through any chain of its classes
+    (Euclidean -> Norm -> Record)."""
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    frozen, grown = set(), {"Record"}
+    while grown:
+        frozen |= grown
+        grown = {name for name, names in bases.items() if names & frozen} - frozen
+    return frozen
 
 
 def immutable(value, frozen):
     """A constant, a tuple of immutable values, a typing alias such as
-    Tuple[int, int], or an instance of a frozen dataclass of the package
+    Tuple[int, int], or an instance of a frozen record class of the package
     built from immutable values."""
     if isinstance(value, ast.Constant):
         return True
@@ -232,7 +245,7 @@ def test_no_module_level_mutable_state():
     comprehension), runs no other statement, assigns no global, and
     memoizes across calls only the argparse tree of cli._build_parser."""
     trees = package_trees()
-    frozen = frozen_dataclasses(trees)
+    frozen = frozen_records(trees)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -278,3 +291,23 @@ def test_count_and_size_checks_live_in_values():
               if re.fullmatch(r"\w+ must be >= \d+", text)
               or text.endswith("must be positive")]
     assert not copied
+
+
+def test_import_generates_no_code_and_loads_no_datetime():
+    """Every echcap command is a fresh process that pays for importing
+    echcap.cli, so the import loads none of dataclasses (which compiles each
+    class's methods with exec), inspect (which dataclasses pulls in) or
+    datetime (only --meta needs it, and imports it itself), and the package
+    calls neither exec nor eval."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import echcap.cli; print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    added = set(run.stdout.split())
+    assert "echcap.cli" in added
+    assert not added & {"dataclasses", "inspect", "datetime"}
+    calls = [f"{module}:{node.lineno} {node.func.id}"
+             for module, tree in package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval")]
+    assert not calls
