@@ -6,8 +6,8 @@ packing inequalities; and desk-scale checks of the volume asymptotics.
 All arithmetic on rational inputs is exact.
 """
 
-from .asymptotics import (QwVerdict, TracePoint, VolumeReport, qw_check,
-                          volume, volume_ratio_trace, weinstein_bound)
+import importlib
+
 from .capacities import (INTERIOR_STRICT, WEAK, Dominance, ball_capacities,
                          capacities, disjoint_union_capacities, dominates,
                          ellipsoid_capacities, ellipsoid_full_capacities,
@@ -19,14 +19,18 @@ from .errors import (ApproxTie, EchcapError, MismatchedIndexOrigin,
                      NotPrimitive, SpecParseError,
                      ToricEnumerationBudgetExceeded)
 from .lattice import (EUCLIDEAN, Euclidean, LabeledGenerator, LatticePolygon,
-                      Norm, Polygonal, ToricCapacity, WeightedL1, area,
-                      dual_norm_eval, enumerate_polygons, generator_action,
-                      generator_grading, lattice_point_count,
-                      min_action_at_grading, perimeter, reeb_orbit_data,
-                      toric_capacity)
+                      Norm, Polygonal, WeightedL1, area, dual_norm_eval,
+                      generator_action, generator_grading, lattice_point_count,
+                      perimeter, reeb_orbit_data)
 from .values import CapacitySequence, CapacityValue, as_fraction
 
 __version__ = "0.1.0"
+
+# public names of modules that only some commands run, loaded on first read
+_DEFERRED = (("asymptotics", ("QwVerdict", "TracePoint", "VolumeReport", "qw_check",
+                              "volume", "volume_ratio_trace", "weinstein_bound")),
+             ("toric", ("ToricCapacity", "enumerate_polygons", "min_action_at_grading",
+                        "toric_capacity")))
 
 __all__ = [
     "ApproxTie", "Ball", "CapacitySequence", "CapacityValue", "DisjointUnion",
@@ -44,3 +48,11 @@ __all__ = [
     "polydisk_capacities", "qw_check", "reeb_orbit_data", "scale",
     "toric_capacity", "volume", "volume_ratio_trace", "weinstein_bound",
 ]
+
+
+def __getattr__(name: str):
+    """PEP 562: a deferred name, from its module."""
+    for module, names in _DEFERRED:
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domains import DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
 from .errors import MismatchedIndexOrigin
-from .lattice import WeightedL1, _toric_minima
+from .lattice import WeightedL1
 from .values import (CapacitySequence, CapacityValue, RationalLike, Record, _count,
                      _over_common_denominator, _polydisk_entry, _positive)
 
@@ -268,6 +268,7 @@ def capacities(domain: Domain, kmax: int, *,
     if isinstance(domain, ToricNorm):
         if isinstance(domain.norm, WeightedL1):
             return polydisk_capacities(domain.norm.a, domain.norm.b, kmax)
+        from .toric import _toric_minima   # only toric specs load the search
         minima = _toric_minima(domain.norm, kmax, node_limit)
         return CapacitySequence(0, (value for value, _ in minima))
     if isinstance(domain, DisjointUnion):

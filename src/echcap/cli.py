@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from . import asymptotics, obstructions
 from .capacities import (INTERIOR_STRICT, WEAK, capacities,
                          ellipsoid_full_capacities)
 from .domains import Ball, DisjointUnion, Domain, Ellipsoid, Polydisk, ToricNorm
@@ -216,6 +214,7 @@ def format_value(value: CapacityValue) -> str:
 
 
 def _emit(payload) -> None:
+    import json   # as obstructions and asymptotics: loaded by the commands that run it
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -223,6 +222,7 @@ def _write_meta(path: Optional[str], command: str, argv: List[str]) -> None:
     if not path:
         return
     import datetime   # here, not at the top: only --meta runs pay its import
+    import json
     meta = {
         "command": command,
         "argv": argv,
@@ -273,6 +273,7 @@ def _cmd_embed(args) -> int:
     inner = parse_domain_spec(args.inner)
     outer = parse_domain_spec(args.outer)
     mode = INTERIOR_STRICT if args.mode == "strict" else WEAK
+    from . import obstructions
     verdict = obstructions.embedding_obstruction(
         inner, outer, args.kmax, mode, node_limit=args.node_limit)
     payload = {
@@ -292,6 +293,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_bound(args) -> int:
     a = _rational(args.a)
+    from . import obstructions
     # looked up at call time, not held by the cached parser: patches are seen
     text = str(getattr(obstructions, args.bound)(a, args.dmax))
     if args.format == "json":
@@ -303,6 +305,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_pack(args) -> int:
     sizes = _parse_size_list(args.sizes)
+    from . import obstructions
     den, rows, pairs = obstructions._packing_table(sizes, args.dmax)
     # each row's multiplier list and lhs text are made once, for every bound
     shown = [(list(mult), str(Fraction(lhs, den))) for _, mult, lhs in rows]
@@ -320,6 +323,7 @@ def _cmd_pack(args) -> int:
 
 def _cmd_biran(args) -> int:
     sizes = _parse_size_list(args.sizes)
+    from . import obstructions
     verdict = obstructions.biran_sufficiency(sizes, args.dmax)
     payload = {
         "a_list": [str(a) for a in sizes],
@@ -335,6 +339,7 @@ def _cmd_biran(args) -> int:
 
 def _cmd_asym(args) -> int:
     domain = parse_domain_spec(args.spec)
+    from . import asymptotics
     report = asymptotics.volume_ratio_trace(
         domain, args.kmax, args.stride, node_limit=args.node_limit)
     if report.truncated:
@@ -366,6 +371,7 @@ def _cmd_asym(args) -> int:
 
 def _cmd_qw(args) -> int:
     domain = parse_domain_spec(args.spec)
+    from . import asymptotics
     verdict = asymptotics.qw_check(domain, args.kmax, node_limit=args.node_limit)
     payload = {
         "spec": args.spec,

@@ -15,9 +15,9 @@ from echcap import (Ball, DisjointUnion, Ellipsoid, EUCLIDEAN, Polydisk,
                     min_action_at_grading, nk_sequence, nk_via_triangle,
                     perimeter, polydisk_capacities, qw_check, scale,
                     toric_capacity, volume_ratio_trace)
-from echcap.lattice import _toric_minima
 from echcap.obstructions import (g_d, g_lower_bound, f_lower_bound,
                                  lambda_d_path, packing_obstructions)
+from echcap.toric import _toric_minima
 from echcap.values import CapacitySequence, CapacityValue
 
 F = Fraction

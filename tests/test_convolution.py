@@ -127,7 +127,7 @@ def test_union_domain_dispatch():
 
 def test_union_computes_each_distinct_part_once(monkeypatch):
     single = capacities(ToricNorm(EUCLIDEAN), 10)
-    module = importlib.import_module("echcap.capacities")
+    module = importlib.import_module("echcap.toric")
     search = module._toric_minima
     calls = []
 
@@ -147,7 +147,7 @@ def test_union_computes_each_distinct_part_once(monkeypatch):
 
 
 def test_union_trace_computes_each_distinct_part_once(monkeypatch):
-    module = importlib.import_module("echcap.capacities")
+    module = importlib.import_module("echcap.toric")
     search = module._toric_minima
     calls = []
 

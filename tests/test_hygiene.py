@@ -297,15 +297,22 @@ def test_import_generates_no_code_and_loads_no_datetime():
     """Every echcap command is a fresh process that pays for importing
     echcap.cli, so the import loads none of dataclasses (which compiles each
     class's methods with exec), inspect (which dataclasses pulls in) or
-    datetime (only --meta needs it, and imports it itself), and the package
-    calls neither exec nor eval."""
+    datetime (only --meta needs it, and imports it itself), nor what only
+    some commands run: the toric search, asymptotics, obstructions and json.
+    A closed-form capacity still leaves the toric search unloaded.  The
+    package calls neither exec nor eval."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-            "import echcap.cli; print(*sorted(set(sys.modules) - before))")
+            "import echcap.cli; print(*sorted(set(sys.modules) - before)); "
+            "echcap.cli.main(['capacities', 'ball(1)', '--kmax', '3']); "
+            "print(*sorted(set(sys.modules) - before))")
     run = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
-    added = set(run.stdout.split())
-    assert "echcap.cli" in added
-    assert not added & {"dataclasses", "inspect", "datetime"}
+    imported, printed, ran = run.stdout.splitlines()
+    added = set(imported.split())
+    assert "echcap.cli" in added and printed == "0,1,1,2"
+    assert not added & {"dataclasses", "inspect", "datetime", "echcap.toric",
+                        "echcap.asymptotics", "echcap.obstructions", "json"}
+    assert "echcap.toric" not in set(ran.split())
     calls = [f"{module}:{node.lineno} {node.func.id}"
              for module, tree in package_trees().items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

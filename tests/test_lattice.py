@@ -14,7 +14,7 @@ from echcap import (EUCLIDEAN, CapacityValue, LatticePolygon, Polygonal,
                     lattice_point_count, perimeter)
 
 F = Fraction
-lattice = importlib.import_module("echcap.lattice")
+toric = importlib.import_module("echcap.toric")
 
 UNIT_SQUARE = LatticePolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = LatticePolygon.from_vertices([(0, 0), (1, 0), (0, 1)])
@@ -147,7 +147,7 @@ def test_euclidean_perimeter_matches_capacity_value_sum():
     # arithmetic: the same float and exact value, and an irrational one's
     # err covers the float's distance to the sum, enclosed at 2^-160 by isqrt
     bits = 160
-    polygons = [lattice._budget_polygon(EUCLIDEAN, k) for k in range(40)]
+    polygons = [toric._budget_polygon(EUCLIDEAN, k) for k in range(40)]
     polygons += random_convex_polygons(300, 7)
     kinds = set()
     for poly in polygons:
@@ -171,30 +171,30 @@ def test_a_euclidean_search_splits_each_radicand_once(monkeypatch):
     """One search calls _squarefree at most once per (x, y) it reads, the
     next search starts from an empty cache, and perimeter never calls it."""
     calls, searches = [], []
-    squarefree = lattice._squarefree
+    squarefree = toric._squarefree
 
     def counted(n):
         calls.append(n)
         return squarefree(n)
 
-    class Recorded(lattice._Lengths):
+    class Recorded(toric._Lengths):
         def __init__(self, *args):
             super().__init__(*args)
             searches.append(self)
 
-    monkeypatch.setattr(lattice, "_squarefree", counted)
-    monkeypatch.setattr(lattice, "_Lengths", Recorded)
+    monkeypatch.setattr(toric, "_squarefree", counted)
+    monkeypatch.setattr(toric, "_Lengths", Recorded)
     runs = []
     for _ in range(2):
         calls.clear()
-        values = [value for value, _ in lattice._toric_minima(EUCLIDEAN, 25, None)]
+        values = [value for value, _ in toric._toric_minima(EUCLIDEAN, 25, None)]
         info = searches[-1].radicals.cache_info()
         # every call is a distinct (x, y): a repeat would be a miss too
         assert len(calls) == info.misses == info.currsize > 0
         runs.append((values, len(calls)))
     assert len(searches) == 2 and runs[0] == runs[1]   # the second search recomputed all
     calls.clear()
-    for poly in [lattice._budget_polygon(EUCLIDEAN, k) for k in range(40)] + list(
+    for poly in [toric._budget_polygon(EUCLIDEAN, k) for k in range(40)] + list(
             random_convex_polygons(100, 11)):
         perimeter(poly, EUCLIDEAN)
     assert not calls
@@ -254,6 +254,35 @@ def test_polygonal_pickles_after_lengths_are_cached(norm):
     copy = pickle.loads(pickle.dumps(norm))
     assert copy == norm
     assert [copy.length(v) for v in vectors] == lengths
+
+
+def test_public_names_resolve_where_they_are_defined():
+    """The names of modules that load on first use (the toric search and
+    asymptotics) resolve from echcap and from echcap.lattice as they did
+    when every module loaded at start-up."""
+    echcap = importlib.import_module("echcap")
+    lattice = importlib.import_module("echcap.lattice")
+    modules = [importlib.import_module(f"echcap.{name}") for name in (
+        "asymptotics", "capacities", "domains", "errors", "lattice", "obstructions",
+        "toric", "values")]
+    for name in echcap.__all__:
+        value = getattr(echcap, name)
+        holders = [module for module in modules if name in vars(module)]
+        assert holders and all(vars(module)[name] is value for module in holders), name
+        home = getattr(value, "__module__", None)
+        if home is not None:
+            assert getattr(importlib.import_module(home), name) is value, name
+    star = {}
+    exec("from echcap import *", star)
+    assert all(star[name] is getattr(echcap, name) for name in echcap.__all__)
+    for name in ("toric_capacity", "enumerate_polygons", "min_action_at_grading",
+                 "ToricCapacity"):
+        assert getattr(lattice, name) is getattr(toric, name)
+    for module in (echcap, lattice):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    capacity = toric.toric_capacity(EUCLIDEAN, 4)
+    assert pickle.loads(pickle.dumps(capacity)) == capacity
 
 
 def test_polygonal_validation():

@@ -16,7 +16,7 @@ from echcap import (EUCLIDEAN, CapacityValue, LabeledGenerator, LatticePolygon,
                     reeb_orbit_data, toric_capacity)
 
 F = Fraction
-lattice = importlib.import_module("echcap.lattice")
+toric = importlib.import_module("echcap.toric")
 values = importlib.import_module("echcap.values")
 
 HEXAGON = Polygonal(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
@@ -36,7 +36,7 @@ def searched(norm, kmax):
     """c_0, ..., c_kmax from the polygon search itself.  capacities() reads
     a WeightedL1 norm off the polydisk kernel, so the l1 differential tests
     call the search through this."""
-    minima = lattice._toric_minima(norm, kmax, None)
+    minima = toric._toric_minima(norm, kmax, None)
     return values.CapacitySequence(0, (value for value, _ in minima))
 
 
@@ -48,9 +48,9 @@ def depth_first_chains(lengths, max_count):
     max_count lattice points, as (dx, dy, entry) with entry = (length,
     nedges, picks, weight) as _chain_cells stores it, by a depth-first
     walk: each chain is extended by every later direction, one copy at a
-    time, while the weight and length prunes of lattice._chain_cells hold.
+    time, while the weight and length prunes of toric._chain_cells hold.
     Lengths are summed in the same order, pick by pick."""
-    dirs = lattice._upper_directions(lengths)
+    dirs = toric._upper_directions(lengths)
     f, limit = lengths.f, lengths.limit
     # a chain with weight w pairs to a polygon of count >= (w + 1)/2 + 1
     weight_cap = 2 * max_count - 3
@@ -84,7 +84,7 @@ def pair_order(pair):
 
 
 def bucket_minima_oracle(norm, budget, max_count):
-    """All-exact reference for the buckets of lattice._toric_minima.
+    """All-exact reference for the buckets of toric._toric_minima.
 
     Chain lengths are sums of one exact CapacityValue per edge direction;
     the cell table and the pairing compare them for every chain, with no
@@ -115,7 +115,7 @@ def bucket_minima_oracle(norm, budget, max_count):
         return cand if order < 0 else best
 
     cells = {}
-    for dx, dy, entry in depth_first_chains(lattice._Lengths(norm, budget), max_count):
+    for dx, dy, entry in depth_first_chains(toric._Lengths(norm, budget), max_count):
         _, nedges, picks, weight = entry
         per_disp = cells.setdefault((dx, dy), {})
         best = per_disp.get((weight, nedges))
@@ -146,9 +146,9 @@ def bucket_minima_oracle(norm, budget, max_count):
 
 
 def toric_minima_oracle(norm, kmax, node_limit, budget=None):
-    """lattice._toric_minima from bucket_minima_oracle (node_limit unused)."""
+    """toric._toric_minima from bucket_minima_oracle (node_limit unused)."""
     if budget is None:
-        budget = lattice._initial_budget(norm, kmax)
+        budget = toric._initial_budget(norm, kmax)
     minima = bucket_minima_oracle(norm, budget, kmax + 1)
     return [minima[count] for count in range(1, kmax + 2)]
 
@@ -221,17 +221,17 @@ def all_pairs_minima(lengths, keyed_pairs):
 
 def all_pairs_toric(norm, kmax):
     """(value, witness) for k = 0..kmax from one search at the budget of kmax."""
-    lengths = lattice._Lengths(norm, lattice._initial_budget(norm, kmax))
-    table = lattice._chain_cells(lengths, kmax + 1, None)
+    lengths = toric._Lengths(norm, toric._initial_budget(norm, kmax))
+    table = toric._chain_cells(lengths, kmax + 1, None)
     minima = all_pairs_minima(lengths, all_pairs(lengths, table, kmax + 1))
-    return [(minima[count][0], lattice._witness(*minima[count][1]))
+    return [(minima[count][0], toric._witness(*minima[count][1]))
             for count in range(1, kmax + 2)]
 
 
 def all_pairs_min_action(norm, grading):
     k = grading // 2
-    lengths = lattice._Lengths(norm, lattice._initial_budget(norm, k))
-    table = lattice._chain_cells(lengths, 2 * (k + 1), None, every=True)
+    lengths = toric._Lengths(norm, toric._initial_budget(norm, k))
+    table = toric._chain_cells(lengths, 2 * (k + 1), None, every=True)
     return all_pairs_minima(lengths, (
         (grading, entry1, entry2)
         for count, entry1, entry2 in all_pairs(lengths, table, 2 * (k + 1))
@@ -239,19 +239,19 @@ def all_pairs_min_action(norm, grading):
 
 
 def all_pairs_polygons(target, norm, budget):
-    lengths = lattice._Lengths(norm, budget)
-    table = lattice._chain_cells(lengths, target, None, every=True)
+    lengths = toric._Lengths(norm, budget)
+    table = toric._chain_cells(lengths, target, None, every=True)
     found = []
     for count, entry1, entry2 in all_pairs(lengths, table, target):
         if count == target:
-            found.append(lattice._polygon_from_pair(entry1, entry2))
+            found.append(toric._polygon_from_pair(entry1, entry2))
             if entry2 is not entry1:
-                found.append(lattice._polygon_from_pair(entry2, entry1))
-    return sorted(found, key=lattice._preference)
+                found.append(toric._polygon_from_pair(entry2, entry1))
+    return sorted(found, key=toric._preference)
 
 
 def depth_first_cells(lengths, max_count):
-    """Reference for lattice._chain_cells: every chain of the depth-first
+    """Reference for toric._chain_cells: every chain of the depth-first
     walk is offered to its (displacement, weight) cell, and a cell keeps the
     least by exact length, then nedges, then picks.  Also returns the keys
     of the cells where an offer's length tied the cell's, or was compared
@@ -278,7 +278,7 @@ def depth_first_cells(lengths, max_count):
 
 
 def flat_cells(table):
-    """lattice._chain_cells' table keyed by (sx, sy, weight), each entry as
+    """toric._chain_cells' table keyed by (sx, sy, weight), each entry as
     (length, nedges, picks); a cell's key is its weight."""
     flat = {}
     for (sx, sy), group in table.items():
@@ -335,7 +335,7 @@ def test_node_limit_raises():
         toric_capacity(EUCLIDEAN, 20, node_limit=50)
     exc = info.value
     assert (exc.node_limit, exc.max_count, exc.nodes) == (50, 21, 51)
-    budget = lattice._initial_budget(EUCLIDEAN, 20)   # the octagon 8 + 4 sqrt 2
+    budget = toric._initial_budget(EUCLIDEAN, 20)   # the octagon 8 + 4 sqrt 2
     assert budget == CapacityValue.exact(8) + CapacityValue.sqrt_rational(32)
     assert exc.budget == budget.value
     assert str(exc) == ("polygon search exceeded its node limit of 50 "
@@ -349,8 +349,8 @@ def test_node_limit_raises():
 
 
 def test_node_limit_reports_directions_done():
-    budget = lattice._initial_budget(EUCLIDEAN, 20)
-    total = len(lattice._upper_directions(lattice._Lengths(EUCLIDEAN, budget)))
+    budget = toric._initial_budget(EUCLIDEAN, 20)
+    total = len(toric._upper_directions(toric._Lengths(EUCLIDEAN, budget)))
     done = []
     for limit in (50, 2000):
         with pytest.raises(ToricEnumerationBudgetExceeded) as info:
@@ -531,9 +531,7 @@ def toric_records(norm, kmax):
 ])
 def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch):
     got = toric_records(norm, kmax)
-    monkeypatch.setattr(lattice, "_toric_minima", toric_minima_oracle)
-    monkeypatch.setattr(importlib.import_module("echcap.capacities"), "_toric_minima",
-                        toric_minima_oracle)
+    monkeypatch.setattr(toric, "_toric_minima", toric_minima_oracle)
     assert got == toric_records(norm, kmax)
 
 
@@ -546,9 +544,9 @@ def test_float_filtered_pairing_matches_all_exact_oracle(norm, kmax, monkeypatch
     pytest.param(SKEW, 25, id="skew-25"),
 ])
 def test_chain_cells_match_depth_first_cells(norm, k):
-    budget = lattice._initial_budget(norm, k)
-    cells, tied = depth_first_cells(lattice._Lengths(norm, budget), k + 1)
-    table = flat_cells(lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None))
+    budget = toric._initial_budget(norm, k)
+    cells, tied = depth_first_cells(toric._Lengths(norm, budget), k + 1)
+    table = flat_cells(toric._chain_cells(toric._Lengths(norm, budget), k + 1, None))
     # same keys, and per cell the same float or int length, nedges and picks
     assert table == {key: entry[:3] for key, entry in cells.items()}
     assert tied   # the order past the length is exercised
@@ -559,19 +557,19 @@ def test_chain_cells_keep_chains_that_meet_an_exact_budget(k):
     # at the budget c_k some chain plus its closing chord lands on the budget
     # itself, so the first-copy threshold keeps it only through its eps margin
     budget = toric_capacity(EUCLIDEAN, k).value
-    cells, _ = depth_first_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1)
-    table = lattice._chain_cells(lattice._Lengths(EUCLIDEAN, budget), k + 1, None)
+    cells, _ = depth_first_cells(toric._Lengths(EUCLIDEAN, budget), k + 1)
+    table = toric._chain_cells(toric._Lengths(EUCLIDEAN, budget), k + 1, None)
     assert flat_cells(table) == {key: entry[:3] for key, entry in cells.items()}
 
 
 def test_capacities_do_not_walk_every_chain(monkeypatch):
-    chain_cells = lattice._chain_cells
+    chain_cells = toric._chain_cells
 
     def winners_only(*args, every=False):
         assert not every, "a capacity built every chain"
         return chain_cells(*args)
 
-    monkeypatch.setattr(lattice, "_chain_cells", winners_only)
+    monkeypatch.setattr(toric, "_chain_cells", winners_only)
     for norm in (EUCLIDEAN, WeightedL1(F(7, 3), 2), HEXAGON, SKEW):
         assert len(capacities(ToricNorm(norm), 10)) == 11
         assert toric_capacity(norm, 10).witness.lattice_point_count == 11
@@ -583,7 +581,7 @@ EVERY_CHAIN_NORMS = [("euclidean", EUCLIDEAN), ("l1:1,1", WeightedL1(1, 1)),
 
 
 @pytest.mark.parametrize("norm, budget, max_count", [
-    *(pytest.param(norm, lattice._initial_budget(norm, k), k + 1, id=f"{name}-rect-{k}")
+    *(pytest.param(norm, toric._initial_budget(norm, k), k + 1, id=f"{name}-rect-{k}")
       for name, norm in EVERY_CHAIN_NORMS for k in (4, 12)),
     *(pytest.param(norm, 7.25, 13, id=f"{name}-float") for name, norm in EVERY_CHAIN_NORMS),
     # the exact budgets c_k, where some chain meets the budget exactly
@@ -592,14 +590,14 @@ EVERY_CHAIN_NORMS = [("euclidean", EUCLIDEAN), ("l1:1,1", WeightedL1(1, 1)),
 def test_every_chain_matches_depth_first_walk(norm, budget, max_count):
     if isinstance(budget, int):
         budget = toric_capacity(EUCLIDEAN, budget).value
-    table = lattice._chain_cells(lattice._Lengths(norm, budget), max_count, None,
+    table = toric._chain_cells(toric._Lengths(norm, budget), max_count, None,
                                  every=True)
     got = sorted((sx, sy, w, length, nedges, picks)
                  for (sx, sy), group in table.items()
                  for length, nedges, picks, w in group.values())
     walk = sorted((dx, dy, w, length, nedges, picks)
                   for dx, dy, (length, nedges, picks, w) in depth_first_chains(
-                      lattice._Lengths(norm, budget), max_count))
+                      toric._Lengths(norm, budget), max_count))
     # the same chains, each once, with float lengths equal bit for bit
     assert got == walk
     assert [float(x[3]).hex() for x in got] == [float(x[3]).hex() for x in walk]
@@ -614,7 +612,7 @@ def sweep_order(lengths, max_count):
     found = {picks: (dx, dy) for dx, dy, (_, _, picks, _)
              in depth_first_chains(lengths, max_count)}
     groups = {(0, 0): [()]}
-    for px, py in lattice._upper_directions(lengths):
+    for px, py in toric._upper_directions(lengths):
         for s in sorted(groups, key=lambda s: (s[1], s[0]), reverse=True):
             for picks in groups[s]:
                 c = 1
@@ -638,10 +636,10 @@ def test_chain_cells_on_the_grid_match_depth_first_walk(name, norm, every):
     # the same float bits, at k <= 1 and at the grid's edge too
     at_edge = 0
     for k in (0, 1, 2, 8):
-        for budget in (lattice._initial_budget(norm, k), 3, 7.25):
-            lengths = lattice._Lengths(norm, budget)
+        for budget in (toric._initial_budget(norm, k), 3, 7.25):
+            lengths = toric._Lengths(norm, budget)
             (bx, by), max_count = lengths.box, k + 1
-            table = lattice._chain_cells(lengths, max_count, None, every=every)
+            table = toric._chain_cells(lengths, max_count, None, every=every)
             order = sweep_order(lengths, max_count)
             assert list(table) == sorted(order, key=lambda s: (s[1], s[0])), (k, budget)
             at_edge += any(abs(sx) == bx > 0 or sy == by > 0 for sx, sy in table)
@@ -668,8 +666,8 @@ def test_every_chain_turns_left_at_each_pick(name, norm):
     # a direction's sweep never reaches the copies it made, so no chain
     # takes one direction twice: picks are in strictly increasing angle
     for k in range(9):
-        for budget in (lattice._initial_budget(norm, k), 7.25):
-            table = lattice._chain_cells(lattice._Lengths(norm, budget), k + 1, None,
+        for budget in (toric._initial_budget(norm, k), 7.25):
+            table = toric._chain_cells(toric._Lengths(norm, budget), k + 1, None,
                                          every=True)
             for group in table.values():
                 for _, _, picks, _ in group.values():
@@ -739,14 +737,14 @@ def test_euclidean_50_needs_few_transitions():
 
 
 def test_euclidean_key_is_exact_equality():
-    key = lattice._Lengths(EUCLIDEAN, 10).key
+    key = toric._Lengths(EUCLIDEAN, 10).key
     assert key(((3, 4, 1),)) == key(((1, 0, 5),))    # both 5
     assert key(((2, 2, 1),)) == key(((1, 1, 2),))    # both 2 sqrt 2
     assert key(((1, 7, 1),)) == key(((1, 1, 5),)) != key(((1, 0, 7),))
 
 
 def test_euclidean_keys_agree_with_exact_sign():
-    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    lengths = toric._Lengths(EUCLIDEAN, 10)
     dirs = [(1, 0), (0, 1), (1, 1), (2, 2), (1, 2), (2, 1), (3, 4), (1, 7), (5, 5)]
     rng = random.Random(5)
     seen = set()
@@ -765,7 +763,7 @@ def test_euclidean_exact_fields_match_capacity_value_arithmetic():
     # _euclidean replays the float operations of CapacityValue arithmetic,
     # so the values it builds repeat its reprs and values, with the pair's
     # radicand key as their exact form
-    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    lengths = toric._Lengths(EUCLIDEAN, 10)
     dirs = [(1, 0), (0, 1), (3, 4), (2, 2), (1, 7), (1, 1), (2, 1), (5, 12)]
     rng = random.Random(11)
     seen = set()
@@ -783,7 +781,7 @@ def test_euclidean_exact_fields_match_capacity_value_arithmetic():
 
 
 def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
-    lengths = lattice._Lengths(EUCLIDEAN, 10)
+    lengths = toric._Lengths(EUCLIDEAN, 10)
     # equal floats, unequal keys: 5 > 3 sqrt 2, though (1, 0) picks first
     five, root18 = (5.0, 1, ((1, 0, 5),)), (5.0, 1, ((1, 1, 3),))
     assert (lengths.compare(five, root18), lengths.compare(root18, five)) == (1, -1)
@@ -792,7 +790,7 @@ def test_euclidean_compare_decides_unequal_keys_exactly(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact value was built for equal keys")
 
-    monkeypatch.setattr(lattice, "_euclidean", refuse)
+    monkeypatch.setattr(toric, "_euclidean", refuse)
     assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 2, ((1, 0, 5),))) == -1
     assert lengths.compare((5.0, 1, ((3, 4, 1),)), (5.0, 1, ((1, 0, 5),))) == 1
 
@@ -817,7 +815,7 @@ def test_euclidean_values_are_their_pairs_radicand_keys():
     # winning pair, which is that of its witness's edges: strictly
     # increasing square-free radicands with positive int coefficients
     seq = capacities(ToricNorm(EUCLIDEAN), 30)
-    minima = lattice._toric_minima(EUCLIDEAN, 30, None)
+    minima = toric._toric_minima(EUCLIDEAN, 30, None)
     irrational = 0
     for k in range(31):
         value, ((_, _, picks1, _), (_, _, picks2, _)) = minima[k]
@@ -841,15 +839,15 @@ def crafted_minimum(lengths, pairs):
     holds the entries of the given pairs, each pair keyed to that bucket."""
     table = {(0, 0): {i: entry for i, entry in enumerate(
         dict.fromkeys(entry for pair in pairs for entry in pair))}}
-    near = lattice._pair_buckets(lengths, table, 7, lambda count, entry1, entry2: (
+    near = toric._pair_buckets(lengths, table, 7, lambda count, entry1, entry2: (
         7 if (entry1, entry2) in pairs or (entry2, entry1) in pairs else None))
-    value, pair = lattice._minima(lengths, near)[7]
-    return value, lattice._witness(*pair)
+    value, pair = toric._minima(lengths, near)[7]
+    return value, toric._witness(*pair)
 
 
 def test_minima_decide_unequal_keys_exactly():
     # crafted table entries (length, nedges, picks, weight) with equal floats
-    lengths = lattice._Lengths(EUCLIDEAN, 20)
+    lengths = toric._Lengths(EUCLIDEAN, 20)
     five, four_root2 = (5.0, 1, ((1, 0, 5),), 3), (5.0, 1, ((1, 1, 4),), 3)
     square, two = (2.0, 2, ((1, 0, 1), (0, 1, 1)), 1), (2.0, 1, ((1, 0, 2),), 1)
     up = (2.0, 1, ((0, 1, 2),), 1)
@@ -868,9 +866,9 @@ def test_minima_decide_unequal_keys_exactly():
         assert witness.vertices == vertices, pairs
     # a rational bucket keeps one of the two segments of length 4, the one
     # with the least edge lists, and its witness
-    lengths = lattice._Lengths(WeightedL1(2, 2), 20)
+    lengths = toric._Lengths(WeightedL1(2, 2), 20)
     two, up = (2, 1, ((1, 0, 2),), 1), (2, 1, ((0, 1, 2),), 1)
-    assert lattice._minima(lengths, lattice._pair_buckets(
+    assert toric._minima(lengths, toric._pair_buckets(
         lengths, {(0, 0): {0: two, 1: up}}, 2, lambda count, entry1, entry2: (
             2 if entry1 is entry2 else None)))[2][1] == (up, up)
     best, witness = crafted_minimum(lengths, [(two, two), (up, up)])
@@ -914,7 +912,7 @@ def hull(points):
 def test_dropping_a_vertex_loses_one_point_and_no_length(norm):
     # the lemma behind the pairing walk's cut at the least perimeter of
     # kmax + 1 points: every smaller count has a polygon no longer
-    budget = lattice._initial_budget(norm, 6)
+    budget = toric._initial_budget(norm, 6)
     dropped = 0
     for target in range(2, 8):
         for poly in enumerate_polygons(target, norm, budget):
@@ -942,7 +940,7 @@ def test_capacities_build_no_polygon(monkeypatch):
     def refuse(upper, lower):
         raise AssertionError("a polygon was built")
 
-    monkeypatch.setattr(lattice, "_polygon_from_pair", refuse)
+    monkeypatch.setattr(toric, "_polygon_from_pair", refuse)
     assert [capacities(ToricNorm(norm), 15) for norm in norms] == expected
     for norm in norms:
         with pytest.raises(AssertionError, match="a polygon was built"):
@@ -974,7 +972,7 @@ def test_witness_is_the_rule_least_over_complete_enumeration(norm):
     def rule(poly):
         upper, lower = chains(poly)
         return len(poly.edges), min(upper, lower), max(upper, lower), \
-            lattice._preference(poly)
+            toric._preference(poly)
 
     for k in range(16):
         result = toric_capacity(norm, k)
@@ -1000,17 +998,17 @@ def test_pairing_walk_matches_all_pairs_oracle(norm, kmax):
         assert (repr(result.value), result.witness) == (repr(value), witness), k
         assert repr(min_action_at_grading(norm, 2 * k)) == \
             repr(all_pairs_min_action(norm, 2 * k)), k
-    for budget in (4.9, 6, lattice._initial_budget(norm, 5), toric_capacity(norm, 6).value):
+    for budget in (4.9, 6, toric._initial_budget(norm, 5), toric_capacity(norm, 6).value):
         for target in range(1, 8):
             assert enumerate_polygons(target, norm, budget) == \
                 all_pairs_polygons(target, norm, budget), (budget, target)
 
 
 def test_upper_directions_check_the_float_angle_order(monkeypatch):
-    lengths = lattice._Lengths(EUCLIDEAN, 10)
-    monkeypatch.setattr(lattice.math, "atan2", lambda y, x: 0.0)
+    lengths = toric._Lengths(EUCLIDEAN, 10)
+    monkeypatch.setattr(toric.math, "atan2", lambda y, x: 0.0)
     with pytest.raises(RuntimeError, match="misordered"):
-        lattice._upper_directions(lengths)
+        toric._upper_directions(lengths)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -1029,16 +1027,16 @@ def test_near_ties_below_float_resolution(a, b):
                          ids=["euclidean", "l1:1/10,7", "bench-poly2"])
 def test_upper_directions_match_wide_box(norm):
     budgets = [0, F(1, 20), 1, F(7, 3), 6.5]
-    budgets += [lattice._initial_budget(norm, k) for k in (1, 4, 9)]
+    budgets += [toric._initial_budget(norm, k) for k in (1, 4, 9)]
     for budget in budgets:
-        lengths = lattice._Lengths(norm, budget)
+        lengths = toric._Lengths(norm, budget)
         # every unit ball here lies in |x|, |y| <= 20, so this box is wide
         w = int(20 * lengths.budget_f) + 2
         brute = [(x, y) for y in range(0, w + 1) for x in range(-w, w + 1)
                  if (y > 0 or x > 0) and math.gcd(x, y) == 1
                  and 2 * lengths.f(x, y) <= lengths.limit]
         brute.sort(key=lambda v: math.atan2(v[1], v[0]))
-        assert lattice._upper_directions(lengths) == brute, budget
+        assert toric._upper_directions(lengths) == brute, budget
 
 
 @pytest.mark.parametrize("norm, k", [
@@ -1109,15 +1107,15 @@ def test_toric_minima_at_the_budget_c_kmax_keeps_the_same_pairs(norm, kmax):
     # so searches at the least rectangle, at the octagon of _initial_budget
     # and at c_kmax keep the same pairs; just below c_kmax, a search leaves
     # the kmax + 1 bucket empty (and any count of the same least perimeter)
-    rectangle = lattice._toric_minima(norm, kmax, None, least_rectangle(norm, kmax))
+    rectangle = toric._toric_minima(norm, kmax, None, least_rectangle(norm, kmax))
     least = rectangle[-1][0]
     for budget in (None, least):
-        other = lattice._toric_minima(norm, kmax, None, budget)
+        other = toric._toric_minima(norm, kmax, None, budget)
         assert [pair for _, pair in other] == [pair for _, pair in rectangle]
         assert [repr(value) for value, _ in other] == \
             [repr(value) for value, _ in rectangle]
     with pytest.raises(RuntimeError, match="no polygon with"):
-        lattice._toric_minima(norm, kmax, None, least.scaled(F(10 ** 9 - 1, 10 ** 9)))
+        toric._toric_minima(norm, kmax, None, least.scaled(F(10 ** 9 - 1, 10 ** 9)))
 
 
 @pytest.mark.parametrize("norm", [WeightedL1(F(7, 3), 2), SKEW], ids=["l1:7/3,2", "skew"])
@@ -1151,7 +1149,7 @@ def test_initial_budget_is_the_least_rectangle(norm, tight):
     # the ks of tight the octagon is a minimizer
     seq = capacities(ToricNorm(norm), 30)
     for k in range(31):
-        polygon, budget = lattice._budget_polygon(norm, k), lattice._initial_budget(norm, k)
+        polygon, budget = toric._budget_polygon(norm, k), toric._initial_budget(norm, k)
         assert polygon.lattice_point_count >= k + 1, k
         assert repr(perimeter(polygon, norm)) == repr(budget), k
         assert seq[k].compare(budget) <= 0 <= least_rectangle(norm, k).compare(budget), k
@@ -1168,7 +1166,7 @@ def test_initial_budget_is_a_polydisk_capacity(norm):
     ux, uy = norm.length((1, 0)).as_fraction(), norm.length((0, 1)).as_fraction()
     seq = polydisk_capacities(2 * ux, 2 * uy, 300)
     for k in range(301):
-        order = lattice._initial_budget(norm, k).compare(seq[k])
+        order = toric._initial_budget(norm, k).compare(seq[k])
         assert order == 0 if isinstance(norm, WeightedL1) else order <= 0, k
 
 
