@@ -30,10 +30,7 @@ def volume(domain: Domain) -> CapacityValue:
     if isinstance(domain, ToricNorm):
         return domain.norm.dual_ball_area()
     if isinstance(domain, DisjointUnion):
-        total = CapacityValue.exact(0)
-        for part in domain.parts:
-            total = total + volume(part)
-        return total
+        return sum(map(volume, domain.parts), CapacityValue.exact(0))
     raise TypeError(f"unsupported domain {domain!r}")
 
 
@@ -54,9 +51,7 @@ class TracePoint(Record):
     ratio: float
 
     def __init__(self, k: int, c_k: CapacityValue, ratio: float):
-        self.__dict__["k"] = k
-        self.__dict__["c_k"] = c_k
-        self.__dict__["ratio"] = ratio
+        self._store(locals())
 
 
 class VolumeReport(Record):
@@ -73,13 +68,7 @@ class VolumeReport(Record):
     def __init__(self, label: str, vol_x: CapacityValue, vol_y: CapacityValue,
                  trace: Tuple[TracePoint, ...], final_ratio: float,
                  max_deviation_last_decade: float, truncated: bool):
-        self.__dict__["label"] = label
-        self.__dict__["vol_x"] = vol_x
-        self.__dict__["vol_y"] = vol_y
-        self.__dict__["trace"] = trace
-        self.__dict__["final_ratio"] = final_ratio
-        self.__dict__["max_deviation_last_decade"] = max_deviation_last_decade
-        self.__dict__["truncated"] = truncated
+        self._store(locals())
 
 
 def _sample_points(kmax: int, stride: int) -> List[int]:
@@ -140,10 +129,7 @@ class QwVerdict(Record):
 
     def __init__(self, holds: bool, kmax: int, k: Optional[int] = None,
                  exploratory: bool = False):
-        self.__dict__["holds"] = holds
-        self.__dict__["kmax"] = kmax
-        self.__dict__["k"] = k
-        self.__dict__["exploratory"] = exploratory
+        self._store(locals())
 
 
 def qw_check(domain: Domain, kmax: int,

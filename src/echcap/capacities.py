@@ -307,10 +307,7 @@ class Dominance(Record):
     def __init__(self, dominated: bool, k: Optional[int] = None,
                  lower: Optional[CapacityValue] = None,
                  upper: Optional[CapacityValue] = None):
-        self.__dict__["dominated"] = dominated
-        self.__dict__["k"] = k
-        self.__dict__["lower"] = lower
-        self.__dict__["upper"] = upper
+        self._store(locals())
 
 
 def dominates(lower: CapacitySequence, upper: CapacitySequence,

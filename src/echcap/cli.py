@@ -125,12 +125,6 @@ class _Parser:
     def domain(self) -> Domain:
         name = self.word().lower()
         self.expect("(")
-        if name == "ball":
-            return Ball(*self.sizes(1))
-        if name == "ellipsoid":
-            return Ellipsoid(*self.sizes(2))
-        if name == "polydisk":
-            return Polydisk(*self.sizes(2))
         if name == "toric":
             return self._toric()
         if name == "union":
@@ -142,6 +136,9 @@ class _Parser:
                 self.skip_ws()
             self.expect(")")
             return DisjointUnion(parts)
+        for sized in (Ball, Ellipsoid, Polydisk):
+            if name == sized.__name__.lower():
+                return sized(*self.sizes(len(sized._fields)))
         raise self.error(f"unknown domain {name!r}")
 
     def _toric(self) -> Domain:

@@ -66,10 +66,8 @@ class DisjointUnion(Domain):
 def scale(domain: Domain, factor: RationalLike) -> Domain:
     """Multiply every size parameter by a positive rational factor."""
     c = _positive(factor, "scale factor")
-    if isinstance(domain, Ball):
-        return Ball(domain.a * c)
-    if isinstance(domain, _Sizes):
-        return type(domain)(domain.a * c, domain.b * c)
+    if isinstance(domain, _Sizes):   # a Ball too, by its one size
+        return type(domain)(*(size * c for size in domain._values()))
     if isinstance(domain, ToricNorm):
         return ToricNorm(domain.norm.scale(c))
     if isinstance(domain, DisjointUnion):
@@ -79,10 +77,9 @@ def scale(domain: Domain, factor: RationalLike) -> Domain:
 
 def describe(domain: Domain) -> str:
     """Canonical one-line label, matching the CLI spec grammar."""
-    if isinstance(domain, Ball):
-        return f"ball({domain.a})"
-    if isinstance(domain, _Sizes):
-        return f"{type(domain).__name__.lower()}({domain.a},{domain.b})"
+    if isinstance(domain, _Sizes):   # a Ball too, by its one size
+        sizes = ",".join(map(str, domain._values()))
+        return f"{type(domain).__name__.lower()}({sizes})"
     if isinstance(domain, ToricNorm):
         norm = domain.norm
         if isinstance(norm, Euclidean):

@@ -235,7 +235,7 @@ class LatticePolygon(Record):
     vertices: Tuple[IntPoint, ...]
 
     def __init__(self, vertices: Tuple[IntPoint, ...]):
-        self.__dict__["vertices"] = vertices
+        self._store(locals())
 
     @staticmethod
     def point() -> "LatticePolygon":

@@ -35,11 +35,7 @@ class ObstructionVerdict(Record):
     def __init__(self, obstructed: bool, kmax: int, witness_k: Optional[int] = None,
                  lower: Optional[CapacityValue] = None,
                  upper: Optional[CapacityValue] = None):
-        self.__dict__["obstructed"] = obstructed
-        self.__dict__["kmax"] = kmax
-        self.__dict__["witness_k"] = witness_k
-        self.__dict__["lower"] = lower
-        self.__dict__["upper"] = upper
+        self._store(locals())
 
 
 def embedding_obstruction(inner: Domain, outer: Domain, kmax: int,
@@ -134,10 +130,7 @@ class PackingInequality(Record):
 
     def __init__(self, multipliers: Tuple[int, ...], bound: int, lhs: Fraction,
                  satisfied: bool):
-        self.__dict__["multipliers"] = multipliers
-        self.__dict__["bound"] = bound
-        self.__dict__["lhs"] = lhs
-        self.__dict__["satisfied"] = satisfied
+        self._store(locals())
 
 
 class PackingReport(Record):
@@ -145,8 +138,7 @@ class PackingReport(Record):
     all_hold: bool
 
     def __init__(self, inequalities: Tuple[PackingInequality, ...], all_hold: bool):
-        self.__dict__["inequalities"] = inequalities
-        self.__dict__["all_hold"] = all_hold
+        self._store(locals())
 
 
 def _sizes(a_list: Sequence[RationalLike], dmax: int) -> Tuple[int, int, List[int]]:
@@ -203,9 +195,7 @@ class BiranVerdict(Record):
 
     def __init__(self, status: str, multipliers: Optional[Tuple[int, ...]] = None,
                  bound: Optional[int] = None):
-        self.__dict__["status"] = status
-        self.__dict__["multipliers"] = multipliers
-        self.__dict__["bound"] = bound
+        self._store(locals())
 
     @property
     def sufficient(self) -> bool:

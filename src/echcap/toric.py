@@ -52,21 +52,16 @@ class _Lengths:
     """
 
     def __init__(self, norm: Norm, budget):
-        if isinstance(budget, CapacityValue):
-            if budget.is_infinite:
-                raise ValueError("length budget must be finite")
-            self.budget = budget if budget._terms() is not None else None
-        elif isinstance(budget, float):
-            if not math.isfinite(budget):
-                raise ValueError("length budget must be finite")
-            if budget < 0:
-                raise ValueError("length budget must be >= 0")
-            self.budget = None
-        else:
-            frac = as_fraction(budget)
-            if frac < 0:
-                raise ValueError("length budget must be >= 0")
-            budget = self.budget = CapacityValue.exact(frac)
+        if isinstance(budget, float):
+            budget = CapacityValue(None, budget, 0.0)
+        elif not isinstance(budget, CapacityValue):
+            frac = as_fraction(budget)   # a negative one fails below, however large
+            budget = CapacityValue(frac, float(max(frac, 0)), 0.0)
+        if not math.isfinite(budget.value):
+            raise ValueError("length budget must be finite")
+        if (budget.value if budget.frac is None else budget.frac) < 0:
+            raise ValueError("length budget must be >= 0")
+        self.budget = budget if budget._terms() is not None else None
         exact = self.budget is not None
         if exact and self.budget.err > 1e-9 * max(1.0, float(budget)):
             # a coarse float: rebuilt from the budget's own terms
@@ -405,8 +400,7 @@ class ToricCapacity(Record):
     witness: LatticePolygon
 
     def __init__(self, value: CapacityValue, witness: LatticePolygon):
-        self.__dict__["value"] = value
-        self.__dict__["witness"] = witness
+        self._store(locals())
 
     def __iter__(self):
         return iter((self.value, self.witness))

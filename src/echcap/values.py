@@ -66,7 +66,8 @@ class Record:
 
     A subclass's fields are its bases' fields, then its own annotated names,
     unless it sets _fields itself.  Its __init__ stores them, and any derived
-    attribute, into self.__dict__.  Like a frozen dataclass, a record equals
+    attribute, into self.__dict__; one that only stores its arguments calls
+    self._store(locals()).  Like a frozen dataclass, a record equals
     only a record of its own class with equal fields, hashes and prints by
     its fields, and refuses assignment and deletion with AttributeError.
     """
@@ -77,6 +78,12 @@ class Record:
         super().__init_subclass__()
         if "_fields" not in cls.__dict__:
             cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _store(self, scope: dict):
+        """Store each field under its name from an __init__'s locals()."""
+        attributes = self.__dict__
+        for name in self._fields:
+            attributes[name] = scope[name]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

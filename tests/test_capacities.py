@@ -446,6 +446,25 @@ def test_record_behaves_as_its_frozen_dataclass(cls, params, samples):
         == [p[1] for p in params if not isinstance(p, str)]
 
 
+# The records whose __init__ only stores its arguments, by Record._store.
+STORE_ONLY = (TracePoint, VolumeReport, QwVerdict, Dominance, ObstructionVerdict,
+              PackingInequality, PackingReport, BiranVerdict, ToricCapacity,
+              LatticePolygon)
+
+
+@pytest.mark.parametrize("cls", STORE_ONLY, ids=lambda cls: cls.__name__)
+def test_record_stores_each_argument_under_its_name(cls):
+    """Built from distinct sentinels, by position and by name, a record reads
+    each back by identity under its own parameter name, and its parameters
+    are its fields.  The twin test builds its twin from the record's own
+    attributes, so it would pass a store that swapped two fields."""
+    names = list(inspect.signature(cls).parameters)
+    assert tuple(names) == cls._fields
+    by_name = {name: object() for name in names}
+    for record in (cls(*by_name.values()), cls(**by_name)):
+        assert all(getattr(record, name) is mark for name, mark in by_name.items())
+
+
 def test_records_equal_only_their_own_class():
     """== and != between any two samples of any two record classes, equal
     builds of one sample included, agree with the dataclass twins: a Ball is

@@ -64,6 +64,8 @@ def test_parse_errors_carry_positions():
     ("polydisk(1/0,2)", "bad rational '1/0'", 9),
     ("toric(l1:1)", "expected ','", 10),
     ("toric(l1:1,2/0)", "bad rational '2/0'", 11),
+    (" ", "expected a name", 1),
+    ("toric(poly:[[1,0],[-1,0]])", "polygonal unit ball needs at least 4 vertices", 25),
 ])
 def test_size_list_errors_keep_message_and_position(text, message, position):
     # captured when each domain read its sizes with its own rational/expect calls

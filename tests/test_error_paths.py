@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from echcap import (EUCLIDEAN, Ball, DisjointUnion, Ellipsoid, Polydisk,
-                    ToricNorm, WeightedL1, ball_capacities, capacities,
+from echcap import (EUCLIDEAN, Ball, CapacitySequence, CapacityValue,
+                    DisjointUnion, Domain, Ellipsoid, LatticePolygon, Polydisk,
+                    ToricNorm, WeightedL1, ball_capacities, capacities, describe,
                     disjoint_union_capacities, dominates, ellipsoid_capacities,
                     ellipsoid_full_capacities, enumerate_polygons,
-                    maxplus_convolve, nk_sequence, nk_via_triangle,
-                    polydisk_capacities, qw_check, scale, toric_capacity,
-                    volume_ratio_trace)
+                    maxplus_convolve, min_action_at_grading, nk_sequence,
+                    nk_via_triangle, polydisk_capacities, qw_check, scale,
+                    toric_capacity, volume, volume_ratio_trace)
 from echcap.cli import main
 from echcap.obstructions import (biran_sufficiency, embedding_obstruction,
                                  f_lower_bound, g_d, g_lower_bound, lambda_d_path,
@@ -45,7 +46,43 @@ BAD_CALLS = {
                                          ball_capacities(Fraction(3, 2), 3),
                                          mode="x"),
                        ValueError, "unknown mode 'x'"),
+    "union of none": (lambda: disjoint_union_capacities([], 3), ValueError,
+                      "need at least one sequence"),
+    "union past its input": (lambda: disjoint_union_capacities([ball_capacities(1, 2)], 5),
+                             ValueError, "input defined only up to k=2 < 5"),
+    "empty polygon": (lambda: LatticePolygon.from_vertices([]), ValueError,
+                      "a polygon needs at least one vertex"),
+    "degenerate segment": (lambda: LatticePolygon.from_vertices([(0, 0), (0, 0)]),
+                           ValueError, "segment endpoints must be distinct"),
+    "f bound a < 1": (lambda: f_lower_bound(Fraction(1, 2), 3), ValueError,
+                      "aspect ratio a must be >= 1"),
+    "approx negative": (lambda: CapacityValue.approx(-1.0, 0.0), ValueError,
+                        "approximate value must be finite and >= 0, got -1.0"),
+    "approx infinite error": (lambda: CapacityValue.approx(1.0, math.inf), ValueError,
+                              "error bound must be finite and >= 0, got inf"),
+    "sqrt negative": (lambda: CapacityValue.sqrt_rational(-1), ValueError,
+                      "cannot take sqrt of negative rational -1"),
+    "sqrt as fraction": (lambda: CapacityValue.sqrt_rational(2).as_fraction(), ValueError,
+                         "CapacityValue(~1.4142135623730951 +/- 4.44e-16) "
+                         "is not an exact rational"),
+    "scaled negative": (lambda: CapacityValue.exact(1).scaled(-1), ValueError,
+                        "scale factor must be >= 0"),
+    "sequence origin 2": (lambda: CapacitySequence(2, [CapacityValue.exact(0)]),
+                          ValueError, "index_origin must be 0 or 1, got 2"),
+    "empty sequence": (lambda: CapacitySequence(0, []), ValueError,
+                       "capacity sequence needs at least one entry"),
 }
+for name, call in [("capacities", lambda d: capacities(d, 3)), ("volume", volume),
+                   ("describe", describe), ("scale", lambda d: scale(d, 2))]:
+    BAD_CALLS[f"{name} of a bare Domain"] = (lambda call=call: call(Domain()), TypeError,
+                                            "unsupported domain Domain()")
+for budget in (math.inf, math.nan, CapacityValue.infinite()):
+    BAD_CALLS[f"enumerate budget {budget!r}"] = (
+        lambda b=budget: enumerate_polygons(1, EUCLIDEAN, b), ValueError,
+        "length budget must be finite")
+    BAD_CALLS[f"grading budget {budget!r}"] = (
+        lambda b=budget: min_action_at_grading(WeightedL1(1, 1), 2, budget=b), ValueError,
+        "length budget must be finite")
 
 
 @pytest.mark.parametrize("name", BAD_CALLS)

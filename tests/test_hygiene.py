@@ -1,6 +1,7 @@
 """Source hygiene of the package: no unused imports, standard library only,
 no dead module-level names or private methods, no module-level state,
-count and size checks only in values.py, and a lean import."""
+count and size checks only in values.py, syntax of the oldest supported
+Python, and a lean import."""
 
 import ast
 import pathlib
@@ -280,6 +281,20 @@ def literal_texts(tree):
             yield node.lineno, "".join(
                 part.value if isinstance(part, ast.Constant) else "x"
                 for part in node.values)
+
+
+def python_floor():
+    """(major, minor) of requires-python = ">=major.minor" in pyproject.toml."""
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sources_parse_at_the_python_floor(path):
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml admits, so no newer syntax slips in unnoticed."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=python_floor())
 
 
 def test_count_and_size_checks_live_in_values():
