@@ -23,11 +23,11 @@ deterministic; timestamps only ever go to the optional --meta sidecar.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from .capacities import (INTERIOR_STRICT, WEAK, capacities,
@@ -382,115 +382,114 @@ def _cmd_qw(args) -> int:
     return EXIT_OK if verdict.holds else EXIT_OBSTRUCTED
 
 
+# The commands, declared once for _plain_read and _build_parser: (name, help,
+# positionals, options, defaults), with each positional (dest, help), each
+# option (flag, kind, default, help) of kind "int", "str", "flag" (a bare
+# flag) or the tuple of its choices, and defaults (dest, value) pairs set
+# beside the function _runs() gives.  Every command also takes _COMMON.
+_COMMON = (("--node-limit", "int", None,
+            "cap on polygon-search nodes (default 10^7, env ECHCAP_NODE_LIMIT)"),
+           ("--meta", "str", None, "write a JSON sidecar with argv and a timestamp"))
+_COMMANDS = (
+    ("capacities", "capacity sequence of a domain", (("spec", None),),
+     (("--kmax", "int", 10, None),
+      ("--full", "flag", False, "full spectrum (k >= 1) for balls and ellipsoids"),
+      ("--format", ("csv", "json"), "csv", None)), ()),
+    ("embed", "embedding obstruction between domains", (("inner", None), ("outer", None)),
+     (("--kmax", "int", 50, None), ("--mode", ("weak", "strict"), "weak", None)), ()),
+    ("fbound", "ellipsoid-into-ball lower bound", (("a", None),),
+     (("--dmax", "int", 10, None), ("--format", ("text", "json"), "text", None)),
+     (("bound", "f_lower_bound"),)),
+    ("gbound", "polydisk-into-ball lower bound", (("a", None),),
+     (("--dmax", "int", 6, None), ("--format", ("text", "json"), "text", None)),
+     (("bound", "g_lower_bound"),)),
+    ("pack", "ball packing inequalities",
+     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 6, None),),
+     ()),
+    ("biran", "packing sufficiency conditions",
+     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 10, None),),
+     ()),
+    ("asym", "volume-ratio convergence trace", (("spec", None),),
+     (("--kmax", "int", 1000, None), ("--stride", "int", 1, None),
+      ("--format", ("csv", "json"), "csv", None)), ()),
+    ("qw", "action bound check c_k < sqrt(2k vol_Y)", (("spec", None),),
+     (("--kmax", "int", 1000, None),), ()),
+)
+
+
+def _runs():
+    """The function each command runs, by name (module constants hold no functions)."""
+    return {"capacities": _cmd_capacities, "embed": _cmd_embed, "fbound": _cmd_bound,
+            "gbound": _cmd_bound, "pack": _cmd_pack, "biran": _cmd_biran,
+            "asym": _cmd_asym, "qw": _cmd_qw}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first `main` call and then reused: it
-    depends on no input and holds only this module's command functions."""
-    parser = argparse.ArgumentParser(
-        prog="echcap",
-        description="Exact capacities of four-dimensional model domains and "
-                    "the embedding obstructions they induce.",
-    )
+def _build_parser():
+    """The argparse tree of _COMMANDS, built by the first call that needs it
+    (help, a usage error or argv the plain read declines) and then reused:
+    it depends on no input and holds only this module's command functions.
+    argparse is imported here, so plain argv never loads it."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="echcap", description=(
+        "Exact capacities of four-dimensional model domains and the embedding "
+        "obstructions they induce."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--node-limit", type=int, default=None,
-                       help="cap on polygon-search nodes "
-                            "(default 10^7, env ECHCAP_NODE_LIMIT)")
-        p.add_argument("--meta", default=None,
-                       help="write a JSON sidecar with argv and a timestamp")
-
-    p = sub.add_parser("capacities", help="capacity sequence of a domain")
-    p.add_argument("spec")
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--full", action="store_true",
-                   help="full spectrum (k >= 1) for balls and ellipsoids")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(p)
-    p.set_defaults(run=_cmd_capacities)
-
-    p = sub.add_parser("embed", help="embedding obstruction between domains")
-    p.add_argument("inner")
-    p.add_argument("outer")
-    p.add_argument("--kmax", type=int, default=50)
-    p.add_argument("--mode", choices=("weak", "strict"), default="weak")
-    common(p)
-    p.set_defaults(run=_cmd_embed)
-
-    for name, what, dmax, bound in (
-            ("fbound", "ellipsoid-into-ball lower bound", 10, "f_lower_bound"),
-            ("gbound", "polydisk-into-ball lower bound", 6, "g_lower_bound")):
+    runs = _runs()
+    for name, what, positionals, options, defaults in _COMMANDS:
         p = sub.add_parser(name, help=what)
-        p.add_argument("a")
-        p.add_argument("--dmax", type=int, default=dmax)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        common(p)
-        p.set_defaults(run=_cmd_bound, bound=bound)
-
-    for name, what, dmax, run in (
-            ("pack", "ball packing inequalities", 6, _cmd_pack),
-            ("biran", "packing sufficiency conditions", 10, _cmd_biran)):
-        p = sub.add_parser(name, help=what)
-        p.add_argument("sizes", help="comma-separated sizes, e.g. 1/2,1/3")
-        p.add_argument("--dmax", type=int, default=dmax)
-        common(p)
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("asym", help="volume-ratio convergence trace")
-    p.add_argument("spec")
-    p.add_argument("--kmax", type=int, default=1000)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(p)
-    p.set_defaults(run=_cmd_asym)
-
-    p = sub.add_parser("qw", help="action bound check c_k < sqrt(2k vol_Y)")
-    p.add_argument("spec")
-    p.add_argument("--kmax", type=int, default=1000)
-    common(p)
-    p.set_defaults(run=_cmd_qw)
-
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        for flag, kind, default, text in options + _COMMON:
+            if kind == "flag":
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=int if kind == "int" else None, default=default,
+                               choices=None if isinstance(kind, str) else kind, help=text)
+        p.set_defaults(run=runs[name], **dict(defaults))
     return parser
 
 
-def _plain_read(argv: List[str]) -> Optional[argparse.Namespace]:
-    """The Namespace `parse_args(argv)` returns, read straight off the
-    declarations of _build_parser, for plain argv: a command, then its
-    positionals and exact `--option value` pairs or bare flags in any order,
-    the last repeat of an option winning.  Anything else (help, --opt=value,
-    an abbreviation, `--`, a value starting with '-', one that `type` or
-    `choices` rejects, too many or too few positionals) returns None, and
-    argparse parses it: help, usage and error text come from argparse alone."""
-    commands, = _build_parser()._get_positional_actions()
-    sub = commands.choices.get(argv[0]) if argv else None
-    if sub is None:
+def _plain_read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The Namespace `parse_args(argv)` returns, read off _COMMANDS for plain
+    argv: a command, then its positionals and exact `--option value` pairs or
+    bare flags in any order, the last repeat winning.  Anything else (help,
+    --opt=value, an abbreviation, `--`, a value starting with '-', one that
+    int() or the choices reject, too many or too few positionals) returns
+    None, and argparse parses it: help, usage and errors come from it alone."""
+    for name, _, positionals, options, defaults in _COMMANDS:
+        if argv and argv[0] == name:
+            break
+    else:
         return None
-    args = {commands.dest: argv[0], **sub._defaults}
-    args.update((a.dest, a.default) for a in sub._actions
-                if a.default is not argparse.SUPPRESS)
-    positionals = sub._get_positional_actions()
+    args = {"command": name, "run": _runs()[name], **dict(defaults)}
+    kinds = {}
+    for flag, kind, default, _ in options + _COMMON:
+        kinds[flag] = kind
+        args[flag[2:].replace("-", "_")] = default
+    waiting = [dest for dest, _ in positionals]
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
-            if not positionals:
+            if not waiting:
                 return None
-            action, text = positionals.pop(0), token
-        else:
-            action = sub._option_string_actions.get(token)
-            if type(action) is argparse._StoreTrueAction:
-                args[action.dest] = action.const
-                continue
+            args[waiting.pop(0)] = token
+            continue
+        kind = kinds.get(token)
+        text = True
+        if kind != "flag":
             text = next(tokens, "-")   # a missing value declines as a '-' one does
-            if type(action) is not argparse._StoreAction or text[:1] == "-":
+            if kind is None or text[:1] == "-":
                 return None
-        try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        args[action.dest] = value
-    return None if positionals else argparse.Namespace(**args)
+            if kind == "int":
+                try:
+                    text = int(text)
+                except ValueError:
+                    return None
+            elif kind != "str" and text not in kind:
+                return None
+        args[token[2:].replace("-", "_")] = text
+    return None if waiting else SimpleNamespace(**args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

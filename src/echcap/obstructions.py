@@ -13,8 +13,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .capacities import WEAK, _nk_values, capacities, dominates
 from .domains import Domain
-from .values import (CapacityValue, RationalLike, Record, _count, _over_common_denominator,
-                     _polydisk_entry, _staircase, as_fraction)
+from .values import (CapacityValue, RationalLike, Record, _at_least, _count,
+                     _over_common_denominator, _polydisk_entry, _staircase, as_fraction)
 
 __all__ = [
     "BiranVerdict", "ObstructionVerdict", "PackingInequality", "PackingReport",
@@ -60,8 +60,7 @@ def f_lower_bound(a: RationalLike, dmax: int) -> Fraction:
 
     max over d = 1..dmax of (a,1)_{(d^2+3d+2)/2} / d; exact.
     """
-    if (a := as_fraction(a)) < 1:
-        raise ValueError("aspect ratio a must be >= 1")
+    a = _at_least(as_fraction(a), 1, "aspect ratio a")
     dmax = _count(dmax, 1, "dmax")
     den, values = _nk_values(a, 1, (dmax * dmax + 3 * dmax + 2) // 2)
     return _max_over_d([values[(d * d + 3 * d + 2) // 2 - 1]
@@ -103,8 +102,7 @@ def lambda_d_path(d: int) -> List[Tuple[int, int]]:
 def g_d(a: RationalLike, d: int) -> Fraction:
     """min{(a*m + n)/d : (m+1)(n+1) >= (d+1)(d+2)/2}, which is c_k(P(a, 1))/d
     at k = (d^2+3d)/2: for a = p/q, the polydisk entry of P(p, q) over q*d."""
-    if (a := as_fraction(a)) < 1:
-        raise ValueError("aspect ratio a must be >= 1")
+    a = _at_least(as_fraction(a), 1, "aspect ratio a")
     d = _count(d, 1, "d")
     p, q = a.numerator, a.denominator
     return Fraction(_polydisk_entry(p, q, (d + 1) * (d + 2) // 2), q * d)
@@ -114,8 +112,7 @@ def g_lower_bound(a: RationalLike, dmax: int) -> Fraction:
     """Lower bound for the polydisk-into-ball function: max of g_d, d <= dmax,
     each read off O(d) staircase corners."""
     dmax = _count(dmax, 1, "dmax")
-    if (a := as_fraction(a)) < 1:
-        raise ValueError("aspect ratio a must be >= 1")
+    a = _at_least(as_fraction(a), 1, "aspect ratio a")
     return _max_over_d([_polydisk_entry(a.numerator, a.denominator, (d + 1) * (d + 2) // 2)
                         for d in range(1, dmax + 1)], a.denominator)
 

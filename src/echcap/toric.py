@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import ToricEnumerationBudgetExceeded
 from .lattice import (IntPoint, Length, LatticePolygon, Norm, _canonical, _euclidean,
                       _radicand_key, perimeter, resolve_node_limit)
-from .values import (CapacityValue, Record, _count, _integer, _sign, _squarefree,
-                     _staircase, as_fraction)
+from .values import (CapacityValue, Record, _at_least, _count, _integer, _sign,
+                     _squarefree, _staircase, as_fraction)
 
 # a chain of the search: (length, nedges, picks, weight), see _chain_cells
 Entry = Tuple[Length, int, tuple, int]
@@ -59,8 +59,7 @@ class _Lengths:
             budget = CapacityValue(frac, float(max(frac, 0)), 0.0)
         if not math.isfinite(budget.value):
             raise ValueError("length budget must be finite")
-        if (budget.value if budget.frac is None else budget.frac) < 0:
-            raise ValueError("length budget must be >= 0")
+        _at_least(budget.value if budget.frac is None else budget.frac, 0, "length budget")
         self.budget = budget if budget._terms() is not None else None
         exact = self.budget is not None
         if exact and self.budget.err > 1e-9 * max(1.0, float(budget)):

@@ -46,11 +46,16 @@ def _integer(x) -> int:
     return int(x)
 
 
-def _count(x, least: int, name: str) -> int:
-    """_integer(x), with ValueError "<name> must be >= <least>" below least."""
-    if (x := _integer(x)) < least:
+def _at_least(x, least: int, name: str):
+    """x, with ValueError "<name> must be >= <least>" below least."""
+    if x < least:
         raise ValueError(f"{name} must be >= {least}")
     return x
+
+
+def _count(x, least: int, name: str) -> int:
+    """_integer(x), checked by _at_least."""
+    return _at_least(_integer(x), least, name)
 
 
 def _positive(q: RationalLike, what: str) -> Fraction:

@@ -469,7 +469,7 @@ def test_in_process_calls_match_a_fresh_process(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    picked = [MIXED_CALLS[i] for i in (1, 5, 11, 12, 13)]
+    picked = [MIXED_CALLS[i] for i in (1, 5, 11, 12, 13, 14)]
     for (argv, _), expected in zip(picked, run_calls(capsys, picked)):
         proc = subprocess.run([sys.executable, "-m", "echcap.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
@@ -500,21 +500,27 @@ def counting(self, *args, **kwargs):
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting
 import echcap.cli
-at_import = len(built)
-with contextlib.redirect_stdout(io.StringIO()):
-    echcap.cli.main(["capacities", "ball(1)", "--kmax", "2"])
-    after_one = len(built)
-    echcap.cli.main(["fbound", "2"])
-    echcap.cli.main(["gbound", "2"])
-print(at_import, after_one, len(built))
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["capacities", "ball(1)", "--kmax", "2"], ["embed", "ball(1)", "ball(2)"],
+                 ["fbound", "2"], ["gbound", "2"], ["pack", "1/2"], ["biran", "1/2"],
+                 ["asym", "ball(1)", "--kmax", "5"], ["qw", "ball(1)", "--kmax", "5"]):
+        echcap.cli.main(argv)
+    counts.append(len(built))
+    echcap.cli.main(["gbound", "--help"])
+    counts.append(len(built))
+    echcap.cli.main(["capacities", "ball(1)", "--kmax", "x"])
+    counts.append(len(built))
+print(*counts)
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    at_import, after_one, after_three = map(int, proc.stdout.split())
+    at_import, after_plain, after_help, after_error = map(int, proc.stdout.split())
     assert at_import == 0          # importing the CLI builds no parser
-    assert after_one == 9          # the top-level parser and its 8 subparsers
-    assert after_three == after_one
+    assert after_plain == 0        # nor does plain argv of any of the eight commands
+    assert after_help == 9         # help builds the top-level parser and its 8 subparsers
+    assert after_error == after_help
 
 
 # -- the plain read of argv ------------------------------------------------------
@@ -544,6 +550,21 @@ EDGE_ARGV = [
     (["capacities", "ball(1)", "ball(2)"], False),
     (["embed", "ball(1)"], False),
     (["capacities"], False),
+    (["capacities", "ball(1)", "--kmax", " 5"], True),
+    (["capacities", "ball(1)", "--kmax", "5_0"], True),
+    (["capacities", "ball(1)", "--kmax", "\u0663"], True),
+    (["capacities", "ball(1)", "--kmax", "+5"], True),
+    (["capacities", "ball(1)", "--node-limit", "5"], True),
+    (["embed", "ball(1)", "--kmax", "3", "ball(2)", "--mode", "weak", "--mode", "strict"],
+     True),
+    (["gbound", "7/2", "--format", "json", "--format", "text"], True),
+    (["capacities", "ball(1)", "--full", "x"], False),
+    (["capacities", "ball(0)", "--meta", "-"], False),   # fails, so writes no file "-"
+    (["fbound", "-5"], False),
+    (["capacities", "ball(1)", "--format", "JSON"], False),
+    (["capacities", "ball(1)", "--Full"], False),
+    (["capacities", "-"], False),
+    (["pack", "1/2", "--kmax", "3"], False),
 ]
 
 
