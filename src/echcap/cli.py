@@ -216,8 +216,10 @@ def _emit(payload) -> None:
 
 
 def _write_meta(path: Optional[str], command: str, argv: List[str]) -> None:
-    if not path:
+    if path is None:
         return
+    if path == "-":   # open() would take it as a file name, not as stdout
+        raise OSError("'-' is not a file path; stdout carries the payload")
     import datetime   # here, not at the top: only --meta runs pay its import
     import json
     meta = {
@@ -291,8 +293,9 @@ def _cmd_embed(args) -> int:
 def _cmd_bound(args) -> int:
     a = _rational(args.a)
     from . import obstructions
-    # looked up at call time, not held by the cached parser: patches are seen
-    text = str(getattr(obstructions, args.bound)(a, args.dmax))
+    bound = (obstructions.f_lower_bound if args.command == "fbound"
+             else obstructions.g_lower_bound)   # read at call time: patches are seen
+    text = str(bound(a, args.dmax))
     if args.format == "json":
         _emit({"a": args.a, "dmax": args.dmax, "bound": text})
     else:
@@ -383,10 +386,9 @@ def _cmd_qw(args) -> int:
 
 
 # The commands, declared once for _plain_read and _build_parser: (name, help,
-# positionals, options, defaults), with each positional (dest, help), each
-# option (flag, kind, default, help) of kind "int", "str", "flag" (a bare
-# flag) or the tuple of its choices, and defaults (dest, value) pairs set
-# beside the function _runs() gives.  Every command also takes _COMMON.
+# positionals, options), each positional (dest, help), each option (flag, kind,
+# default, help) of kind "int", "str", "flag" (a bare flag) or the tuple of its
+# choices.  Every command also takes _COMMON; main runs _runs()[name].
 _COMMON = (("--node-limit", "int", None,
             "cap on polygon-search nodes (default 10^7, env ECHCAP_NODE_LIMIT)"),
            ("--meta", "str", None, "write a JSON sidecar with argv and a timestamp"))
@@ -394,31 +396,27 @@ _COMMANDS = (
     ("capacities", "capacity sequence of a domain", (("spec", None),),
      (("--kmax", "int", 10, None),
       ("--full", "flag", False, "full spectrum (k >= 1) for balls and ellipsoids"),
-      ("--format", ("csv", "json"), "csv", None)), ()),
+      ("--format", ("csv", "json"), "csv", None))),
     ("embed", "embedding obstruction between domains", (("inner", None), ("outer", None)),
-     (("--kmax", "int", 50, None), ("--mode", ("weak", "strict"), "weak", None)), ()),
+     (("--kmax", "int", 50, None), ("--mode", ("weak", "strict"), "weak", None))),
     ("fbound", "ellipsoid-into-ball lower bound", (("a", None),),
-     (("--dmax", "int", 10, None), ("--format", ("text", "json"), "text", None)),
-     (("bound", "f_lower_bound"),)),
+     (("--dmax", "int", 10, None), ("--format", ("text", "json"), "text", None))),
     ("gbound", "polydisk-into-ball lower bound", (("a", None),),
-     (("--dmax", "int", 6, None), ("--format", ("text", "json"), "text", None)),
-     (("bound", "g_lower_bound"),)),
+     (("--dmax", "int", 6, None), ("--format", ("text", "json"), "text", None))),
     ("pack", "ball packing inequalities",
-     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 6, None),),
-     ()),
+     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 6, None),)),
     ("biran", "packing sufficiency conditions",
-     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 10, None),),
-     ()),
+     (("sizes", "comma-separated sizes, e.g. 1/2,1/3"),), (("--dmax", "int", 10, None),)),
     ("asym", "volume-ratio convergence trace", (("spec", None),),
      (("--kmax", "int", 1000, None), ("--stride", "int", 1, None),
-      ("--format", ("csv", "json"), "csv", None)), ()),
+      ("--format", ("csv", "json"), "csv", None))),
     ("qw", "action bound check c_k < sqrt(2k vol_Y)", (("spec", None),),
-     (("--kmax", "int", 1000, None),), ()),
+     (("--kmax", "int", 1000, None),)),
 )
 
 
 def _runs():
-    """The function each command runs, by name (module constants hold no functions)."""
+    """The function each command runs, by name: the only map from names to functions."""
     return {"capacities": _cmd_capacities, "embed": _cmd_embed, "fbound": _cmd_bound,
             "gbound": _cmd_bound, "pack": _cmd_pack, "biran": _cmd_biran,
             "asym": _cmd_asym, "qw": _cmd_qw}
@@ -428,15 +426,14 @@ def _runs():
 def _build_parser():
     """The argparse tree of _COMMANDS, built by the first call that needs it
     (help, a usage error or argv the plain read declines) and then reused:
-    it depends on no input and holds only this module's command functions.
+    it depends on no input and holds no function.
     argparse is imported here, so plain argv never loads it."""
     import argparse
     parser = argparse.ArgumentParser(prog="echcap", description=(
         "Exact capacities of four-dimensional model domains and the embedding "
         "obstructions they induce."))
     sub = parser.add_subparsers(dest="command", required=True)
-    runs = _runs()
-    for name, what, positionals, options, defaults in _COMMANDS:
+    for name, what, positionals, options in _COMMANDS:
         p = sub.add_parser(name, help=what)
         for dest, text in positionals:
             p.add_argument(dest, help=text)
@@ -446,7 +443,6 @@ def _build_parser():
             else:
                 p.add_argument(flag, type=int if kind == "int" else None, default=default,
                                choices=None if isinstance(kind, str) else kind, help=text)
-        p.set_defaults(run=runs[name], **dict(defaults))
     return parser
 
 
@@ -457,12 +453,12 @@ def _plain_read(argv: List[str]) -> Optional[SimpleNamespace]:
     --opt=value, an abbreviation, `--`, a value starting with '-', one that
     int() or the choices reject, too many or too few positionals) returns
     None, and argparse parses it: help, usage and errors come from it alone."""
-    for name, _, positionals, options, defaults in _COMMANDS:
+    for name, _, positionals, options in _COMMANDS:
         if argv and argv[0] == name:
             break
     else:
         return None
-    args = {"command": name, "run": _runs()[name], **dict(defaults)}
+    args = {"command": name}
     kinds = {}
     for flag, kind, default, _ in options + _COMMON:
         kinds[flag] = kind
@@ -502,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_USAGE if exc.code else EXIT_OK
     try:
         args.node_limit = resolve_node_limit(args.node_limit)
-        code = args.run(args)
+        code = _runs()[args.command](args)
     except ToricEnumerationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(f"note: search stopped at direction "

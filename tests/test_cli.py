@@ -413,13 +413,16 @@ def test_meta_sidecar(tmp_path, capsys):
     assert not meta.exists()
 
 
-def test_unwritable_meta_path_is_a_usage_error(tmp_path, capsys):
-    meta = tmp_path / "missing" / "meta.json"
-    assert main(["capacities", "ball(1)", "--kmax", "2", "--meta", str(meta)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "0,1,1\n"   # the payload was already written
-    assert err.startswith("error: cannot write the --meta file: ")
-    assert str(meta) in err and "Traceback" not in err
+def test_unwritable_meta_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # '-' (stdout carries the payload) and '' are refused alike and leave no file
+    monkeypatch.chdir(tmp_path)
+    for meta in (str(tmp_path / "missing" / "meta.json"), "-", ""):
+        assert main(["capacities", "ball(1)", "--kmax", "2", "--meta", meta]) == 2, meta
+        out, err = capsys.readouterr()
+        assert out == "0,1,1\n"   # the payload was already written
+        assert err.startswith("error: cannot write the --meta file: ")
+        assert repr(meta) in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir()), meta
 
 
 # -- one process, many calls ---------------------------------------------------
@@ -427,7 +430,8 @@ def test_unwritable_meta_path_is_a_usage_error(tmp_path, capsys):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # (argv, exit code): all eight commands, csv and json output, an argparse
-# usage error, a spec parse error, a search over its node limit and --help
+# usage error, a spec parse error, a search over its node limit, --help and
+# an --opt=value argv that argparse parses
 MIXED_CALLS = [
     (["capacities", "ellipsoid(3/2,1)", "--kmax", "12"], 0),
     (["capacities", "toric(euclidean)", "--kmax", "4", "--format", "json"], 0),
@@ -445,6 +449,7 @@ MIXED_CALLS = [
     (["embed", "ball(1)", "ball(1/0)"], 2),
     (["capacities", "toric(euclidean)", "--kmax", "20", "--node-limit", "10"], 3),
     (["gbound", "--help"], 0),
+    (["qw", "ball(1)", "--kmax=5"], 0),
 ]
 
 
@@ -469,7 +474,7 @@ def test_in_process_calls_match_a_fresh_process(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    picked = [MIXED_CALLS[i] for i in (1, 5, 11, 12, 13, 14)]
+    picked = [MIXED_CALLS[i] for i in (1, 5, 11, 12, 13, 14, 15)]
     for (argv, _), expected in zip(picked, run_calls(capsys, picked)):
         proc = subprocess.run([sys.executable, "-m", "echcap.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
@@ -486,8 +491,36 @@ def test_bounds_are_looked_up_at_call_time(capsys, monkeypatch):
                         lambda a, dmax: seen.append(("g", a, dmax)) or Fraction(9, 2))
     assert main(["fbound", "5", "--dmax", "3"]) == 0
     assert main(["gbound", "3/2", "--dmax", "4"]) == 0
-    assert capsys.readouterr().out == "7\n9/2\n"
-    assert seen == [("f", 5, 3), ("g", Fraction(3, 2), 4)]
+    # --dmax=N is parsed by argparse, whose tree was built before the patch
+    assert main(["fbound", "5", "--dmax=3"]) == 0
+    assert main(["gbound", "3/2", "--dmax=4"]) == 0
+    assert capsys.readouterr().out == "7\n9/2\n7\n9/2\n"
+    assert seen == [("f", 5, 3), ("g", Fraction(3, 2), 4)] * 2
+
+
+# (patched function, plain argv): each command run from its plain read and,
+# with its last option written --opt=value, from argparse
+DISPATCH_ARGV = [
+    ("_cmd_capacities", ["capacities", "ball(1)", "--kmax", "2"]),
+    ("_cmd_embed", ["embed", "ball(1)", "ball(2)", "--kmax", "3"]),
+    ("_cmd_bound", ["fbound", "5", "--dmax", "3"]),
+    ("_cmd_bound", ["gbound", "3/2", "--dmax", "4"]),
+    ("_cmd_pack", ["pack", "1/2", "--dmax", "3"]),
+    ("_cmd_biran", ["biran", "1/2", "--dmax", "3"]),
+    ("_cmd_asym", ["asym", "ball(1)", "--kmax", "5"]),
+    ("_cmd_qw", ["qw", "ball(1)", "--kmax", "5"]),
+]
+
+
+def test_both_parse_paths_run_the_same_function(monkeypatch):
+    cli._build_parser()   # built, and cached, before any patch
+    for function, argv in DISPATCH_ARGV:
+        ran = []
+        monkeypatch.setattr(cli, function, lambda args: ran.append(args.command) or 0)
+        assert cli._plain_read(argv) is not None, argv
+        assert main(argv) == 0
+        assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+        assert ran == [argv[0]] * 2, argv
 
 
 def test_parser_is_built_on_the_first_call_only():
@@ -559,7 +592,7 @@ EDGE_ARGV = [
      True),
     (["gbound", "7/2", "--format", "json", "--format", "text"], True),
     (["capacities", "ball(1)", "--full", "x"], False),
-    (["capacities", "ball(0)", "--meta", "-"], False),   # fails, so writes no file "-"
+    (["capacities", "ball(1)", "--meta", "-"], False),   # refused: writes no file "-"
     (["fbound", "-5"], False),
     (["capacities", "ball(1)", "--format", "JSON"], False),
     (["capacities", "ball(1)", "--Full"], False),
@@ -591,7 +624,8 @@ def test_plain_read_is_parse_args(monkeypatch):
         assert args is None or vars(args) == vars(parser.parse_args(argv)), argv
 
 
-def test_main_without_the_plain_read_is_unchanged(capsys, monkeypatch):
+def test_main_without_the_plain_read_is_unchanged(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("ECHCAP_NODE_LIMIT", raising=False)
     corpus = [argv for argv, _ in EDGE_ARGV] + bench_argv(monkeypatch, (0, 1))
@@ -608,6 +642,8 @@ def test_plain_read_handles_every_declared_action(monkeypatch):
     parser = cli._build_parser()
     commands, = parser._get_positional_actions()
     assert type(commands) is argparse._SubParsersAction and not parser._defaults
+    # a namespace holds only declared arguments: no default set beside them
+    assert not any(sub._defaults for sub in commands.choices.values())
     assert all(type(a) is argparse._HelpAction for a in parser._get_optional_actions())
     for name, sub in commands.choices.items():
         for action in sub._actions:
@@ -620,8 +656,12 @@ def test_plain_read_handles_every_declared_action(monkeypatch):
                 # argparse would pass a str default through type
                 assert action.type is None or not isinstance(action.default, str), \
                     (name, action)
-    for argv in bench_argv(monkeypatch, (0,)):
-        assert cli._plain_read(argv) is not None, argv
+    dests = {name: {"command"} | {dest for dest, _ in positionals} |
+             {flag[2:].replace("-", "_") for flag, *_ in options + cli._COMMON}
+             for name, _, positionals, options in cli._COMMANDS}
+    for argv in bench_argv(monkeypatch, (0, 1)):
+        args = cli._plain_read(argv)
+        assert args is not None and vars(args).keys() == dests[argv[0]], argv
 
 
 def pack_from_the_library(argv):
